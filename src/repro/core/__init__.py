@@ -57,7 +57,6 @@ from repro.core.remote_memory import (
     RemoteMemoryBackend,
     attach_remote_memory,
 )
-from repro.core.trace import TraceEvent, Tracer, attach_tracer
 from repro.core.balancer import (
     DiffusionBalancer,
     GreedyBalancer,
@@ -127,7 +126,4 @@ __all__ = [
     "measure_load",
     "GreedyBalancer",
     "DiffusionBalancer",
-    "TraceEvent",
-    "Tracer",
-    "attach_tracer",
 ]

@@ -34,9 +34,6 @@ class MRTSConfig:
 
     * ``storage_retries`` — retries after the first attempt of a storage
       op on a transient fault (``RetryingBackend``); 0 disables retrying.
-    * ``retry_base_delay_s`` / ``retry_max_delay_s`` — capped exponential
-      backoff schedule; ``retry_op_timeout_s`` bounds the cumulative
-      backoff a single operation may accrue before giving up.
     * ``checksum_frames`` — wrap every packed object in a length+CRC32
       frame so torn writes are detected at load (``CorruptObject``).
     * ``degraded`` — start in degraded mode (normally entered at runtime
@@ -47,10 +44,7 @@ class MRTSConfig:
 
     * ``compress_spills`` — size-adaptive compression tier above the
       frame layer; requires ``checksum_frames`` (the flags byte lives in
-      the frame header).  ``compress_min_bytes`` skips tiny payloads,
-      ``compress_large_bytes`` is the boundary between
-      ``compress_level_small`` (thorough) and ``compress_level_large``
-      (fast) zlib levels.
+      the frame header).
     * ``delta_spills`` — serializers with ``supports_delta`` spill only
       the segments appended since the last stored copy, as an append-log
       of frames; also requires ``checksum_frames`` (segment boundaries
@@ -66,13 +60,10 @@ class MRTSConfig:
     * ``packfile_spills`` — lay the default raw store out as
       locality-ordered pack segments (:class:`~repro.core.packfile.
       PackFileBackend`); only applies when the caller did not supply its
-      own ``storage_factory``.  ``packfile_segment_bytes`` is the target
-      segment size and ``packfile_compact_ratio`` the dead-byte fraction
-      that triggers background compaction.
+      own ``storage_factory``.
     * ``learned_prefetch`` — mine the demand-load event stream into a
       per-node Markov successor table and prefetch predicted successors
-      ahead of the ready queue; ``prefetch_confidence`` is the minimum
-      empirical probability a prediction needs before bytes are moved.
+      ahead of the ready queue.
     * ``neighborhood_warm`` — on each prefetch, additionally warm up to
       this many pack-file curve neighbors of the hinted objects (0
       disables neighborhood expansion).  Deliberately conservative by
@@ -95,10 +86,6 @@ class MRTSConfig:
       ready work from the most backlogged node onto an idle one,
       preferring victim-resident objects near the thief's own pack-file
       locality keys so a steal never triggers a load storm.
-    * ``steal_interval_s`` — virtual seconds between a thief's idle
-      checks; ``steal_min_victim_queue`` — a victim must have at least
-      this many ready objects before it can be robbed (leaves it enough
-      work to stay busy).
     * ``elastic_balance`` — attach an
       :class:`~repro.core.balancer.ElasticBalancer` that consumes queue
       depth and residency signals live off the obs bus and migrates
@@ -115,30 +102,18 @@ class MRTSConfig:
     prefetch_depth: int = 2
     message_aggregation: int = 1
     storage_retries: int = 3
-    retry_base_delay_s: float = 0.001
-    retry_max_delay_s: float = 0.100
-    retry_op_timeout_s: float = 1.0
     checksum_frames: bool = True
     degraded: bool = False
     compress_spills: bool = True
-    compress_min_bytes: int = 1024
-    compress_large_bytes: int = 256 * 1024
-    compress_level_small: int = 3
-    compress_level_large: int = 1
     delta_spills: bool = True
     delta_log_frames_max: int = 8
     delta_compact_factor: float = 2.0
     packfile_spills: bool = True
-    packfile_segment_bytes: int = 1 << 20
-    packfile_compact_ratio: float = 0.5
     learned_prefetch: bool = True
-    prefetch_confidence: float = 0.25
     neighborhood_warm: int = 1
     speculation: bool = False
     spec_force_abort: bool = False
     work_stealing: bool = False
-    steal_interval_s: float = 2e-4
-    steal_min_victim_queue: int = 2
     elastic_balance: bool = False
 
     VALID_SCHEMES = ("lru", "lfu", "mru", "mu", "lu")
@@ -175,38 +150,11 @@ class MRTSConfig:
             raise ConfigError("message_aggregation must be >= 1")
         if self.storage_retries < 0:
             raise ConfigError("storage_retries must be >= 0")
-        if self.retry_base_delay_s < 0:
-            raise ConfigError("retry_base_delay_s must be >= 0")
-        if self.retry_max_delay_s < self.retry_base_delay_s:
-            raise ConfigError(
-                "retry_max_delay_s must be >= retry_base_delay_s"
-            )
-        if self.retry_op_timeout_s < 0:
-            raise ConfigError("retry_op_timeout_s must be >= 0")
-        if self.compress_min_bytes < 0:
-            raise ConfigError("compress_min_bytes must be >= 0")
-        if self.compress_large_bytes < self.compress_min_bytes:
-            raise ConfigError(
-                "compress_large_bytes must be >= compress_min_bytes"
-            )
-        for knob in ("compress_level_small", "compress_level_large"):
-            if not 0 <= getattr(self, knob) <= 9:
-                raise ConfigError(f"{knob} must be a zlib level in [0, 9]")
         if self.delta_log_frames_max < 1:
             raise ConfigError("delta_log_frames_max must be >= 1")
         if self.delta_compact_factor < 1.0:
             raise ConfigError("delta_compact_factor must be >= 1")
-        if self.packfile_segment_bytes < 1:
-            raise ConfigError("packfile_segment_bytes must be >= 1")
-        if not 0.0 < self.packfile_compact_ratio < 1.0:
-            raise ConfigError("packfile_compact_ratio must be in (0, 1)")
-        if not 0.0 <= self.prefetch_confidence <= 1.0:
-            raise ConfigError("prefetch_confidence must be in [0, 1]")
         if self.neighborhood_warm < 0:
             raise ConfigError("neighborhood_warm must be >= 0")
         if self.spec_force_abort and not self.speculation:
             raise ConfigError("spec_force_abort requires speculation")
-        if self.steal_interval_s <= 0:
-            raise ConfigError("steal_interval_s must be positive")
-        if self.steal_min_victim_queue < 1:
-            raise ConfigError("steal_min_victim_queue must be >= 1")

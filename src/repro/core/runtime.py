@@ -80,6 +80,11 @@ __all__ = ["MRTS", "HandlerContext", "CostModel", "MeasuredCostModel", "handler"
 
 _SERVICE_MSG_BYTES = 64
 _SHUTDOWN = object()
+# Work stealing (config.work_stealing): virtual seconds between a thief's
+# idle checks, and the ready backlog a victim must hold before it can be
+# robbed (leaves it enough work to stay busy).
+STEAL_INTERVAL_S = 2e-4
+STEAL_MIN_VICTIM_QUEUE = 2
 
 
 def handler(fn: Optional[Callable] = None, *, readonly: bool = False) -> Callable:
@@ -525,10 +530,7 @@ class MRTS:
             # curve-adjacent objects cohabit and neighborhood warms are
             # one sequential read.  Custom factories (file spill, fault
             # injection, dist shards) are never wrapped.
-            self.storage_factory = lambda rank: PackFileBackend(
-                segment_bytes=self.config.packfile_segment_bytes,
-                compact_ratio=self.config.packfile_compact_ratio,
-            )
+            self.storage_factory = lambda rank: PackFileBackend()
         else:
             self.storage_factory = lambda rank: MemoryBackend()
         # Learned prefetch: a Markov model over the demand-load event
@@ -1721,13 +1723,12 @@ class MRTS:
         :func:`~repro.core.computing.select_victim` rule drives the
         intra-node executor policy; this is its inter-node twin.
         """
-        cfg = self.config
         while True:
-            yield self.engine.timeout(cfg.steal_interval_s)
+            yield self.engine.timeout(STEAL_INTERVAL_S)
             if nrt.active_handlers > 0 or nrt.queued_msgs > 0:
                 continue
             backlogs = [0 if n is nrt else len(n.ready) for n in self.nodes]
-            victim_rank = select_victim(backlogs, cfg.steal_min_victim_queue)
+            victim_rank = select_victim(backlogs, STEAL_MIN_VICTIM_QUEUE)
             if victim_rank is None:
                 continue
             oid = self._pick_steal_candidate(nrt, self.nodes[victim_rank])
@@ -1900,7 +1901,6 @@ class MRTS:
                 nrt.rank,
                 after=current,
                 k=max(cfg.prefetch_depth, 2),
-                min_confidence=cfg.prefetch_confidence,
             ))
         limit = cfg.prefetch_depth
         pf = nrt.packfile

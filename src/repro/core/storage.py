@@ -693,25 +693,13 @@ def build_storage_stack(
     """
     if config.storage_retries > 0:
         policy = RetryPolicy(
-            max_attempts=config.storage_retries + 1,
-            base_delay_s=config.retry_base_delay_s,
-            max_delay_s=config.retry_max_delay_s,
-            op_timeout_s=config.retry_op_timeout_s,
-            seed=seed,
+            max_attempts=config.storage_retries + 1, seed=seed
         )
         backend = RetryingBackend(backend, policy, on_retry=on_retry, sleep=sleep)
     if config.checksum_frames:
         backend = ChecksummedBackend(backend)
         if config.compress_spills:
-            backend = CompressingBackend(
-                backend,
-                CompressionPolicy(
-                    min_bytes=config.compress_min_bytes,
-                    level_small=config.compress_level_small,
-                    large_bytes=config.compress_large_bytes,
-                    level_large=config.compress_level_large,
-                ),
-            )
+            backend = CompressingBackend(backend)
     return CountingBackend(backend)
 
 

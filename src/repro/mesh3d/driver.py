@@ -1,13 +1,14 @@
 """End-to-end driver for the 3D extruded-prism PUMG variant.
 
-``run_mesh3d`` decomposes a box domain into an ``nx x ny x nz`` grid of
-:class:`~repro.mesh3d.objects.Prism3DPatchObject` patches and drives
+``Mesh3DScenario`` decomposes a box domain into an ``nx x ny x nz`` grid
+of :class:`~repro.mesh3d.objects.Prism3DPatchObject` patches and drives
 them with the *2D* color-phase coordinator
 (:class:`repro.pumg.updr.UPDRCoordinatorObject`, ``n_colors=8``): the
 2x2x2 tiling guarantees concurrently refining patches never share a
 face, so balanced bisection is race-free without any new runtime
 machinery — the point of the exercise is that the MRTS hosts the 3D
-code unmodified.
+code unmodified.  ``run_mesh3d`` is the one-shot driver over it; serve
+jobs run the same scenario a boundary at a time.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from repro.core.stats import RunStats
 from repro.core.storage import StorageBackend
 from repro.mesh3d.objects import Prism3DPatchObject
 from repro.mesh3d.prism import prism_quality, prism_volume
-from repro.pumg.driver import _build_runtime, _sweep_until_converged
+from repro.pumg.driver import make_runtime
+from repro.pumg.scenario import MeshScenario, run_phases
 from repro.pumg.updr import UPDRCoordinatorObject
 from repro.sim.cluster import ClusterSpec
 
-__all__ = ["Mesh3DResult", "run_mesh3d"]
+__all__ = ["Mesh3DResult", "Mesh3DScenario", "run_mesh3d"]
 
 
 @dataclass
@@ -38,6 +40,7 @@ class Mesh3DResult:
     total_volume: float
     worst_quality: float
     runtime: MRTS = field(repr=False)
+    scenario: Mesh3DScenario = field(repr=False)
     extras: dict = field(default_factory=dict)
 
 
@@ -84,6 +87,81 @@ def _block_grid(
     return blocks
 
 
+class Mesh3DScenario(MeshScenario):
+    """Extruded-prism refinement of a box: one patch per grid block under
+    the 2D coordinator with eight colors."""
+
+    method = "mesh3d"
+
+    def __init__(
+        self, sizing3_spec: tuple, nx: int, ny: int, nz: int,
+        bounds: tuple = (0.0, 0.0, 0.0, 1.0, 1.0, 1.0), min_size: float = 1e-3,
+    ) -> None:
+        super().__init__()
+        self.sizing3_spec = sizing3_spec
+        self.grid = (nx, ny, nz)
+        self.bounds = bounds
+        self.min_size = min_size
+
+    def build(self, rt: MRTS) -> None:
+        blocks = _block_grid(self.bounds, *self.grid)
+        for b in blocks:
+            self.regions[b["block_id"]] = rt.create_object(
+                Prism3DPatchObject, b["block_id"], b["box3"], b["ijk"],
+                b["neighbors"], self.sizing3_spec, min_size=self.min_size,
+                node=b["block_id"] % len(rt.nodes),
+            )
+        self.master = rt.create_object(
+            UPDRCoordinatorObject,
+            {
+                b["block_id"]: (self.regions[b["block_id"]], b["neighbors"],
+                                b["color"])
+                for b in blocks
+            },
+            n_colors=8,
+            node=0,
+        )
+        rt.nodes[0].ooc.lock(self.master.oid)
+        for b in blocks:
+            neighbors = {
+                n: (self.regions[n], blocks[n]["box3"]) for n in b["neighbors"]
+            }
+            rt.post(self.regions[b["block_id"]], "wire", self.master, neighbors)
+
+    def boundary_problems(self, rt: MRTS, converged: bool) -> list[str]:
+        if not converged:
+            # 2:1 balance is only promised once the sweeps converge
+            # (mid-run imbalance is exactly what drives the next sweep).
+            return []
+        from repro.testing.invariants import check_mesh3d
+
+        return check_mesh3d(self.objects(rt), bounds=self.bounds)
+
+    def extras(self, rt: MRTS) -> dict:
+        patches = self.objects(rt)
+        coordinator = rt.get_object(self.master)
+        per_patch = [len(o.cells) for o in patches]
+        return {
+            "phases": coordinator.phases,
+            "launches": coordinator.launches,
+            "splits": sum(o.splits for o in patches),
+            "cells_per_patch_min": min(per_patch),
+            "cells_per_patch_max": max(per_patch),
+            "patch_objects": patches,
+        }
+
+    @staticmethod
+    def _size(obj) -> int:
+        return len(obj.cells)
+
+    @staticmethod
+    def _witness(rid: int, obj) -> tuple:
+        cells = tuple(sorted(
+            (c.a, c.b, c.c, c.z0, c.z1, c.level) for c in obj.cells
+        ))
+        return (rid, len(cells), cells)
+
+
 def run_mesh3d(
     sizing3_spec: tuple = ("uniform", 0.25),
     nx: int = 2,
@@ -105,73 +183,17 @@ def run_mesh3d(
     patches refine an order of magnitude harder than top ones —
     and ``("point_source", center, h0, background[, gradation])``.
     """
-    blocks = _block_grid(bounds, nx, ny, nz)
-    rt = _build_runtime(cluster, config, storage_factory, cost_model)
-    if on_runtime is not None:
-        on_runtime(rt)
-    n_nodes = len(rt.nodes)
-
-    patch_ptrs = {}
-    for b in blocks:
-        patch_ptrs[b["block_id"]] = rt.create_object(
-            Prism3DPatchObject,
-            b["block_id"],
-            b["box3"],
-            b["ijk"],
-            b["neighbors"],
-            sizing3_spec,
-            min_size=min_size,
-            node=b["block_id"] % n_nodes,
-        )
-    coordinator = rt.create_object(
-        UPDRCoordinatorObject,
-        {
-            b["block_id"]: (patch_ptrs[b["block_id"]], b["neighbors"],
-                            b["color"])
-            for b in blocks
-        },
-        n_colors=8,
-        node=0,
-    )
-    rt.nodes[0].ooc.lock(coordinator.oid)
-    for b in blocks:
-        neighbors = {
-            n: (patch_ptrs[n], blocks[n]["box3"]) for n in b["neighbors"]
-        }
-        rt.post(patch_ptrs[b["block_id"]], "wire", coordinator, neighbors)
-    # Quiesce wiring before the parallel phase (see run_updr).
-    rt.run()
-    stats = _sweep_until_converged(
-        rt, coordinator, [b["block_id"] for b in blocks],
-        lambda: sum(
-            len(rt.get_object(patch_ptrs[b["block_id"]]).cells)
-            for b in blocks
-        ),
-    )
-
-    patch_objs = [rt.get_object(patch_ptrs[b["block_id"]]) for b in blocks]
-    n_cells = sum(len(o.cells) for o in patch_objs)
-    total_volume = sum(
-        prism_volume(c) for o in patch_objs for c in o.cells
-    )
-    worst = max(
-        (prism_quality(c) for o in patch_objs for c in o.cells),
-        default=math.inf,
-    )
-    coord_obj = rt.get_object(coordinator)
-    per_patch = [len(o.cells) for o in patch_objs]
+    scenario = Mesh3DScenario(sizing3_spec, nx, ny, nz, bounds, min_size)
+    rt = make_runtime(cluster, config, storage_factory, cost_model, on_runtime)
+    stats = run_phases(rt, scenario)
+    extras = scenario.extras(rt)
+    cells = [c for o in extras["patch_objects"] for c in o.cells]
     return Mesh3DResult(
         stats=stats,
-        n_cells=n_cells,
-        total_volume=total_volume,
-        worst_quality=worst,
+        n_cells=len(cells),
+        total_volume=sum(prism_volume(c) for c in cells),
+        worst_quality=max((prism_quality(c) for c in cells), default=math.inf),
         runtime=rt,
-        extras={
-            "phases": coord_obj.phases,
-            "launches": coord_obj.launches,
-            "splits": sum(o.splits for o in patch_objs),
-            "cells_per_patch_min": min(per_patch),
-            "cells_per_patch_max": max(per_patch),
-            "patch_objects": patch_objs,
-        },
+        scenario=scenario,
+        extras=extras,
     )

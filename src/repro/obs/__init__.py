@@ -27,9 +27,7 @@ telemetry layer that makes those views first-class instead of ad-hoc:
   run-to-run diff for ``BENCH_ooc.json``-style reports.
 
 ``mrts-bench trace <workload> --out trace.json`` and ``mrts-bench
-report <old> <new>`` surface all of this from the command line; the
-legacy :func:`repro.core.trace.attach_tracer` is now a thin shim over
-this bus.
+report <old> <new>`` surface all of this from the command line.
 """
 
 from repro.obs.analysis import (

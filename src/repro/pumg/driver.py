@@ -1,8 +1,9 @@
 """End-to-end drivers for the six PUMG variants.
 
-Each driver builds the decomposition, creates the mobile objects on an
-MRTS instance, runs to quiescence, and returns a :class:`PUMGResult` with
-the runtime statistics and enough state to validate the produced mesh.
+Each driver makes an MRTS instance, runs its method's scenario
+(:mod:`repro.pumg.scenario`) on it to convergence, and returns a
+:class:`PUMGResult` with the runtime statistics and enough state to
+validate the produced mesh.
 
 "In-core" vs "out-of-core" is purely a function of the cluster spec's
 per-node memory: the paper's OUPDR/ONUPDR/OPCDM are the same applications
@@ -12,34 +13,33 @@ memory budget is small enough that the OOC layer must spill.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.core.config import MRTSConfig
 from repro.core.runtime import MRTS, CostModel
 from repro.core.stats import RunStats
-from repro.core.storage import MemoryBackend, StorageBackend
-from repro.geometry.pslg import PSLG, BoundingBox
+from repro.core.storage import StorageBackend
+from repro.geometry.pslg import PSLG
 from repro.mesh.quality import MeshQuality
 from repro.mesh.refine import refine
-from repro.mesh.sizing import SizingFunction, sizing_from_spec
+from repro.mesh.sizing import sizing_from_spec
 from repro.mesh.triangulation import Triangulation, triangulate_pslg
-from repro.pumg.decomposition import (
-    block_decomposition,
-    partition_coarse_mesh,
-    quadtree_decomposition,
+from repro.pumg.nupdr import ONUPDROptions
+from repro.pumg.scenario import (
+    MeshScenario,
+    NUPDRScenario,
+    PCDMScenario,
+    UPDRScenario,
+    run_phases,
 )
-from repro.pumg.nupdr import ONUPDROptions, RefinementQueueObject
-from repro.pumg.objects import BoundaryRegistry, RegionObject
-from repro.pumg.pcdm import SubdomainObject
-from repro.pumg.updr import UPDRCoordinatorObject
 from repro.sim.cluster import ClusterSpec
 from repro.sim.node import NodeSpec
 
 __all__ = [
     "PUMGResult",
     "default_cluster",
+    "make_runtime",
     "sequential_mesh",
     "run_updr",
     "run_nupdr",
@@ -56,6 +56,7 @@ class PUMGResult:
     n_points: int
     n_triangles: int
     runtime: MRTS = field(repr=False)
+    scenario: MeshScenario = field(repr=False)
     final_mesh: Optional[Triangulation] = field(default=None, repr=False)
     quality: Optional[MeshQuality] = None
     extras: dict = field(default_factory=dict)
@@ -77,96 +78,42 @@ def sequential_mesh(pslg: PSLG, sizing_spec: tuple) -> Triangulation:
     return tri
 
 
-def _coarse_shards(
-    pslg: PSLG, sizing_spec: tuple, coarse_factor: float
-) -> tuple[list, list]:
-    """Initial coarse mesh: points + current boundary subsegments.
-
-    The PUMG methods need an initial distribution of mesh data; the paper's
-    codes build an initial triangulation before the parallel phase.  We
-    refine coarsely (``coarse_factor`` x the target size) so every region
-    starts with a few points.
-    """
-    sizing = sizing_from_spec(sizing_spec)
-    tri = triangulate_pslg(pslg)
-    refine(tri, sizing=lambda p: coarse_factor * sizing(p))
-    points = [
-        tri.vertex(v)
-        for v in range(3, len(tri.points))
-    ]
-    boundary = [
-        (tri.vertex(u), tri.vertex(v)) for u, v in tri.constrained
-    ]
-    return points, boundary
-
-
-def _build_runtime(
+def make_runtime(
     cluster: Optional[ClusterSpec],
     config: Optional[MRTSConfig],
     storage_factory: Optional[Callable[[int], StorageBackend]],
     cost_model: Optional[CostModel],
+    on_runtime: Optional[Callable[[MRTS], None]] = None,
 ) -> MRTS:
-    return MRTS(
+    """The runtime a driver runs on.  ``on_runtime`` is the observer hook
+    (perf/trace tooling): called before any objects exist so event-bus
+    subscribers see the whole run."""
+    rt = MRTS(
         cluster or default_cluster(),
         config=config or MRTSConfig(),
         storage_factory=storage_factory,
         cost_model=cost_model,
     )
+    if on_runtime is not None:
+        on_runtime(rt)
+    return rt
 
 
-def _sweep_until_converged(
-    rt: MRTS, master, all_ids: list, count_points, max_sweeps: int = 6
-) -> RunStats:
-    """Post ``start(all_ids)`` to the master until a sweep adds no points.
-
-    The per-refinement dirty propagation is margin-based; a final global
-    re-scan guarantees no poor triangle survives at region seams (the
-    paper's master similarly re-checks buffer leaves for bad triangles).
-    """
-    stats = rt.stats
-    before = -1
-    for _ in range(max_sweeps):
-        rt.post(master, "start", list(all_ids))
-        stats = rt.run()
-        after = count_points()
-        if after == before:
-            break
-        before = after
-    return stats
-
-
-def _validate_final(
-    pslg: PSLG,
-    points: list,
-    boundary_segments: list,
-    sizing_spec: Optional[tuple] = None,
-) -> tuple[Triangulation, MeshQuality, int]:
-    """Rebuild the global mesh from the sharded points; finalize seams.
-
-    The patchwork leaves occasional *size* stragglers exactly at region
-    seams (each leaf rebuilds its patch from local points, so a triangle
-    of the global Delaunay structure spanning several regions can escape
-    every patch).  A short sequential finalization pass — standard practice
-    when stitching distributed refinements — sweeps those up; the returned
-    ``fixup`` count lets callers verify the parallel phase did the bulk of
-    the work.
-    """
-    tri = Triangulation(pslg.bounding_box())
-    for p in points:
-        tri.insert_point(p)
-    for pu, pv in boundary_segments:
-        u = tri.find_vertex(pu)
-        v = tri.find_vertex(pv)
-        if u is None or v is None or u == v:
-            continue
-        tri.insert_segment(u, v)
-    tri.remove_exterior(pslg.holes)
-    fixup = 0
-    if sizing_spec is not None:
-        result = refine(tri, sizing=sizing_from_spec(sizing_spec))
-        fixup = result.steiner_points
-    quality = MeshQuality.of(tri.triangles(), tri.coords)
-    return tri, quality, fixup
+def _run_regions(scenario, rt: MRTS, validate: bool) -> PUMGResult:
+    """The shared tail of the two PDR drivers: sweep, stitch, report."""
+    stats = run_phases(rt, scenario)
+    points, mesh, quality, fixup = scenario.stitch(rt, validate)
+    return PUMGResult(
+        method=scenario.method,
+        stats=stats,
+        n_points=len(points),
+        n_triangles=mesh.n_triangles if mesh else 0,
+        runtime=rt,
+        scenario=scenario,
+        final_mesh=mesh,
+        quality=quality,
+        extras=dict(scenario.extras(rt), fixup_points=fixup),
+    )
 
 
 # =============================================================== UPDR/OUPDR
@@ -196,123 +143,10 @@ def run_updr(
     via fanout multicast, and the color barrier additionally waits for
     every push to be acked.
     """
-    sizing_spec = ("uniform", h)
-    bbox = pslg.bounding_box()
-    blocks = block_decomposition(bbox, nx, ny)
-    points, boundary = _coarse_shards(pslg, sizing_spec, coarse_factor)
-
-    rt = _build_runtime(cluster, config, storage_factory, cost_model)
-    if on_runtime is not None:
-        # Observer hook (perf/trace tooling): called before any objects
-        # exist so event-bus subscribers see the whole run.
-        on_runtime(rt)
-    n_nodes = len(rt.nodes)
-
-    def owner_block(p) -> int:
-        i = min(int((p[0] - bbox.xmin) / bbox.width * nx), nx - 1)
-        j = min(int((p[1] - bbox.ymin) / bbox.height * ny), ny - 1)
-        return j * nx + i
-
-    shards: dict[int, list] = {b.block_id: [] for b in blocks}
-    for p in points:
-        shards[owner_block(p)].append(p)
-
-    registry = rt.create_object(BoundaryRegistry, boundary, node=0)
-    rt.nodes[0].ooc.lock(registry.oid)
-    region_ptrs = {}
-    for b in blocks:
-        node = b.block_id % n_nodes
-        region_ptrs[b.block_id] = rt.create_object(
-            RegionObject,
-            b.block_id,
-            (b.box.xmin, b.box.ymin, b.box.xmax, b.box.ymax),
-            shards[b.block_id],
-            b.neighbors,
-            sizing_spec,
-            node=node,
-        )
-    coordinator = rt.create_object(
-        UPDRCoordinatorObject,
-        {
-            b.block_id: (region_ptrs[b.block_id], b.neighbors, b.color)
-            for b in blocks
-        },
-        ghost_sync=ghost_sync,
-        node=0,
-    )
-    rt.nodes[0].ooc.lock(coordinator.oid)
-    for b in blocks:
-        neighbors = {
-            n: (
-                region_ptrs[n],
-                (
-                    blocks[n].box.xmin,
-                    blocks[n].box.ymin,
-                    blocks[n].box.xmax,
-                    blocks[n].box.ymax,
-                ),
-            )
-            for n in b.neighbors
-        }
-        rt.post(
-            region_ptrs[b.block_id], "wire", coordinator, registry, neighbors,
-            pslg, ghost_sync=ghost_sync,
-        )
-    # Quiesce the wiring phase before the parallel phase: direct-call
-    # chains must never observe an unwired region.
-    rt.run()
-    if ghost_sync:
-        # Seed the ghost tables: every region publishes its boundary
-        # strips once before any refinement reads them.
-        for b in blocks:
-            rt.post(region_ptrs[b.block_id], "ghost_seed")
-        rt.run()
-    # Sweep to convergence: the coordinator re-scans all blocks until a
-    # whole sweep inserts nothing (the dirty-margin propagation is a
-    # heuristic; the paper's master likewise re-checks for poor triangles).
-    stats = _sweep_until_converged(
-        rt, coordinator, [b.block_id for b in blocks],
-        lambda: sum(
-            len(rt.get_object(region_ptrs[b.block_id]).points) for b in blocks
-        ),
-    )
-
-    all_points: list = []
-    for b in blocks:
-        all_points.extend(rt.get_object(region_ptrs[b.block_id]).points)
-    final_boundary = [
-        (p, q) for p, q in rt.get_object(registry).segments
-    ]
-    mesh = quality = None
-    fixup = 0
-    if validate:
-        mesh, quality, fixup = _validate_final(
-            pslg, all_points, final_boundary, sizing_spec
-        )
-    coord_obj = rt.get_object(coordinator)
-    extras = {
-        "phases": coord_obj.phases,
-        "launches": coord_obj.launches,
-        "fixup_points": fixup,
-    }
-    if ghost_sync:
-        region_objs = [rt.get_object(region_ptrs[b.block_id]) for b in blocks]
-        extras.update(
-            ghost_pushes=sum(o.ghost_pushes for o in region_objs),
-            ghost_bytes=sum(o.ghost_bytes_pushed for o in region_objs),
-            ghost_installs=sum(o.ghosts.installs for o in region_objs),
-            ghost_acks=coord_obj.ghost_acks,
-            multicast_sends=stats.multicast_sends,
-        )
-    return PUMGResult(
-        method="updr",
-        stats=stats,
-        n_points=len(all_points),
-        n_triangles=mesh.n_triangles if mesh else 0,
-        runtime=rt,
-        final_mesh=mesh,
-        quality=quality,
-        extras=extras,
+    return _run_regions(
+        UPDRScenario(pslg, h, nx, ny, coarse_factor, ghost_sync),
+        make_runtime(cluster, config, storage_factory, cost_model, on_runtime),
+        validate,
     )
 
 
@@ -328,132 +162,13 @@ def run_nupdr(
     cost_model: Optional[CostModel] = None,
     coarse_factor: float = 4.0,
     validate: bool = True,
+    on_runtime: Optional[Callable[[MRTS], None]] = None,
 ) -> PUMGResult:
     """Non-uniform PDR over a sizing-driven quadtree, master/worker style."""
-    options = options or ONUPDROptions()
-    bbox = pslg.bounding_box()
-    sizing = sizing_from_spec(sizing_spec)
-    tree = quadtree_decomposition(bbox, sizing, granularity=granularity)
-    points, boundary = _coarse_shards(pslg, sizing_spec, coarse_factor)
-
-    rt = _build_runtime(cluster, config, storage_factory, cost_model)
-    n_nodes = len(rt.nodes)
-
-    leaves = list(tree.leaves())
-    shards: dict[int, list] = {leaf.leaf_id: [] for leaf in leaves}
-    for p in points:
-        try:
-            shards[tree.leaf_at(p).leaf_id].append(p)
-        except KeyError:
-            continue  # outside the squared-up root box: cannot happen
-
-    registry = rt.create_object(BoundaryRegistry, boundary, node=0)
-    rt.nodes[0].ooc.lock(registry.oid)
-    neighbor_ids = {
-        leaf.leaf_id: [n.leaf_id for n in tree.neighbors(leaf.leaf_id)]
-        for leaf in leaves
-    }
-    region_ptrs = {}
-    for idx, leaf in enumerate(leaves):
-        node = idx % n_nodes
-        region_ptrs[leaf.leaf_id] = rt.create_object(
-            RegionObject,
-            leaf.leaf_id,
-            (leaf.box.xmin, leaf.box.ymin, leaf.box.xmax, leaf.box.ymax),
-            shards[leaf.leaf_id],
-            neighbor_ids[leaf.leaf_id],
-            sizing_spec,
-            node=node,
-        )
-    queue = rt.create_object(
-        RefinementQueueObject,
-        {
-            leaf.leaf_id: (
-                region_ptrs[leaf.leaf_id],
-                neighbor_ids[leaf.leaf_id],
-                (leaf.box.xmin, leaf.box.ymin, leaf.box.xmax, leaf.box.ymax),
-            )
-            for leaf in leaves
-        },
-        options,
-        node=0,
-    )
-    if options.lock_queue:
-        # §III: "the refinement queue object is relatively small and
-        # receives and sends many messages; therefore we locked it in
-        # memory".
-        rt.nodes[0].ooc.lock(queue.oid)
-    for leaf in leaves:
-        neighbors = {
-            n.leaf_id: (
-                region_ptrs[n.leaf_id],
-                (n.box.xmin, n.box.ymin, n.box.xmax, n.box.ymax),
-            )
-            for n in tree.neighbors(leaf.leaf_id)
-        }
-        rt.post(
-            region_ptrs[leaf.leaf_id],
-            "wire",
-            queue,
-            registry,
-            neighbors,
-            pslg,
-            options.multicast,
-            True,  # insert_in_buffer: NUPDR returns buffer points (recreate)
-            options.ghost_sync,
-        )
-    # Quiesce the wiring phase first (see run_updr).
-    rt.run()
-    if options.ghost_sync:
-        # Publish every leaf's boundary strips before refinement reads them.
-        for leaf in leaves:
-            rt.post(region_ptrs[leaf.leaf_id], "ghost_seed")
-        rt.run()
-    stats = _sweep_until_converged(
-        rt, queue, [leaf.leaf_id for leaf in leaves],
-        lambda: sum(
-            len(rt.get_object(region_ptrs[leaf.leaf_id]).points)
-            for leaf in leaves
-        ),
-    )
-
-    all_points: list = []
-    for leaf in leaves:
-        all_points.extend(rt.get_object(region_ptrs[leaf.leaf_id]).points)
-    final_boundary = [(p, q) for p, q in rt.get_object(registry).segments]
-    mesh = quality = None
-    fixup = 0
-    if validate:
-        mesh, quality, fixup = _validate_final(
-            pslg, all_points, final_boundary, sizing_spec
-        )
-    queue_obj = rt.get_object(queue)
-    extras = {
-        "n_leaves": len(leaves),
-        "dispatches": queue_obj.dispatches,
-        "updates": queue_obj.updates,
-        "fixup_points": fixup,
-    }
-    if options.ghost_sync:
-        region_objs = [
-            rt.get_object(region_ptrs[leaf.leaf_id]) for leaf in leaves
-        ]
-        extras.update(
-            ghost_pushes=sum(o.ghost_pushes for o in region_objs),
-            ghost_bytes=sum(o.ghost_bytes_pushed for o in region_objs),
-            ghost_installs=sum(o.ghosts.installs for o in region_objs),
-            ghost_acks=queue_obj.ghost_acks,
-            multicast_sends=stats.multicast_sends,
-        )
-    return PUMGResult(
-        method="nupdr",
-        stats=stats,
-        n_points=len(all_points),
-        n_triangles=mesh.n_triangles if mesh else 0,
-        runtime=rt,
-        final_mesh=mesh,
-        quality=quality,
-        extras=extras,
+    return _run_regions(
+        NUPDRScenario(pslg, sizing_spec, granularity, options, coarse_factor),
+        make_runtime(cluster, config, storage_factory, cost_model, on_runtime),
+        validate,
     )
 
 
@@ -469,6 +184,7 @@ def run_pcdm(
     coarse_size: Optional[float] = None,
     validate: bool = True,
     ghost_sync: bool = False,
+    on_runtime: Optional[Callable[[MRTS], None]] = None,
 ) -> PUMGResult:
     """Constrained-Delaunay domain decomposition with async split messages.
 
@@ -476,67 +192,23 @@ def run_pcdm(
     version-stamped fanout multicast per subdomain instead of per-neighbor
     point-to-point posts (see :mod:`repro.pumg.ghost`).
     """
-    sizing_spec = ("uniform", h)
-    partition = partition_coarse_mesh(pslg, n_parts, coarse_size=coarse_size)
-
-    rt = _build_runtime(cluster, config, storage_factory, cost_model)
-    n_nodes = len(rt.nodes)
-
-    part_ptrs = {}
-    for p in range(partition.n_parts):
-        part_ptrs[p] = rt.create_object(
-            SubdomainObject,
-            p,
-            partition.sub_pslgs[p],
-            partition.part_seeds[p],
-            sizing_spec,
-            ghost_sync=ghost_sync,
-            node=p % n_nodes,
-        )
-    # Per-part interface edge lists and the neighbor pointer maps.
-    per_part_edges: dict[int, list] = {p: [] for p in range(partition.n_parts)}
-    per_part_neighbors: dict[int, dict] = {p: {} for p in range(partition.n_parts)}
-    for key, (a, b) in partition.interfaces.items():
-        per_part_edges[a].append((key, b))
-        per_part_edges[b].append((key, a))
-        per_part_neighbors[a][b] = part_ptrs[b]
-        per_part_neighbors[b][a] = part_ptrs[a]
-    for p in range(partition.n_parts):
-        rt.post(
-            part_ptrs[p], "wire", per_part_neighbors[p], per_part_edges[p]
-        )
-        rt.post(part_ptrs[p], "mesh_initial")
-    stats = rt.run()
-
-    total_triangles = 0
-    total_points = 0
-    quality = None
-    objs = [rt.get_object(part_ptrs[p]) for p in range(partition.n_parts)]
-    for obj in objs:
-        total_triangles += obj.n_triangles()
-        total_points += obj.tri.n_vertices
+    scenario = PCDMScenario(pslg, h, n_parts, coarse_size, ghost_sync)
+    rt = make_runtime(cluster, config, storage_factory, cost_model, on_runtime)
+    stats = run_phases(rt, scenario)
+    extras = scenario.extras(rt)
+    objs = extras["subdomain_objects"]
+    worst_min_angle = None
     if validate:
-        worst_min_angle = math.inf
-        for obj in objs:
-            q = MeshQuality.of(obj.tri.triangles(), obj.tri.coords)
-            worst_min_angle = min(worst_min_angle, q.min_angle_deg)
-        quality = None if math.isinf(worst_min_angle) else worst_min_angle
+        worst_min_angle = min(
+            MeshQuality.of(o.tri.triangles(), o.tri.coords).min_angle_deg
+            for o in objs
+        )
     return PUMGResult(
-        method="pcdm",
+        method=scenario.method,
         stats=stats,
-        n_points=total_points,
-        n_triangles=total_triangles,
+        n_points=sum(o.tri.n_vertices for o in objs),
+        n_triangles=sum(o.n_triangles() for o in objs),
         runtime=rt,
-        final_mesh=None,
-        quality=None,
-        extras={
-            "n_parts": partition.n_parts,
-            "min_angle_deg": quality,
-            "splits_sent": sum(o.splits_sent for o in objs),
-            "splits_received": sum(o.splits_received for o in objs),
-            "ghost_batches": sum(o.ghost_batches for o in objs),
-            "ghost_bytes": sum(o.ghost_bytes_pushed for o in objs),
-            "multicast_sends": stats.multicast_sends,
-            "subdomain_objects": objs,
-        },
+        scenario=scenario,
+        extras=dict(extras, min_angle_deg=worst_min_angle),
     )

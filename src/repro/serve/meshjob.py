@@ -1,10 +1,10 @@
 """Phase-sliced mesh jobs: the unit of work the service schedules.
 
-A job is one PUMG run (UPDR / NUPDR / PCDM) described by a wire-safe
-:class:`JobSpec`.  The stock drivers in :mod:`repro.pumg.driver` run
-each method as one monolithic call; the service needs the same runs cut
-into *phases* with real boundaries between them, because a boundary is
-where everything multi-tenant happens:
+A job is one PUMG run (UPDR / NUPDR / PCDM / mesh3d) described by a
+wire-safe :class:`JobSpec`.  The stock drivers run each method's scenario
+(:mod:`repro.pumg.scenario`) in one call; the service runs the same
+scenario cut into *phases* with real boundaries between them, because a
+boundary is where everything multi-tenant happens:
 
 * the job manager takes a :func:`repro.core.checkpoint.checkpoint` (a
   quiescent cut — no pending messages, no in-flight handlers), so a
@@ -14,9 +14,11 @@ where everything multi-tenant happens:
 * residency and spilled-byte accounting is sampled and fed to the
   admission controller / tenant quota ledger.
 
-The phase structure mirrors the drivers exactly: a build+wire phase,
-then convergence sweeps (UPDR/NUPDR) or the single meshing phase
-(PCDM).  Because phases start from quiescent cuts, a resumed run
+The phase structure is the drivers': a build+wire phase, then
+convergence sweeps (or PCDM's single meshing phase); the runner adds
+only what belongs to a *job* — the phase counter, the kill window, the
+snapshot/resume manifest and the violations list.  Because phases start
+from quiescent cuts, a resumed run
 re-executes only whole phases — and the final state equals the
 uninterrupted run's, which the ``serve-kill-midjob`` chaos cell pins.
 """
@@ -24,23 +26,21 @@ uninterrupted run's, which the ``serve-kill-midjob`` chaos cell pins.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+import pickle
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional
 
 from repro.core.checkpoint import Checkpoint, checkpoint, restore
-from repro.core.config import MRTSConfig
 from repro.core.runtime import MRTS
 from repro.geometry import shapes
-from repro.pumg.decomposition import (
-    block_decomposition,
-    partition_coarse_mesh,
-    quadtree_decomposition,
+from repro.mesh3d.driver import Mesh3DScenario
+from repro.pumg.nupdr import ONUPDROptions
+from repro.pumg.scenario import (
+    MeshScenario,
+    NUPDRScenario,
+    PCDMScenario,
+    UPDRScenario,
 )
-from repro.pumg.driver import _coarse_shards
-from repro.pumg.nupdr import ONUPDROptions, RefinementQueueObject
-from repro.pumg.objects import BoundaryRegistry, RegionObject
-from repro.pumg.pcdm import SubdomainObject
-from repro.pumg.updr import UPDRCoordinatorObject
 from repro.serve.protocol import ProtocolError
 from repro.sim.cluster import ClusterSpec
 from repro.sim.node import NodeSpec
@@ -68,7 +68,25 @@ GEOMETRIES: dict[str, Callable] = {
     "gear": shapes.gear_domain,
 }
 
-METHODS = ("updr", "nupdr", "pcdm", "mesh3d")
+# Method name -> the scenario a spec of that method describes.
+SCENARIOS: dict[str, Callable[["JobSpec"], MeshScenario]] = {
+    "updr": lambda s: UPDRScenario(
+        GEOMETRIES[s.geometry](), s.h, s.nx, s.ny, s.coarse_factor,
+        s.ghost_sync),
+    "nupdr": lambda s: NUPDRScenario(
+        GEOMETRIES[s.geometry](), ("uniform", s.h), s.granularity,
+        ONUPDROptions(ghost_sync=s.ghost_sync), s.coarse_factor),
+    "pcdm": lambda s: PCDMScenario(
+        GEOMETRIES[s.geometry](), s.h, s.n_parts, ghost_sync=s.ghost_sync),
+    # Geometry is 2D-only, so mesh3d jobs always mesh the canonical box.
+    "mesh3d": lambda s: Mesh3DScenario(
+        ("layered", s.h, min(1.0, 4.0 * s.h)), s.nx, s.ny, s.nz),
+}
+
+METHODS = tuple(SCENARIOS)
+
+
+_KIND_NAMES = {str: "a string", int: "an integer", bool: "a boolean"}
 
 
 class JobSpecError(ProtocolError):
@@ -153,44 +171,23 @@ class JobSpec:
         return int(self.n_nodes) * int(self.memory_bytes)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method, "geometry": self.geometry, "h": self.h,
-            "nx": self.nx, "ny": self.ny, "nz": self.nz,
-            "granularity": self.granularity,
-            "n_parts": self.n_parts, "ghost_sync": self.ghost_sync,
-            "tenant": self.tenant,
-            "seed": self.seed, "n_nodes": self.n_nodes, "cores": self.cores,
-            "memory_bytes": self.memory_bytes, "max_sweeps": self.max_sweeps,
-            "coarse_factor": self.coarse_factor,
-            "checkpoint_every": self.checkpoint_every,
-            "validate": self.validate,
-        }
+        return asdict(self)
 
     @classmethod
     def from_request(cls, payload: dict) -> "JobSpec":
         """Build a spec from an untrusted request body (whitelist keys)."""
         if not isinstance(payload, dict):
             raise JobSpecError("job must be a JSON object")
-        known = {
-            "method", "geometry", "h", "nx", "ny", "nz", "granularity",
-            "n_parts", "ghost_sync",
-            "tenant", "seed", "n_nodes", "cores", "memory_bytes",
-            "max_sweeps", "coarse_factor", "checkpoint_every", "validate",
-        }
-        unknown = set(payload) - known
+        kinds = {f.name: type(f.default) for f in fields(cls)}
+        unknown = set(payload) - set(kinds)
         if unknown:
             raise JobSpecError(f"unknown job fields: {sorted(unknown)}")
-        for key in ("method", "geometry", "tenant"):
-            if key in payload and not isinstance(payload[key], str):
-                raise JobSpecError(f"{key} must be a string")
-        for key in ("nx", "ny", "nz", "n_parts", "seed", "n_nodes", "cores",
-                    "memory_bytes", "max_sweeps", "checkpoint_every"):
-            if key in payload and (not isinstance(payload[key], int)
-                                   or isinstance(payload[key], bool)):
-                raise JobSpecError(f"{key} must be an integer")
-        for key in ("validate", "ghost_sync"):
-            if key in payload and not isinstance(payload[key], bool):
-                raise JobSpecError(f"{key} must be a boolean")
+        for key, value in payload.items():
+            # Floats may arrive as JSON integers; __post_init__ checks
+            # them as numbers.  type(), not isinstance: True is no integer.
+            if kinds[key] is not float and type(value) is not kinds[key]:
+                raise JobSpecError(
+                    f"{key} must be {_KIND_NAMES[kinds[key]]}")
         try:
             return cls(**payload)
         except TypeError as exc:
@@ -220,14 +217,10 @@ class JobCheckpoint:
     snapshot: bytes = field(repr=False)
 
     def to_bytes(self) -> bytes:
-        import pickle
-
         return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "JobCheckpoint":
-        import pickle
-
         obj = pickle.loads(data)
         if not isinstance(obj, cls):
             raise JobSpecError("data is not a JobCheckpoint")
@@ -253,19 +246,14 @@ class MeshJobRunner:
         self.spec = spec
         self.bus = bus
         self.cost = cost
+        self.scenario = SCENARIOS[spec.method](spec)
         self.runtime: Optional[MRTS] = None
         self.phase = 0            # completed phase boundaries
         self.converged = False
         self.violations: list[str] = []
         self._last_count = -1
         self._in_phase = False
-        self._master = None       # coordinator / queue / None (pcdm)
-        self._registry = None
-        self._regions: dict[int, object] = {}   # region/part id -> pointer
-        self._all_ids: list[int] = []
-        self._app_locked: set[int] = set()
 
-    # ------------------------------------------------------------- build
     def _build_runtime(self) -> MRTS:
         from repro.testing.harness import FixedCostModel
 
@@ -276,203 +264,23 @@ class MeshJobRunner:
                 node=NodeSpec(cores=spec.cores,
                               memory_bytes=spec.memory_bytes),
             ),
-            config=MRTSConfig(),
             cost_model=FixedCostModel(self.cost),
             bus=self.bus,
         )
 
+    # ------------------------------------------------------------ phases
     def start(self) -> None:
         """Build the decomposition and wire the objects (boundary 0->1)."""
         if self.runtime is not None:
             raise JobSpecError("job already started")
         self.runtime = self._build_runtime()
-        builder = getattr(self, f"_build_{self.spec.method}")
-        builder()
-        self.runtime.run()  # quiesce wiring before the first sweep
-        if self.spec.ghost_sync and self.spec.method in ("updr", "nupdr"):
-            # Seed the ghost tables before the first sweep reads them.
-            for ptr in self._regions.values():
-                self.runtime.post(ptr, "ghost_seed")
-            self.runtime.run()
+        self.scenario.start(self.runtime)
         self._check_boundary()
         self.phase = 1
 
-    def _build_updr(self) -> None:
-        rt, spec = self.runtime, self.spec
-        pslg = GEOMETRIES[spec.geometry]()
-        sizing_spec = ("uniform", spec.h)
-        bbox = pslg.bounding_box()
-        blocks = block_decomposition(bbox, spec.nx, spec.ny)
-        points, boundary = _coarse_shards(pslg, sizing_spec,
-                                          spec.coarse_factor)
-
-        def owner_block(p) -> int:
-            i = min(int((p[0] - bbox.xmin) / bbox.width * spec.nx),
-                    spec.nx - 1)
-            j = min(int((p[1] - bbox.ymin) / bbox.height * spec.ny),
-                    spec.ny - 1)
-            return j * spec.nx + i
-
-        shards: dict[int, list] = {b.block_id: [] for b in blocks}
-        for p in points:
-            shards[owner_block(p)].append(p)
-        registry = rt.create_object(BoundaryRegistry, boundary, node=0)
-        rt.nodes[0].ooc.lock(registry.oid)
-        for b in blocks:
-            self._regions[b.block_id] = rt.create_object(
-                RegionObject, b.block_id,
-                (b.box.xmin, b.box.ymin, b.box.xmax, b.box.ymax),
-                shards[b.block_id], b.neighbors, sizing_spec,
-                node=b.block_id % spec.n_nodes,
-            )
-        master = rt.create_object(
-            UPDRCoordinatorObject,
-            {b.block_id: (self._regions[b.block_id], b.neighbors, b.color)
-             for b in blocks},
-            ghost_sync=spec.ghost_sync,
-            node=0,
-        )
-        rt.nodes[0].ooc.lock(master.oid)
-        for b in blocks:
-            neighbors = {
-                n: (self._regions[n],
-                    (blocks[n].box.xmin, blocks[n].box.ymin,
-                     blocks[n].box.xmax, blocks[n].box.ymax))
-                for n in b.neighbors
-            }
-            rt.post(self._regions[b.block_id], "wire", master, registry,
-                    neighbors, pslg, ghost_sync=spec.ghost_sync)
-        self._master, self._registry = master, registry
-        self._all_ids = [b.block_id for b in blocks]
-        self._app_locked = {registry.oid, master.oid}
-
-    def _build_nupdr(self) -> None:
-        rt, spec = self.runtime, self.spec
-        pslg = GEOMETRIES[spec.geometry]()
-        sizing_spec = ("uniform", spec.h)
-        from repro.mesh.sizing import sizing_from_spec
-
-        options = ONUPDROptions(ghost_sync=spec.ghost_sync)
-        tree = quadtree_decomposition(
-            pslg.bounding_box(), sizing_from_spec(sizing_spec),
-            granularity=spec.granularity,
-        )
-        points, boundary = _coarse_shards(pslg, sizing_spec,
-                                          spec.coarse_factor)
-        leaves = list(tree.leaves())
-        shards: dict[int, list] = {leaf.leaf_id: [] for leaf in leaves}
-        for p in points:
-            try:
-                shards[tree.leaf_at(p).leaf_id].append(p)
-            except KeyError:
-                continue
-        registry = rt.create_object(BoundaryRegistry, boundary, node=0)
-        rt.nodes[0].ooc.lock(registry.oid)
-        neighbor_ids = {
-            leaf.leaf_id: [n.leaf_id for n in tree.neighbors(leaf.leaf_id)]
-            for leaf in leaves
-        }
-        for idx, leaf in enumerate(leaves):
-            self._regions[leaf.leaf_id] = rt.create_object(
-                RegionObject, leaf.leaf_id,
-                (leaf.box.xmin, leaf.box.ymin, leaf.box.xmax, leaf.box.ymax),
-                shards[leaf.leaf_id], neighbor_ids[leaf.leaf_id],
-                sizing_spec, node=idx % spec.n_nodes,
-            )
-        master = rt.create_object(
-            RefinementQueueObject,
-            {leaf.leaf_id: (
-                self._regions[leaf.leaf_id], neighbor_ids[leaf.leaf_id],
-                (leaf.box.xmin, leaf.box.ymin, leaf.box.xmax, leaf.box.ymax))
-             for leaf in leaves},
-            options, node=0,
-        )
-        self._app_locked = {registry.oid}
-        if options.lock_queue:
-            rt.nodes[0].ooc.lock(master.oid)
-            self._app_locked.add(master.oid)
-        for leaf in leaves:
-            neighbors = {
-                n.leaf_id: (self._regions[n.leaf_id],
-                            (n.box.xmin, n.box.ymin, n.box.xmax, n.box.ymax))
-                for n in tree.neighbors(leaf.leaf_id)
-            }
-            rt.post(self._regions[leaf.leaf_id], "wire", master, registry,
-                    neighbors, pslg, options.multicast, True,
-                    options.ghost_sync)
-        self._master, self._registry = master, registry
-        self._all_ids = [leaf.leaf_id for leaf in leaves]
-
-    def _build_pcdm(self) -> None:
-        rt, spec = self.runtime, self.spec
-        pslg = GEOMETRIES[spec.geometry]()
-        sizing_spec = ("uniform", spec.h)
-        partition = partition_coarse_mesh(pslg, spec.n_parts)
-        for p in range(partition.n_parts):
-            self._regions[p] = rt.create_object(
-                SubdomainObject, p, partition.sub_pslgs[p],
-                partition.part_seeds[p], sizing_spec,
-                ghost_sync=spec.ghost_sync,
-                node=p % spec.n_nodes,
-            )
-        per_part_edges: dict[int, list] = {
-            p: [] for p in range(partition.n_parts)
-        }
-        per_part_neighbors: dict[int, dict] = {
-            p: {} for p in range(partition.n_parts)
-        }
-        for key, (a, b) in partition.interfaces.items():
-            per_part_edges[a].append((key, b))
-            per_part_edges[b].append((key, a))
-            per_part_neighbors[a][b] = self._regions[b]
-            per_part_neighbors[b][a] = self._regions[a]
-        for p in range(partition.n_parts):
-            rt.post(self._regions[p], "wire", per_part_neighbors[p],
-                    per_part_edges[p])
-        self._all_ids = list(range(partition.n_parts))
-
-    def _build_mesh3d(self) -> None:
-        """The 3D variant: prism patches on the unit cube (geometry is
-        2D-only, so mesh3d jobs always mesh the canonical box)."""
-        from repro.mesh3d.driver import _block_grid
-        from repro.mesh3d.objects import Prism3DPatchObject
-
-        rt, spec = self.runtime, self.spec
-        sizing3_spec = ("layered", spec.h, min(1.0, 4.0 * spec.h))
-        blocks = _block_grid(
-            (0.0, 0.0, 0.0, 1.0, 1.0, 1.0), spec.nx, spec.ny, spec.nz
-        )
-        for b in blocks:
-            self._regions[b["block_id"]] = rt.create_object(
-                Prism3DPatchObject, b["block_id"], b["box3"], b["ijk"],
-                b["neighbors"], sizing3_spec,
-                node=b["block_id"] % spec.n_nodes,
-            )
-        master = rt.create_object(
-            UPDRCoordinatorObject,
-            {b["block_id"]: (self._regions[b["block_id"]], b["neighbors"],
-                             b["color"])
-             for b in blocks},
-            n_colors=8,
-            node=0,
-        )
-        rt.nodes[0].ooc.lock(master.oid)
-        for b in blocks:
-            neighbors = {
-                n: (self._regions[n], blocks[n]["box3"])
-                for n in b["neighbors"]
-            }
-            rt.post(self._regions[b["block_id"]], "wire", master, neighbors)
-        self._master = master
-        self._all_ids = [b["block_id"] for b in blocks]
-        self._app_locked = {master.oid}
-
-    # ------------------------------------------------------------ phases
     @property
     def max_phases(self) -> int:
         """Boundaries after which the job is declared done regardless."""
-        if self.spec.method == "pcdm":
-            return 2  # wire, then the single meshing phase
         return 1 + self.spec.max_sweeps
 
     def begin_phase(self) -> None:
@@ -483,12 +291,7 @@ class MeshJobRunner:
             raise JobSpecError("phase already in progress")
         if self.converged:
             raise JobSpecError("job already converged")
-        rt = self.runtime
-        if self.spec.method == "pcdm":
-            for p in self._all_ids:
-                rt.post(self._regions[p], "mesh_initial")
-        else:
-            rt.post(self._master, "start", list(self._all_ids))
+        self.scenario.post_phase(self.runtime)
         self._in_phase = True
 
     def finish_phase(self) -> bool:
@@ -497,11 +300,8 @@ class MeshJobRunner:
             raise JobSpecError("no phase in progress")
         self.runtime.run()
         self._in_phase = False
-        after = self._count_points()
-        if self.spec.method == "pcdm":
-            self.converged = True
-        else:
-            self.converged = (after == self._last_count)
+        after = self.scenario.count(self.runtime)
+        self.converged = self.scenario.converged(self._last_count, after)
         self._last_count = after
         self.phase += 1
         if not self.converged and self.phase >= self.max_phases:
@@ -537,48 +337,15 @@ class MeshJobRunner:
             self.step()
         return self
 
-    def _count_points(self) -> int:
-        rt = self.runtime
-        if self.spec.method == "pcdm":
-            return sum(
-                rt.get_object(self._regions[p]).tri.n_vertices
-                for p in self._all_ids
-            )
-        if self.spec.method == "mesh3d":
-            return sum(
-                len(rt.get_object(self._regions[i]).cells)
-                for i in self._all_ids
-            )
-        return sum(
-            len(rt.get_object(self._regions[i]).points)
-            for i in self._all_ids
-        )
-
     def _check_boundary(self) -> None:
         problems = check_runtime(self.runtime)
-        if self.spec.ghost_sync and self.spec.method in ("updr", "nupdr"):
-            # Ghost-freshness contract: every ghost copy equals the strip
-            # its owner would push right now (repro.pumg.ghost).
-            from repro.testing.invariants import check_ghosts
-
-            problems = problems + check_ghosts(
-                self.runtime, self._regions.values()
-            )
-        if self.spec.method == "mesh3d" and self.converged:
-            # 2:1 balance is only promised once the sweeps converge
-            # (mid-run imbalance is exactly what drives the next sweep).
-            from repro.testing.invariants import check_mesh3d
-
-            patches = [
-                self.runtime.get_object(ptr)
-                for ptr in self._regions.values()
-            ]
-            problems = problems + check_mesh3d(
-                patches, bounds=(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
-            )
+        problems += self.scenario.boundary_problems(
+            self.runtime, self.converged
+        )
+        app_locked = self.scenario.app_locked
         for problem in problems:
             if any(f"object {oid} still locked at quiescence" in problem
-                   for oid in self._app_locked):
+                   for oid in app_locked):
                 continue  # the paper pins coordinator/registry for the run
             self.violations.append(f"phase {self.phase}: {problem}")
 
@@ -587,13 +354,14 @@ class MeshJobRunner:
         """Snapshot at the current boundary (illegal mid-phase)."""
         if self.runtime is None or self._in_phase:
             raise JobSpecError("snapshot is only legal at a phase boundary")
+        scenario = self.scenario
         manifest: dict[str, int] = {
-            f"region:{rid}": ptr.oid for rid, ptr in self._regions.items()
+            f"region:{rid}": ptr.oid for rid, ptr in scenario.regions.items()
         }
-        if self._master is not None:
-            manifest["master"] = self._master.oid
-        if self._registry is not None:
-            manifest["registry"] = self._registry.oid
+        if scenario.master is not None:
+            manifest["master"] = scenario.master.oid
+        if scenario.registry is not None:
+            manifest["registry"] = scenario.registry.oid
         return JobCheckpoint(
             spec=self.spec.to_dict(),
             phase=self.phase,
@@ -607,12 +375,12 @@ class MeshJobRunner:
     def resume(cls, ckpt: JobCheckpoint, bus=None,
                cost: float = 1e-4) -> "MeshJobRunner":
         """Rebuild a runner on a fresh runtime from a boundary snapshot."""
-        spec = JobSpec(**ckpt.spec)
-        runner = cls(spec, bus=bus, cost=cost)
+        runner = cls(JobSpec(**ckpt.spec), bus=bus, cost=cost)
         runner.runtime = runner._build_runtime()
         pointers = restore(
             Checkpoint.from_bytes(ckpt.snapshot), runner.runtime
         )
+        scenario = runner.scenario
         for role, oid in ckpt.manifest.items():
             if oid not in pointers:
                 raise JobSpecError(
@@ -620,16 +388,12 @@ class MeshJobRunner:
                     "missing from the snapshot"
                 )
             if role == "master":
-                runner._master = pointers[oid]
-                runner._app_locked.add(oid)
+                scenario.master = pointers[oid]
             elif role == "registry":
-                runner._registry = pointers[oid]
-                runner._app_locked.add(oid)
+                scenario.registry = pointers[oid]
             else:
-                runner._regions[int(role.split(":", 1)[1])] = pointers[oid]
-        if spec.method == "pcdm":
-            runner._app_locked.clear()
-        runner._all_ids = sorted(runner._regions)
+                scenario.regions[int(role.split(":", 1)[1])] = pointers[oid]
+        scenario.regions = dict(sorted(scenario.regions.items()))
         runner.phase = ckpt.phase
         runner._last_count = ckpt.last_count
         runner.converged = ckpt.converged
@@ -637,32 +401,8 @@ class MeshJobRunner:
 
     # ------------------------------------------------------------ output
     def final_state(self) -> tuple:
-        """Canonical witness of the produced mesh (exact equality oracle).
-
-        Per region, sorted: the region id, its point count and the
-        sorted point tuple — independent of message delivery order
-        within phases and of which incarnation produced it.
-        """
-        rt = self.runtime
-        out = []
-        for rid in sorted(self._regions):
-            obj = rt.get_object(self._regions[rid])
-            if self.spec.method == "pcdm":
-                tri = obj.tri
-                pts = tuple(sorted(
-                    tuple(tri.vertex(v))
-                    for v in range(3, len(tri.points))
-                ))
-                out.append((rid, tri.n_vertices, obj.n_triangles(), pts))
-            elif self.spec.method == "mesh3d":
-                cells = tuple(sorted(
-                    (c.a, c.b, c.c, c.z0, c.z1, c.level) for c in obj.cells
-                ))
-                out.append((rid, len(cells), cells))
-            else:
-                pts = tuple(sorted(tuple(p) for p in obj.points))
-                out.append((rid, len(pts), pts))
-        return tuple(out)
+        """The scenario's canonical witness of the produced mesh."""
+        return self.scenario.witness(self.runtime)
 
     def state_digest(self) -> str:
         """Stable hex digest of :meth:`final_state` for wire replies."""
@@ -695,25 +435,8 @@ class MeshJobRunner:
             "state_digest": self.state_digest(),
             "invariant_violations": len(self.violations),
         }
-        if self.spec.validate and self.spec.method in ("updr", "nupdr"):
-            from repro.pumg.driver import _validate_final
-
-            pslg = GEOMETRIES[self.spec.geometry]()
-            all_points: list = []
-            for rid in sorted(self._regions):
-                all_points.extend(
-                    self.runtime.get_object(self._regions[rid]).points
-                )
-            boundary = [
-                (p, q) for p, q in
-                self.runtime.get_object(self._registry).segments
-            ]
-            mesh, quality, fixup = _validate_final(
-                pslg, all_points, boundary, ("uniform", self.spec.h)
-            )
-            summary["n_triangles"] = mesh.n_triangles
-            summary["min_angle_deg"] = round(quality.min_angle_deg, 3)
-            summary["fixup_points"] = fixup
+        if self.spec.validate:
+            summary.update(self.scenario.validation_summary(self.runtime))
         return summary
 
 

@@ -49,6 +49,19 @@ def test_subscribe_activates_and_collects():
     assert "handler" in kinds
     assert "send" in kinds
     assert "queue" in kinds
+    handlers = [e for e in sub.events if e.kind == "handler"]
+    assert [e.handler for e in handlers] == ["hit", "hit"]
+
+
+def test_disk_spans_record_stores_and_loads_when_spilling():
+    rt = build(memory=100_000, n_nodes=1)
+    sub = rt.bus.subscribe(kinds={"disk"})
+    for _ in range(4):
+        rt.post(rt.create_object(Blob, 40_000), "hit")
+    rt.run()
+    assert any(e.is_store for e in sub.events)
+    assert any(not e.is_store for e in sub.events)
+    assert all(e.span_s >= 0 and e.nbytes > 0 for e in sub.events)
 
 
 def test_unsubscribe_deactivates_and_is_idempotent():
@@ -76,6 +89,7 @@ def test_ring_buffer_bounds_and_counts_drops():
     assert len(sub.events) == 5
     assert sub.dropped == len(everything.events) - 5
     assert sub.dropped > 0
+    assert everything.dropped == 0  # unbounded unless a capacity is given
     # The ring sheds the oldest: what remains is the stream's tail.
     assert list(sub.events) == list(everything.events)[-5:]
 
