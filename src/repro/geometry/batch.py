@@ -16,6 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.geometry.predicates import (
+    _CCW_BOUND,
+    _ICC_BOUND,
+    _UNDERFLOW,
+)
+
 __all__ = [
     "orient2d_batch",
     "incircle_batch",
@@ -24,10 +30,6 @@ __all__ = [
     "shortest_edge_sq_batch",
     "bad_triangle_mask",
 ]
-
-_EPS = float(np.finfo(np.float64).eps) / 2
-_CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS
-_ICC_BOUND = (10.0 + 96.0 * _EPS) * _EPS
 
 
 def _as_points(arr) -> np.ndarray:
@@ -40,19 +42,24 @@ def _as_points(arr) -> np.ndarray:
 def orient2d_batch(a, b, c) -> tuple[np.ndarray, np.ndarray]:
     """Signed doubled areas for n triangles, plus an ``uncertain`` mask.
 
-    Returns ``(det, uncertain)``: where ``uncertain`` is True the sign is
-    not guaranteed by the float filter and the caller must fall back to
-    :func:`repro.geometry.predicates.orient2d_exact`.
+    Returns ``(det, uncertain)``: ``uncertain`` is True exactly where the
+    scalar :func:`repro.geometry.predicates.orient2d` would go to its
+    exact stage, and the caller must fall back to ``orient2d_exact``.
     """
     a, b, c = _as_points(a), _as_points(b), _as_points(c)
-    detleft = (a[:, 0] - c[:, 0]) * (b[:, 1] - c[:, 1])
-    detright = (a[:, 1] - c[:, 1]) * (b[:, 0] - c[:, 0])
-    det = detleft - detright
-    detsum = np.abs(detleft) + np.abs(detright)
-    # Same-sign products are where cancellation can flip the sign.
-    uncertain = np.abs(det) < _CCW_BOUND * detsum
-    uncertain |= det == 0.0
-    return det, uncertain
+    with np.errstate(over="ignore", invalid="ignore"):
+        acx, bcy = a[:, 0] - c[:, 0], b[:, 1] - c[:, 1]
+        acy, bcx = a[:, 1] - c[:, 1], b[:, 0] - c[:, 0]
+        detleft, detright = acx * bcy, acy * bcx
+        det = detleft - detright
+        detsum = np.abs(detleft) + np.abs(detright)
+        certain = np.abs(det) > _CCW_BOUND * detsum + _UNDERFLOW
+        # The scalar predicate's other two certificates: products of
+        # opposite strict sign, and a true zero in each product (stage 0).
+        certain |= np.sign(detleft) * np.sign(detright) < 0
+    zero = ((acx == 0.0) | (bcy == 0.0)) & ((acy == 0.0) | (bcx == 0.0))
+    det[zero] = 0.0
+    return det, ~(certain | zero)
 
 
 def incircle_batch(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
@@ -65,29 +72,32 @@ def incircle_batch(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     and the caller must re-check with ``incircle_exact``.
     """
     a, b, c, d = _as_points(a), _as_points(b), _as_points(c), _as_points(d)
-    adx, ady = a[:, 0] - d[:, 0], a[:, 1] - d[:, 1]
-    bdx, bdy = b[:, 0] - d[:, 0], b[:, 1] - d[:, 1]
-    cdx, cdy = c[:, 0] - d[:, 0], c[:, 1] - d[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        adx, ady = a[:, 0] - d[:, 0], a[:, 1] - d[:, 1]
+        bdx, bdy = b[:, 0] - d[:, 0], b[:, 1] - d[:, 1]
+        cdx, cdy = c[:, 0] - d[:, 0], c[:, 1] - d[:, 1]
 
-    bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
-    alift = adx * adx + ady * ady
-    cdxady, adxcdy = cdx * ady, adx * cdy
-    blift = bdx * bdx + bdy * bdy
-    adxbdy, bdxady = adx * bdy, bdx * ady
-    clift = cdx * cdx + cdy * cdy
+        bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
+        alift = adx * adx + ady * ady
+        cdxady, adxcdy = cdx * ady, adx * cdy
+        blift = bdx * bdx + bdy * bdy
+        adxbdy, bdxady = adx * bdy, bdx * ady
+        clift = cdx * cdx + cdy * cdy
 
-    det = (
-        alift * (bdxcdy - cdxbdy)
-        + blift * (cdxady - adxcdy)
-        + clift * (adxbdy - bdxady)
-    )
-    permanent = (
-        (np.abs(bdxcdy) + np.abs(cdxbdy)) * alift
-        + (np.abs(cdxady) + np.abs(adxcdy)) * blift
-        + (np.abs(adxbdy) + np.abs(bdxady)) * clift
-    )
-    uncertain = np.abs(det) <= _ICC_BOUND * permanent
-    return det, uncertain
+        det = (
+            alift * (bdxcdy - cdxbdy)
+            + blift * (cdxady - adxcdy)
+            + clift * (adxbdy - bdxady)
+        )
+        permanent = (
+            (np.abs(bdxcdy) + np.abs(cdxbdy)) * alift
+            + (np.abs(cdxady) + np.abs(adxcdy)) * blift
+            + (np.abs(adxbdy) + np.abs(bdxady)) * clift
+        )
+        certain = np.abs(det) > _ICC_BOUND * permanent + _UNDERFLOW * (
+            1.0 + alift + blift + clift
+        )
+    return det, ~certain
 
 
 def circumcenter_batch(a, b, c) -> np.ndarray:

@@ -6,13 +6,22 @@ Delaunay refinement lives and dies by the correctness of two predicates:
 * ``incircle(a, b, c, d)`` — whether *d* lies inside the circumcircle of
   the (counterclockwise) triangle *abc*.
 
-We use the standard two-stage scheme popularized by Shewchuk's Triangle:
-evaluate the determinant in floating point with a forward error bound; if
-the magnitude clears the bound the sign is certain, otherwise fall back to
-exact rational arithmetic (:class:`fractions.Fraction`).  The float filter
-handles virtually all calls; the exact path makes the mesher immune to the
-near-degenerate configurations that refinement constantly produces
-(cocircular points from structured inputs, collinear split points, ...).
+Each is decided by the first of three stages that can certify the sign:
+
+0. **Exact zero factors** (``orient2d``).  ``x - y == 0.0`` holds in IEEE
+   arithmetic iff ``x == y``, so a product with a zero coordinate
+   difference is a true zero, never an underflow.  When both products of
+   the determinant hold one it is exactly 0; when one does, the
+   determinant is the other product, which stage 1 certifies at once.
+   Axis-aligned block boundaries make these the common degenerate cases.
+1. **Float filter.**  Shewchuk's A-stage: the float determinant with a
+   forward error bound, plus an absolute term for products that
+   underflowed.  Overflow turns the bound into inf or nan and fails it.
+2. **Exact integers.**  Every float is a dyadic rational, so
+   ``float.as_integer_ratio()`` scaled to one common power-of-two
+   denominator gives Python ints and the determinant's sign with no gcd
+   and no :class:`fractions.Fraction`.  Only truly near-degenerate input
+   (cocircular lattice points, diagonal collinear triples) gets here.
 """
 
 from __future__ import annotations
@@ -34,12 +43,17 @@ __all__ = [
 
 Point = Tuple[float, float]
 
-# Forward error coefficients (see Shewchuk, "Adaptive Precision Floating-
-# Point Arithmetic and Fast Robust Geometric Predicates", 1997).  We use the
-# simple A-stage filter constants; anything within the bound goes exact.
-_EPS = 2.220446049250313e-16
+# Forward error coefficients of the A-stage filter (Shewchuk, "Adaptive
+# Precision Floating-Point Arithmetic and Fast Robust Geometric
+# Predicates", 1997), epsilon = 2**-53; repro.geometry.batch imports them.
+_EPS = 1.1102230246251565e-16
 _CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 _ICC_BOUND = (10.0 + 96.0 * _EPS) * _EPS
+# Those bounds assume no underflow.  A product that underflows is off by
+# up to 2**-1075 absolutely instead; this slack (times the lifts, which
+# scale such an error in ``incircle``) covers every one of them and
+# vanishes next to any bound that was computed without underflow.
+_UNDERFLOW = 1e-300
 
 
 def orient2d(a: Point, b: Point, c: Point) -> float:
@@ -47,41 +61,43 @@ def orient2d(a: Point, b: Point, c: Point) -> float:
 
     The magnitude (when the filter passes) equals twice the signed area.
     """
-    detleft = (a[0] - c[0]) * (b[1] - c[1])
-    detright = (a[1] - c[1]) * (b[0] - c[0])
+    acx = a[0] - c[0]
+    bcy = b[1] - c[1]
+    acy = a[1] - c[1]
+    bcx = b[0] - c[0]
+    detleft = acx * bcy
+    detright = acy * bcx
     det = detleft - detright
-    # det == 0 may be exact cancellation *or* underflow of the products
-    # (coordinates near 1e-280 flush detleft/detright — and the error
-    # bound — to zero); the exact path settles both, and charging it on
-    # truly-collinear input is where exactness matters anyway.
-    if det == 0.0:
-        return float(orient2d_exact(a, b, c))
     if detleft > 0.0:
-        if detright <= 0.0:
+        if detright < 0.0:
             return det
         detsum = detleft + detright
     elif detleft < 0.0:
-        if detright >= 0.0:
+        if detright > 0.0:
             return det
         detsum = -detleft - detright
     else:
-        return float(orient2d_exact(a, b, c))
-    if abs(det) >= _CCW_BOUND * detsum:
+        # Stage 0: detleft is a true zero or an underflow (or 0 * inf).
+        if (acx == 0.0 or bcy == 0.0) and (acy == 0.0 or bcx == 0.0):
+            return 0.0
+        detsum = abs(detright)
+    if abs(det) > _CCW_BOUND * detsum + _UNDERFLOW:
         return det
     return float(orient2d_exact(a, b, c))
 
 
+def _common_ints(*coords: float) -> list[int]:
+    """The coordinates as integers over one power-of-two denominator."""
+    ratios = [x.as_integer_ratio() for x in coords]
+    scale = max(den for _, den in ratios)
+    return [num * (scale // den) for num, den in ratios]
+
+
 def orient2d_exact(a: Point, b: Point, c: Point) -> int:
-    """Exact orientation sign via rational arithmetic: -1, 0, or +1."""
-    ax, ay = Fraction(a[0]), Fraction(a[1])
-    bx, by = Fraction(b[0]), Fraction(b[1])
-    cx, cy = Fraction(c[0]), Fraction(c[1])
+    """Exact orientation sign via integer arithmetic: -1, 0, or +1."""
+    ax, ay, bx, by, cx, cy = _common_ints(*a, *b, *c)
     det = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
+    return (det > 0) - (det < 0)
 
 
 def incircle(a: Point, b: Point, c: Point, d: Point) -> float:
@@ -121,26 +137,24 @@ def incircle(a: Point, b: Point, c: Point, d: Point) -> float:
         + (abs(cdxady) + abs(adxcdy)) * blift
         + (abs(adxbdy) + abs(bdxady)) * clift
     )
-    if abs(det) > _ICC_BOUND * permanent:
+    if abs(det) > _ICC_BOUND * permanent + _UNDERFLOW * (
+        1.0 + alift + blift + clift
+    ):
         return det
     return float(incircle_exact(a, b, c, d))
 
 
 def incircle_exact(a: Point, b: Point, c: Point, d: Point) -> int:
-    """Exact incircle sign via rational arithmetic: -1, 0, or +1."""
-    ax, ay = Fraction(a[0]) - Fraction(d[0]), Fraction(a[1]) - Fraction(d[1])
-    bx, by = Fraction(b[0]) - Fraction(d[0]), Fraction(b[1]) - Fraction(d[1])
-    cx, cy = Fraction(c[0]) - Fraction(d[0]), Fraction(c[1]) - Fraction(d[1])
+    """Exact incircle sign via integer arithmetic: -1, 0, or +1."""
+    ax, ay, bx, by, cx, cy, dx, dy = _common_ints(*a, *b, *c, *d)
+    ax, ay, bx, by = ax - dx, ay - dy, bx - dx, by - dy
+    cx, cy = cx - dx, cy - dy
     det = (
         (ax * ax + ay * ay) * (bx * cy - cx * by)
         + (bx * bx + by * by) * (cx * ay - ax * cy)
         + (cx * cx + cy * cy) * (ax * by - bx * ay)
     )
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
+    return (det > 0) - (det < 0)
 
 
 def circumcenter(a: Point, b: Point, c: Point) -> Point:

@@ -366,6 +366,8 @@ class Triangulation:
     def _vertices_on_segment(self, u: int, v: int) -> list[int]:
         """Existing vertices lying strictly inside segment (u, v), ordered."""
         pu, pv = self.points[u], self.points[v]
+        xmin, xmax = min(pu[0], pv[0]), max(pu[0], pv[0])
+        ymin, ymax = min(pu[1], pv[1]), max(pu[1], pv[1])
         hits: list[tuple[float, int]] = []
         seen: set[int] = set()
         for tid in self.alive_triangles():
@@ -374,6 +376,9 @@ class Triangulation:
                     continue
                 seen.add(w)
                 pw = self.points[w]
+                # A point on the segment is inside its bounding box.
+                if not (xmin <= pw[0] <= xmax and ymin <= pw[1] <= ymax):
+                    continue
                 if orient2d(pu, pv, pw) == 0:
                     t = self._param_on_segment(pu, pv, pw)
                     if 0.0 < t < 1.0:

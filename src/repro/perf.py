@@ -57,6 +57,7 @@ bytes written (or the makespan) regress by more than 10 %.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -248,6 +249,12 @@ class _WorkloadResult:
         }
 
 
+def _starved(memory_bytes: int, scale: float) -> int:
+    """The per-node budget at ``scale``: payloads grow with the scale, so
+    above 1 the budget that starves them follows (1 is the calibration)."""
+    return int(memory_bytes * max(scale, 1.0))
+
+
 def _fixed_cost_model(cost: float):
     from repro.testing.harness import FixedCostModel
 
@@ -407,7 +414,7 @@ def run_mesh_patch_stream(
     runtime = MRTS(
         ClusterSpec(
             n_nodes=n_nodes,
-            node=NodeSpec(cores=1, memory_bytes=memory_bytes),
+            node=NodeSpec(cores=1, memory_bytes=_starved(memory_bytes, scale)),
         ),
         config=MRTSConfig(swap_scheme="lru"),
         cost_model=_fixed_cost_model(1e-4),
@@ -779,7 +786,7 @@ def run_ghost_exchange_storm(
     h = h / max(scale, 1e-9) ** 0.5
     cluster = ClusterSpec(
         n_nodes=n_nodes,
-        node=NodeSpec(cores=1, memory_bytes=memory_bytes),
+        node=NodeSpec(cores=1, memory_bytes=_starved(memory_bytes, scale)),
     )
     wall0 = time.perf_counter()
     result = run_updr(
@@ -823,9 +830,12 @@ def run_mesh3d_storm(
     from repro.mesh3d.driver import run_mesh3d
 
     h_bottom = h_bottom / max(scale, 1e-9) ** 0.5
+    # Bisection: the cell count steps up ~4x each time h_bottom halves,
+    # which is once per factor 4 of the scale, so the budget steps with it.
+    steps = math.ceil(math.log2(max(scale, 1e-9)) / 2)
     cluster = ClusterSpec(
         n_nodes=n_nodes,
-        node=NodeSpec(cores=1, memory_bytes=memory_bytes),
+        node=NodeSpec(cores=1, memory_bytes=_starved(memory_bytes, 4.0 ** steps)),
     )
     wall0 = time.perf_counter()
     result = run_mesh3d(

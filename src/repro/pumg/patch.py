@@ -171,32 +171,47 @@ def patch_refine(
 
     skipped: set[Point] = set()
 
+    def classify(verts: tuple[int, int, int]) -> tuple:
+        """``(counts as seen, circumcenter if bad, circumcenter owned)``."""
+        if any(tri.is_super_vertex(v) for v in verts):
+            return False, None, False
+        a, b, c = (tri.vertex(v) for v in verts)
+        centroid = ((a[0] + b[0] + c[0]) / 3.0, (a[1] + b[1] + c[1]) / 3.0)
+        if not in_domain(centroid):
+            return False, None, False
+        shortest_sq = min(dist_sq(a, b), dist_sq(b, c), dist_sq(c, a))
+        if shortest_sq <= min_length_sq:
+            return True, None, False
+        try:
+            cc = circumcenter(a, b, c)
+        except ZeroDivisionError:
+            return True, None, False
+        r_sq = dist_sq(cc, a)
+        h = sizing(cc)
+        if not (r_sq > quality_sq * shortest_sq or r_sq > h * h):
+            return True, None, False
+        return True, cc, owned(cc)
+
+    # tid -> (vertex tuple, *classify(it)).  A triangle's verdict depends
+    # on its vertices alone, but tids are recycled: an entry is current
+    # only while the triangle still holds the very tuple it was made from
+    # (the entry keeps that tuple alive, so ``is`` cannot be fooled).
+    verdicts: dict[int, tuple] = {}
+
     def owned_bad_triangle() -> Optional[tuple[int, Point]]:
         """Find a bad in-domain triangle whose circumcenter we own."""
         for tid in tri.alive_triangles():
             verts = tri.triangle_vertices(tid)
-            if any(tri.is_super_vertex(v) for v in verts):
-                continue
-            a, b, c = (tri.vertex(v) for v in verts)
-            centroid = ((a[0] + b[0] + c[0]) / 3.0, (a[1] + b[1] + c[1]) / 3.0)
-            if not in_domain(centroid):
+            verdict = verdicts.get(tid)
+            if verdict is None or verdict[0] is not verts:
+                verdict = verdicts[tid] = (verts, *classify(verts))
+            _, seen, cc, mine = verdict
+            if not seen:
                 continue
             result.triangles_seen += 1
-            shortest_sq = min(dist_sq(a, b), dist_sq(b, c), dist_sq(c, a))
-            if shortest_sq <= min_length_sq:
-                continue
-            try:
-                cc = circumcenter(a, b, c)
-            except ZeroDivisionError:
-                continue
-            if cc in skipped:
-                continue  # blocked on a split another region owns
-            r_sq = dist_sq(cc, a)
-            h = sizing(cc)
-            bad = r_sq > quality_sq * shortest_sq or r_sq > h * h
-            if not bad:
-                continue
-            if not owned(cc):
+            if cc is None or cc in skipped:
+                continue  # fine, or blocked on a split another region owns
+            if not mine:
                 result.deferred += 1
                 continue
             return tid, cc

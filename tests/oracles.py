@@ -1,0 +1,217 @@
+"""Reference implementations the fast kernels are tested against.
+
+Slow on purpose and kept apart from ``src/``: the predicates in exact
+rational arithmetic (what ``repro.geometry.predicates`` used as its
+fallback before the integer stage), and patch refinement with a full
+rescan per insertion (what ``patch_refine`` did before it memoised
+triangle verdicts).
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Callable, Optional, Sequence
+
+from repro.geometry.predicates import Point, circumcenter, dist_sq
+from repro.geometry.pslg import BoundingBox
+from repro.mesh.sizing import SizingFunction
+from repro.mesh.triangulation import NO_TRI, Triangulation
+from repro.pumg.patch import PatchResult, _in_box
+
+
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def orient2d_fraction(a: Point, b: Point, c: Point) -> int:
+    """Orientation sign in rational arithmetic: -1, 0, or +1."""
+    ax, ay = Fraction(a[0]), Fraction(a[1])
+    bx, by = Fraction(b[0]), Fraction(b[1])
+    cx, cy = Fraction(c[0]), Fraction(c[1])
+    return sign((ax - cx) * (by - cy) - (ay - cy) * (bx - cx))
+
+
+def incircle_fraction(a: Point, b: Point, c: Point, d: Point) -> int:
+    """Incircle sign in rational arithmetic: -1, 0, or +1."""
+    ax, ay = Fraction(a[0]) - Fraction(d[0]), Fraction(a[1]) - Fraction(d[1])
+    bx, by = Fraction(b[0]) - Fraction(d[0]), Fraction(b[1]) - Fraction(d[1])
+    cx, cy = Fraction(c[0]) - Fraction(d[0]), Fraction(c[1]) - Fraction(d[1])
+    return sign(
+        (ax * ax + ay * ay) * (bx * cy - cx * by)
+        + (bx * bx + by * by) * (cx * ay - ax * cy)
+        + (cx * cx + cy * cy) * (ax * by - bx * ay)
+    )
+
+
+def patch_refine_rescan(
+    points: Sequence[Point],
+    boundary_segments: Sequence[tuple[Point, Point]],
+    sizing: SizingFunction,
+    owner_box: BoundingBox | Sequence[BoundingBox],
+    in_domain: Callable[[Point], bool],
+    quality_bound: float = math.sqrt(2.0),
+    min_length: float = 0.0,
+    max_inserts: int = 200_000,
+) -> PatchResult:
+    """:func:`repro.pumg.patch.patch_refine` as it was before the verdict
+    memo: ``owned_bad_triangle`` re-derives every live triangle's verdict
+    on every scan.  Same arguments, same :class:`PatchResult`.
+    """
+    boxes = (
+        [owner_box] if isinstance(owner_box, BoundingBox) else list(owner_box)
+    )
+
+    def owned(p: Point) -> bool:
+        return any(_in_box(b, p) for b in boxes)
+
+    pts = list(points)
+    if len(pts) < 3:
+        return PatchResult(clean=True)
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    bbox = BoundingBox(min(xs), min(ys), max(xs), max(ys))
+    if bbox.width == 0 or bbox.height == 0:
+        return PatchResult(clean=True)
+    tri = Triangulation(bbox)
+    for p in pts:
+        tri.insert_point(p)
+    for pu, pv in boundary_segments:
+        u = tri.find_vertex(pu)
+        v = tri.find_vertex(pv)
+        if u is None:
+            u = tri.insert_point(pu)
+        if v is None:
+            v = tri.insert_point(pv)
+        if u != v:
+            tri.insert_segment(u, v)
+
+    result = PatchResult()
+    quality_sq = quality_bound * quality_bound
+    min_length_sq = min_length * min_length
+
+    skipped: set[Point] = set()
+
+    def owned_bad_triangle() -> Optional[tuple[int, Point]]:
+        """Find a bad in-domain triangle whose circumcenter we own."""
+        for tid in tri.alive_triangles():
+            verts = tri.triangle_vertices(tid)
+            if any(tri.is_super_vertex(v) for v in verts):
+                continue
+            a, b, c = (tri.vertex(v) for v in verts)
+            centroid = ((a[0] + b[0] + c[0]) / 3.0, (a[1] + b[1] + c[1]) / 3.0)
+            if not in_domain(centroid):
+                continue
+            result.triangles_seen += 1
+            shortest_sq = min(dist_sq(a, b), dist_sq(b, c), dist_sq(c, a))
+            if shortest_sq <= min_length_sq:
+                continue
+            try:
+                cc = circumcenter(a, b, c)
+            except ZeroDivisionError:
+                continue
+            if cc in skipped:
+                continue  # blocked on a split another region owns
+            r_sq = dist_sq(cc, a)
+            h = sizing(cc)
+            bad = r_sq > quality_sq * shortest_sq or r_sq > h * h
+            if not bad:
+                continue
+            if not owned(cc):
+                result.deferred += 1
+                continue
+            return tid, cc
+        return None
+
+    def encroached_owned_segment() -> Optional[tuple[int, int]]:
+        for u, v in list(tri.constrained):
+            pu, pv = tri.vertex(u), tri.vertex(v)
+            mid = ((pu[0] + pv[0]) / 2.0, (pu[1] + pv[1]) / 2.0)
+            if not owned(mid):
+                continue
+            if dist_sq(pu, pv) <= 4.0 * min_length_sq:
+                continue
+            # Encroached by an adjacent apex?
+            tid = tri._find_triangle_with_edge(u, v)
+            if tid is None:
+                continue
+            r_sq = dist_sq(mid, pu)
+            for t in (
+                tid,
+                tri.triangle_neighbors(tid)[tri._edge_index(tid, u, v)],
+            ):
+                if t == NO_TRI:
+                    continue
+                for w in tri.triangle_vertices(t):
+                    if w in (u, v) or tri.is_super_vertex(w):
+                        continue
+                    if dist_sq(mid, tri.vertex(w)) < r_sq * (1.0 - 1e-12):
+                        return (u, v)
+        return None
+
+    inserts = 0
+    while True:
+        if inserts > max_inserts:
+            raise RuntimeError("patch refinement exceeded insertion cap")
+        seg = encroached_owned_segment()
+        if seg is not None:
+            u, v = seg
+            pu, pv = tri.vertex(u), tri.vertex(v)
+            mid_vid = tri.split_segment(u, v)
+            mid = tri.vertex(mid_vid)
+            result.new_points.append(mid)
+            result.boundary_splits.append((pu, pv, mid))
+            inserts += 1
+            continue
+        found = owned_bad_triangle()
+        if found is None:
+            break
+        tid, cc = found
+        # The circumcenter may encroach a constrained segment: split that
+        # instead (only if we own the split; otherwise skip this triangle —
+        # the owner leaf will handle it when its pass runs).
+        cavity, boundary = tri.cavity_of(cc, hint=tid)
+        encroached = None
+        for u, v, _outer in boundary:
+            if not tri.is_constrained(u, v):
+                continue
+            pu, pv = tri.vertex(u), tri.vertex(v)
+            mid = ((pu[0] + pv[0]) / 2.0, (pu[1] + pv[1]) / 2.0)
+            center = mid
+            if dist_sq(center, cc) < dist_sq(center, pu) * (1.0 - 1e-12):
+                encroached = (u, v, mid)
+                break
+        if encroached is not None:
+            u, v, mid = encroached
+            protected = dist_sq(
+                tri.vertex(u), tri.vertex(v)
+            ) <= 4.0 * min_length_sq
+            if protected:
+                # Nobody may split this (min-length floor): give up on the
+                # triangle, exactly as plain Ruppert would.
+                skipped.add(cc)
+                continue
+            if not owned(mid):
+                # The split belongs to a neighboring region: report it so
+                # the driver dirties that region, and move on.
+                skipped.add(cc)
+                result.foreign_splits.append(mid)
+                continue
+            pu, pv = tri.vertex(u), tri.vertex(v)
+            mid_vid = tri.split_segment(u, v)
+            result.new_points.append(tri.vertex(mid_vid))
+            result.boundary_splits.append((pu, pv, tri.vertex(mid_vid)))
+            inserts += 1
+            continue
+        vid = tri.insert_point(cc, hint=tid)
+        if vid == len(tri.points) - 1:
+            result.new_points.append(cc)
+            inserts += 1
+        else:
+            skipped.add(cc)  # duplicate vertex; cannot make progress here
+
+    # Owned bad triangles blocked on a foreign split remain unresolved:
+    # not clean, but progress resumes when the owner splits and re-dirties
+    # this region.
+    result.clean = not result.foreign_splits
+    return result

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import patch_refine_rescan
 from repro.geometry import PSLG, unit_square
 from repro.geometry.pslg import BoundingBox
 from repro.mesh.quality import triangle_area
@@ -109,3 +110,53 @@ def test_patch_refine_min_length_floor():
     )
     # Floor close to grid spacing: barely anything can be refined.
     assert len(result.new_points) <= 4
+
+
+# --------------------------------------- verdict memo vs the full rescan
+def _same_result(fast, slow):
+    assert fast.new_points == slow.new_points  # same points, same order
+    assert fast.boundary_splits == slow.boundary_splits
+    assert fast.foreign_splits == slow.foreign_splits
+    assert (fast.clean, fast.deferred, fast.triangles_seen) == (
+        slow.clean, slow.deferred, slow.triangles_seen
+    )
+
+
+def test_patch_refine_memo_matches_full_rescan_on_a_grid():
+    pts = _grid_points(6)
+    square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    segments = list(zip(square, square[1:] + square[:1]))
+    boxes = [BoundingBox(0.0, 0.0, 0.5, 0.5), BoundingBox(0.5, 0.0, 1.0, 0.5)]
+    for owner in (boxes[0], boxes):
+        args = (pts, segments, uniform_sizing(0.06), owner)
+        inside = unit_square().contains
+        _same_result(
+            patch_refine(*args, in_domain=inside),
+            patch_refine_rescan(*args, in_domain=inside),
+        )
+
+
+@pytest.mark.parametrize("method", ["updr", "nupdr"])
+def test_patch_refine_memo_matches_full_rescan_in_real_runs(method, monkeypatch):
+    """Every patch a PDR run refines — boundary segments, buffer zones,
+    foreign splits, min-length floors — goes through both versions."""
+    from repro.pumg import objects, run_nupdr, run_updr
+
+    compared = []
+
+    def both(*args, **kwargs):
+        fast = patch_refine(*args, **kwargs)
+        _same_result(fast, patch_refine_rescan(*args, **kwargs))
+        compared.append(fast)
+        return fast
+
+    monkeypatch.setattr(objects, "patch_refine", both)
+    if method == "updr":
+        run_updr(unit_square(), h=0.08, nx=3, ny=3, validate=False)
+    else:
+        graded = ("point_source", [((0.0, 0.0), 0.03)], 0.25, 0.3)
+        run_nupdr(unit_square(), graded, granularity=6.0, validate=False)
+    assert len(compared) > 10
+    assert sum(r.triangles_seen for r in compared) > 500
+    assert any(r.deferred for r in compared)
+    assert any(r.boundary_splits for r in compared)
