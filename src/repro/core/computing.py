@@ -33,6 +33,7 @@ Table VII benchmark measures).
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -48,6 +49,7 @@ __all__ = [
     "ProcessPoolExecutorBackend",
     "make_executor",
     "select_victim",
+    "node_thief",
 ]
 
 
@@ -70,6 +72,92 @@ def select_victim(
     for i, backlog in enumerate(backlogs):
         if backlog >= min_queue and backlog > best_len:
             best, best_len = i, backlog
+    return best
+
+
+# Inter-node work stealing (config.work_stealing): virtual seconds between
+# a thief's looks, and the ready backlog a victim must hold before it can
+# be robbed (leaves it enough work to stay busy).
+STEAL_INTERVAL_S = 2e-4
+STEAL_MIN_VICTIM_QUEUE = 2
+
+
+def steal_victim(rt, nrt):
+    """The peer an idle ``nrt`` should rob right now, else ``None``.
+
+    The thief's poll predicate, so free of side effects: the node runs no
+    handler and queues no message, and :func:`select_victim` names a peer.
+    """
+    if nrt.active_handlers > 0 or nrt.queued_msgs > 0:
+        return None
+    backlogs = [0 if n is nrt else len(n.ready) for n in rt.nodes]
+    rank = select_victim(backlogs, STEAL_MIN_VICTIM_QUEUE)
+    return None if rank is None else rt.nodes[rank]
+
+
+def node_thief(rt, nrt):
+    """Per-node stealing loop (DES process body, PR 9).
+
+    When this node is completely idle, rob the most backlogged peer
+    of one ready, resident, unpinned object — through the ordinary
+    migration machinery, so directory updates and wire charges are
+    exactly those of any other move.  The same :func:`select_victim`
+    rule drives the intra-node executor policy; this is its inter-node
+    twin.  Looking is an engine :class:`~repro.sim.engine.Poll`, which
+    ticks in the event heap and resumes this coroutine only on a tick
+    that finds a victim.
+    """
+    look = functools.partial(steal_victim, rt, nrt)
+    while True:
+        victim = yield rt.engine.poll(STEAL_INTERVAL_S, look)
+        oid = pick_steal_candidate(rt, nrt, victim)
+        if oid is None:
+            continue
+        rt.stats.node(nrt.rank).steals += 1
+        # Hold a credit across the move: the steal itself must keep
+        # the run alive even if the victim's queues drain meanwhile.
+        rt.termination.add(1)
+        yield from rt._migrate_and_done(oid, victim.rank, nrt.rank)
+
+
+def pick_steal_candidate(rt, thief, victim) -> Optional[int]:
+    """Choose what to steal: locality first, then backlog.
+
+    Eligible objects are ready on the victim (queued messages, no
+    handler running, in core, unpinned, not mid-load, no pending
+    speculation).  Among those, prefer the one whose pack-file
+    locality key sits closest to the thief's resident working set —
+    stolen work should land next to the data it will touch — and
+    break ties toward the longest queue (steal the most work per
+    migration), then the lowest oid (determinism).
+    """
+    pf = thief.packfile
+    thief_keys = []
+    if pf is not None:
+        thief_keys = [
+            pf.locality_key(t_oid)
+            for t_oid in thief.locals
+            if thief.ooc.is_resident(t_oid)
+        ]
+    best = None
+    best_score = None
+    for oid in victim.ready.snapshot():
+        rec = victim.locals.get(oid)
+        if rec is None or not rec.queue or rec.in_flight > 0:
+            continue
+        if rec.obj is None or not victim.ooc.is_resident(oid):
+            continue
+        if victim.ooc.is_locked(oid) or oid in victim.loading:
+            continue
+        if rt.speculation is not None and rt.speculation.has_pending(oid):
+            continue
+        distance = 0
+        if thief_keys and pf is not None:
+            key = pf.locality_key(oid)
+            distance = min(abs(key - tk) for tk in thief_keys)
+        score = (distance, -len(rec.queue), oid)
+        if best_score is None or score < best_score:
+            best, best_score = oid, score
     return best
 
 

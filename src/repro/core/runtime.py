@@ -32,7 +32,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.core.config import MRTSConfig
 from repro.core.control import ReadyQueue, TerminationDetector
-from repro.core.computing import Task, make_executor, select_victim
+from repro.core.computing import Task, make_executor, node_thief
 from repro.core.directory import Directory, make_directory
 from repro.core.messages import Message, MessageQueue, MulticastMessage
 from repro.core.mobile import MobileObject, MobilePointer
@@ -80,11 +80,6 @@ __all__ = ["MRTS", "HandlerContext", "CostModel", "MeasuredCostModel", "handler"
 
 _SERVICE_MSG_BYTES = 64
 _SHUTDOWN = object()
-# Work stealing (config.work_stealing): virtual seconds between a thief's
-# idle checks, and the ready backlog a victim must hold before it can be
-# robbed (leaves it enough work to stay busy).
-STEAL_INTERVAL_S = 2e-4
-STEAL_MIN_VICTIM_QUEUE = 2
 
 
 def handler(fn: Optional[Callable] = None, *, readonly: bool = False) -> Callable:
@@ -647,7 +642,7 @@ class MRTS:
         if self.config.work_stealing and len(self.nodes) > 1:
             for node in self.nodes:
                 self.engine.process(
-                    self._thief(node), name=f"thief[{node.rank}]"
+                    node_thief(self, node), name=f"thief[{node.rank}]"
                 )
 
     def _node_executor(self, rank: int):
@@ -1711,77 +1706,6 @@ class MRTS:
             and nrt.queued_msgs == 0
         ):
             nrt.idle_since = self.engine.now
-
-    # ------------------------------------------------------- work stealing
-    def _thief(self, nrt: _NodeRuntime):
-        """Per-node stealing loop (DES process body, PR 9).
-
-        When this node is completely idle, rob the most backlogged peer
-        of one ready, resident, unpinned object — through the ordinary
-        migration machinery, so directory updates and wire charges are
-        exactly those of any other move.  The same
-        :func:`~repro.core.computing.select_victim` rule drives the
-        intra-node executor policy; this is its inter-node twin.
-        """
-        while True:
-            yield self.engine.timeout(STEAL_INTERVAL_S)
-            if nrt.active_handlers > 0 or nrt.queued_msgs > 0:
-                continue
-            backlogs = [0 if n is nrt else len(n.ready) for n in self.nodes]
-            victim_rank = select_victim(backlogs, STEAL_MIN_VICTIM_QUEUE)
-            if victim_rank is None:
-                continue
-            oid = self._pick_steal_candidate(nrt, self.nodes[victim_rank])
-            if oid is None:
-                continue
-            self.stats.node(nrt.rank).steals += 1
-            # Hold a credit across the move: the steal itself must keep
-            # the run alive even if the victim's queues drain meanwhile.
-            self.termination.add(1)
-            yield from self._migrate_and_done(oid, victim_rank, nrt.rank)
-
-    def _pick_steal_candidate(
-        self, thief: _NodeRuntime, victim: _NodeRuntime
-    ) -> Optional[int]:
-        """Choose what to steal: locality first, then backlog.
-
-        Eligible objects are ready on the victim (queued messages, no
-        handler running, in core, unpinned, not mid-load, no pending
-        speculation).  Among those, prefer the one whose pack-file
-        locality key sits closest to the thief's resident working set —
-        stolen work should land next to the data it will touch — and
-        break ties toward the longest queue (steal the most work per
-        migration), then the lowest oid (determinism).
-        """
-        pf = thief.packfile
-        thief_keys = []
-        if pf is not None:
-            thief_keys = [
-                pf.locality_key(t_oid)
-                for t_oid in thief.locals
-                if thief.ooc.is_resident(t_oid)
-            ]
-        best = None
-        best_score = None
-        for oid in victim.ready.snapshot():
-            rec = victim.locals.get(oid)
-            if rec is None or not rec.queue or rec.in_flight > 0:
-                continue
-            if rec.obj is None or not victim.ooc.is_resident(oid):
-                continue
-            if victim.ooc.is_locked(oid) or oid in victim.loading:
-                continue
-            if self.speculation is not None and \
-                    self.speculation.has_pending(oid):
-                continue
-            distance = 0
-            if thief_keys and pf is not None:
-                key = pf.locality_key(oid)
-                distance = min(abs(key - tk) for tk in thief_keys)
-            score = (distance, -len(rec.queue), oid)
-            if best_score is None or score < best_score:
-                best, best_score = oid, score
-        return best
 
     def _execute_handler(self, nrt: _NodeRuntime, oid: int, rec, msg):
         """Run one message handler: compute via cores, then dispatch output."""

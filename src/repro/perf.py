@@ -245,6 +245,10 @@ class _WorkloadResult:
                 / max(sum(n.spec_issued for n in stats.nodes), 1), 4
             ),
             "steals": sum(n.steals for n in stats.nodes),
+            # Printed, not gated: DES events, and how many of them were
+            # poll (thief) ticks that resumed nobody.
+            "des_events": rt.engine.events_processed,
+            "poll_ticks": rt.engine.poll_ticks,
             **(self.extra or {}),
         }
 
@@ -956,6 +960,11 @@ def render_report(report: dict) -> str:
             f"(clean={metrics['clean_evictions']}) "
             f"overlap={metrics['overlap_pct']}% wall={metrics['wall_s']:.2f}s"
         )
+        if "des_events" in metrics:
+            lines.append(
+                f"  {'':<18} events={metrics['des_events']} "
+                f"poll ticks={metrics['poll_ticks']}"
+            )
         if "packs" in metrics:
             lines.append(
                 f"  {'':<18} packs={metrics['packs']} "

@@ -8,7 +8,7 @@ resources (:mod:`repro.sim.resources`), node/disk/NIC models
 paper's Figure 1 (:mod:`repro.sim.scheduler`).
 """
 
-from repro.sim.engine import Engine, SimEvent, Timeout, Process, Interrupt, all_of, any_of
+from repro.sim.engine import Engine, SimEvent, Timeout, Poll, Process, Interrupt, all_of, any_of
 from repro.sim.resources import Resource, Store, Server
 from repro.sim.node import NodeSpec, SimNode
 from repro.sim.network import NetworkSpec, SimNetwork
@@ -25,6 +25,7 @@ __all__ = [
     "Engine",
     "SimEvent",
     "Timeout",
+    "Poll",
     "Process",
     "Interrupt",
     "all_of",

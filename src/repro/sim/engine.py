@@ -8,6 +8,7 @@ numpy.  It provides exactly what the cluster model needs:
 * *processes*: Python generators that ``yield`` events to wait on,
 * one-shot :class:`SimEvent` objects that carry a value when triggered,
 * :class:`Timeout` events for modeling service/latency times,
+* :class:`Poll` events that re-arm in place until a predicate holds,
 * :func:`all_of` / :func:`any_of` combinators.
 
 Determinism: events scheduled for the same virtual time fire in FIFO order
@@ -25,6 +26,7 @@ __all__ = [
     "Engine",
     "SimEvent",
     "Timeout",
+    "Poll",
     "Process",
     "Interrupt",
     "all_of",
@@ -127,13 +129,66 @@ class Timeout(SimEvent):
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which would corrupt the heap
             raise ValueError(f"negative timeout delay: {delay}")
         super().__init__(engine)
         self.delay = delay
         self._scheduled = True
         self._value = value
         engine._schedule(self, delay)
+
+
+class _Stalled(RuntimeError):
+    """Raised out of :meth:`Engine.step` by a :class:`Poll` tick."""
+
+
+class Poll(SimEvent):
+    """An event that ticks every ``interval`` until ``ready()`` is truthy.
+
+    A tick that finds ``ready()`` falsy pushes the event itself back at
+    ``now + interval`` under the next sequence number — exactly the slot a
+    process re-arming a :class:`Timeout` per tick would take, without the
+    object, the callback and the generator round-trip.  The tick that finds
+    it truthy fires like any event, with that value.  ``ready`` must be
+    free of side effects: the engine may evaluate it off-tick to tell a
+    stuck simulation from a waiting one.
+    """
+
+    __slots__ = ("interval", "ready")
+
+    def __init__(
+        self, engine: "Engine", interval: float, ready: Callable[[], Any]
+    ) -> None:
+        if not interval > 0:  # zero would tick for ever at one instant
+            raise ValueError(f"poll interval must be positive: {interval}")
+        if not callable(ready):
+            raise TypeError(f"poll predicate must be callable: {ready!r}")
+        super().__init__(engine)
+        self.interval = interval
+        self.ready = ready
+        self._scheduled = True
+        engine._polls_armed += 1
+        engine._schedule(self, interval)
+
+    def _process(self) -> None:
+        engine = self.engine
+        value = self.ready()
+        if value:
+            self._value = value
+            engine._polls_armed -= 1
+            super()._process()
+            return
+        # Engine._schedule, inlined: this is the hot path of a polling run.
+        heap = engine._heap
+        heapq.heappush(heap, (engine._now + self.interval, engine._seq, self))
+        engine._seq += 1
+        engine.poll_ticks += 1
+        # Nothing but armed polls left and no predicate holds: no event
+        # remains that could ever change one.
+        if len(heap) == engine._polls_armed and not any(
+            ev.ready() for _, _, ev in heap if ev is not self
+        ):
+            raise _Stalled("simulation deadlock: no armed poll can ever fire")
 
 
 class Process(SimEvent):
@@ -214,6 +269,9 @@ class Engine:
         self._heap: list[tuple[float, int, SimEvent]] = []
         self._seq = 0
         self._processed = 0
+        self._polls_armed = 0
+        #: Poll ticks that found their predicate false and re-armed in place.
+        self.poll_ticks = 0
 
     # -- clock --------------------------------------------------------------
     @property
@@ -231,6 +289,10 @@ class Engine:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
+
+    def poll(self, interval: float, ready: Callable[[], Any]) -> Poll:
+        """An event that fires on the first ``interval`` tick with ``ready()``."""
+        return Poll(self, interval, ready)
 
     def process(self, body: ProcessBody, name: str = "") -> Process:
         """Start a new process running ``body``."""
@@ -253,7 +315,9 @@ class Engine:
     def run(self, until: float | SimEvent | None = None) -> Any:
         """Run until the heap drains, time ``until`` passes, or event fires.
 
-        Returns the event's value when ``until`` is an event.
+        Returns the event's value when ``until`` is an event.  A heap
+        holding only :class:`Poll` events that can never fire counts as
+        drained: deadlock if awaiting an event, the end of a bare ``run()``.
         """
         if isinstance(until, SimEvent):
             stop = until
@@ -269,7 +333,11 @@ class Engine:
             return stop.value
         limit = float("inf") if until is None else float(until)
         while self._heap and self._heap[0][0] <= limit:
-            self.step()
+            try:
+                self.step()
+            except _Stalled:
+                if until is None:
+                    break  # as good as drained: no poll can ever fire
         if until is not None:
             self._now = max(self._now, limit)
         return None

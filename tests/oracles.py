@@ -2,9 +2,11 @@
 
 Slow on purpose and kept apart from ``src/``: the predicates in exact
 rational arithmetic (what ``repro.geometry.predicates`` used as its
-fallback before the integer stage), and patch refinement with a full
+fallback before the integer stage), patch refinement with a full
 rescan per insertion (what ``patch_refine`` did before it memoised
-triangle verdicts).
+triangle verdicts), and polling from a coroutine that re-arms a
+``Timeout`` per tick (what the runtime's thief did before
+``Engine.poll``).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from repro.core import computing
 from repro.geometry.predicates import Point, circumcenter, dist_sq
 from repro.geometry.pslg import BoundingBox
 from repro.mesh.sizing import SizingFunction
@@ -215,3 +218,40 @@ def patch_refine_rescan(
     # this region.
     result.clean = not result.foreign_splits
     return result
+
+
+def poll_with_timeouts(engine, interval: float, ready: Callable[[], object]):
+    """``yield from`` this where the new code does ``yield engine.poll(...)``:
+    one :class:`~repro.sim.engine.Timeout` per tick, the predicate checked
+    in the coroutine.  Returns the first truthy ``ready()``.
+    """
+    while True:
+        yield engine.timeout(interval)
+        value = ready()
+        if value:
+            return value
+
+
+def coroutine_thief(rt, nrt):
+    """``MRTS._thief`` as it was before ``Engine.poll`` (PR 14's body,
+    verbatim but for ``self`` -> ``rt`` and the two names that moved to
+    ``repro.core.computing``); patch it over ``repro.core.runtime.node_thief``.
+    """
+    while True:
+        yield rt.engine.timeout(computing.STEAL_INTERVAL_S)
+        if nrt.active_handlers > 0 or nrt.queued_msgs > 0:
+            continue
+        backlogs = [0 if n is nrt else len(n.ready) for n in rt.nodes]
+        victim_rank = computing.select_victim(
+            backlogs, computing.STEAL_MIN_VICTIM_QUEUE
+        )
+        if victim_rank is None:
+            continue
+        oid = computing.pick_steal_candidate(rt, nrt, rt.nodes[victim_rank])
+        if oid is None:
+            continue
+        rt.stats.node(nrt.rank).steals += 1
+        # Hold a credit across the move: the steal itself must keep
+        # the run alive even if the victim's queues drain meanwhile.
+        rt.termination.add(1)
+        yield from rt._migrate_and_done(oid, victim_rank, nrt.rank)
