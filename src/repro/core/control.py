@@ -78,6 +78,10 @@ class ReadyQueue:
     mutation, so a validated winner is the true maximum; the linear scan
     this replaces survives verbatim in the property-test oracle
     (``tests/test_ready_queue_index.py``).
+
+    ``_entries`` is only ever appended to (with the next ``seq``) and
+    deleted from, and a dict keeps insertion order: iterating it *is*
+    FIFO arrival order, which is what ``snapshot`` returns without a sort.
     """
 
     def __init__(self, discipline: str = "fifo"):
@@ -132,7 +136,7 @@ class ReadyQueue:
         Public replacement for reaching into queue internals — the
         prefetcher uses it to see what is coming up.
         """
-        return sorted(self._entries, key=lambda oid: self._entries[oid][0])
+        return list(self._entries)
 
     # Min-heap key: negate the oracle's max-key components so that the
     # heap minimum is the scan maximum; seq ascending breaks ties the

@@ -23,22 +23,37 @@ Victim ranking is two-tiered and fully incremental — no O(n log n)
 re-sort of the residency table per plan:
 
 * objects with a non-zero *effective priority* (user hint + queued-message
-  pressure) live in a small lazy min-heap (:class:`_PressureTier`) keyed
-  by ``(effective, scheme score, oid)``, updated on priority/queue/
-  residency changes with stale entries skipped at pop time;
+  pressure) live in a small sorted list (:class:`_PressureTier`) of
+  ``(effective, scheme score, oid)`` keys, re-placed by bisection on
+  priority/queue/residency changes (a node's tier is tens of entries);
 * everything else (the common case: effective priority exactly 0) is
   ranked by the swap scheme's own incremental index
   (:meth:`~repro.core.swapping.SwapScheme.iter_in_eviction_order`).
 
 The two sorted streams are merged on the identical composite key the old
-full sort used, so the victim order is unchanged — property tests in
-``tests/test_eviction_index_property.py`` pin this against the log-replay
-reference models.
+full sort used, so the victim order is unchanged.  Plans cost what they
+return: two indexes end a walk once nothing further can be taken, each
+exact by an invariant (``docs/ooc_fast_path.md`` §4):
+
+* ``_spillable`` — resident, unlocked, no queued message.  Every victim
+  ``advise_swap`` and the forced-unload phase of ``_plan_free`` can take
+  is a member, so an empty set answers without ranking anything and a
+  walk ends at the last member; victims are still taken in stream order.
+* ``_smallest_stored`` — a floor under every non-resident object's size
+  (a record leaves core only through ``confirm_evict`` and cannot change
+  size while out): below it no prefetch hint can fit.
+
+``tests/test_eviction_index_property.py`` pins all of this against the
+log-replay reference models, the lazy heap the tier replaced and
+brute-force plans.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Optional
 
@@ -70,18 +85,15 @@ class Residency:
 
 
 class _PressureTier:
-    """Lazy min-heap of the few objects with non-zero effective priority.
+    """Sorted list of the few objects with non-zero effective priority.
 
-    Entries are ``(effective, score, oid, stamp)``; re-prioritizing pushes
-    a fresh entry and the old one is skipped at iteration time (its stamp
-    no longer matches).  The heap is compacted when stale entries dominate
-    so it cannot grow without bound under priority churn.
+    ``_keys`` holds one ``(effective, score, oid)`` per member, ascending;
+    re-prioritizing re-places the key by bisection, so iteration is the list.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, float, int, int]] = []
+        self._keys: list[tuple[float, float, int]] = []
         self._live: dict[int, tuple[float, float, int]] = {}
-        self._stamp = 0
 
     def __contains__(self, oid: int) -> bool:
         return oid in self._live
@@ -93,32 +105,18 @@ class _PressureTier:
         return list(self._live)
 
     def set(self, oid: int, effective: float, score: float) -> None:
-        self._stamp += 1
-        self._live[oid] = (effective, score, self._stamp)
-        heapq.heappush(self._heap, (effective, score, oid, self._stamp))
-        self._maybe_compact()
+        self.discard(oid)
+        key = self._live[oid] = (effective, score, oid)
+        insort(self._keys, key)
 
     def discard(self, oid: int) -> None:
-        self._live.pop(oid, None)
-        self._maybe_compact()
+        key = self._live.pop(oid, None)
+        if key is not None:
+            del self._keys[bisect_left(self._keys, key)]
 
     def iter_in_order(self) -> Iterator[tuple[float, float, int]]:
-        """Yield live ``(effective, score, oid)`` in ascending key order."""
-        heap = list(self._heap)  # snapshot: iteration must not consume state
-        while heap:
-            effective, score, oid, stamp = heapq.heappop(heap)
-            entry = self._live.get(oid)
-            if entry is not None and entry[2] == stamp:
-                yield effective, score, oid
-
-    def _maybe_compact(self) -> None:
-        if len(self._heap) > 64 and len(self._heap) > 4 * len(self._live):
-            self._heap = [
-                (eff, score, oid, stamp)
-                for (eff, score, oid, stamp) in self._heap
-                if self._live.get(oid, (0.0, 0.0, -1))[2] == stamp
-            ]
-            heapq.heapify(self._heap)
+        """Yield ``(effective, score, oid)`` in ascending key order."""
+        return iter(self._keys)
 
 
 class OOCLayer:
@@ -145,6 +143,10 @@ class OOCLayer:
         self.clean_evictions = 0
         self.overruns = 0
         self._largest_stored = 0
+        # Floor under every non-resident object's size (prefetch early exit).
+        self._smallest_stored: float = math.inf
+        # Resident, unlocked, no queued message: all advise_swap can return.
+        self._spillable: set[int] = set()
         # Thresholds are hot-path reads: the soft threshold is a constant
         # of the budget, the hard threshold changes only when a new largest
         # object is stored (tracked in confirm_evict).
@@ -198,6 +200,7 @@ class OOCLayer:
             raise ValueError(f"object {oid} already tracked")
         evictions = self._plan_free(nbytes)
         self.table[oid] = Residency(oid, nbytes)
+        self._spillable.add(oid)
         self.scheme.touch(oid)
         self.scheme.index_add(oid)
         return evictions
@@ -215,6 +218,7 @@ class OOCLayer:
             self.memory_used -= rec.nbytes
         self.scheme.forget(oid)
         self._pressure.discard(oid)
+        self._spillable.discard(oid)
 
     def resize(self, oid: int, nbytes: int) -> list[int]:
         """Object grew/shrank in place; returns evictions needed for growth."""
@@ -283,12 +287,14 @@ class OOCLayer:
         Locks count and nest: every lock() needs a matching unlock().
         """
         self.table[oid].locked += 1
+        self._spillable.discard(oid)
 
     def unlock(self, oid: int) -> None:
         rec = self.table[oid]
         if rec.locked <= 0:
             raise RuntimeError(f"unlock without lock on object {oid}")
         rec.locked -= 1
+        self._reindex(rec)
 
     def is_locked(self, oid: int) -> bool:
         return self.table[oid].locked > 0
@@ -297,8 +303,16 @@ class OOCLayer:
     def _effective(self, rec: Residency) -> float:
         return rec.priority + _QUEUE_PRIORITY_WEIGHT * rec.queued_messages
 
+    def _reindex(self, rec: Residency) -> None:
+        """Keep ``_spillable`` = resident, unlocked, no queued message."""
+        if rec.resident and not rec.locked and not rec.queued_messages:
+            self._spillable.add(rec.oid)
+        else:
+            self._spillable.discard(rec.oid)
+
     def _retier(self, rec: Residency) -> None:
         """Place a record in the pressure tier iff resident with eff != 0."""
+        self._reindex(rec)
         if not rec.resident:
             self._pressure.discard(rec.oid)
             return
@@ -314,7 +328,7 @@ class OOCLayer:
         """Re-score pressure entries for clock-sensitive schemes (LU).
 
         LU's score is a function of the global clock, so cached scores in
-        the pressure heap go stale whenever *any* object is touched.  Only
+        the pressure tier go stale whenever *any* object is touched.  Only
         needed when the clock actually advanced since the last refresh,
         and only for the (few) pressure-tier members.
         """
@@ -390,19 +404,21 @@ class OOCLayer:
         order, no skipping) until ``need`` fits, phase 2 continues the same
         stream taking only *unused* objects until the headroom target —
         equivalent to the old restart-and-skip double scan over a full
-        sort, without ranking candidates the plan never reaches.
+        sort, without ranking candidates the plan never reaches; unused
+        objects are all in ``_spillable``, so phase 2 ends at its last one.
         """
         target_free = need + self._hard_threshold
         if self.memory_free >= target_free:
             return []
         victims: list[int] = []
         freed = 0
-        stream = self.iter_eviction_candidates(protect)
+        protected = set(protect)
+        stream = self.iter_eviction_candidates(protected)
         # First make the allocation itself fit — any evictable object may go.
-        pending: Optional[int] = None
         for oid in stream:
             if self.memory_free + freed >= need:
-                pending = oid  # first candidate phase 1 did not consume
+                # Phase 1 did not consume this candidate: phase 2 sees it.
+                stream = itertools.chain((oid,), stream)
                 break
             victims.append(oid)
             freed += self.table[oid].nbytes
@@ -415,20 +431,16 @@ class OOCLayer:
         # Then push free memory toward the hard-threshold headroom, but only
         # by forcefully unloading *unused* objects (paper: "unused objects
         # are forcefully unloaded") — no pending messages, no priority hint.
-        for oid in ([pending] if pending is not None else []):
-            if self.memory_free + freed >= target_free:
-                return victims
-            rec = self.table[oid]
-            if rec.queued_messages > 0 or rec.priority > 0:
-                continue
-            victims.append(oid)
-            freed += rec.nbytes
-            self.forced_evictions += 1
+        spillable = self._spillable
+        left = len(spillable.difference(protected, victims))
         for oid in stream:
-            if self.memory_free + freed >= target_free:
+            if not left or self.memory_free + freed >= target_free:
                 break
+            if oid not in spillable:
+                continue
+            left -= 1
             rec = self.table[oid]
-            if rec.queued_messages > 0 or rec.priority > 0:
+            if rec.priority > 0:
                 continue
             victims.append(oid)
             freed += rec.nbytes
@@ -468,8 +480,11 @@ class OOCLayer:
             self._largest_stored = rec.nbytes
             factor = 1.0 if self.degraded else self.config.hard_threshold_factor
             self._hard_threshold = int(factor * rec.nbytes)
+        if rec.nbytes < self._smallest_stored:
+            self._smallest_stored = rec.nbytes
         self.scheme.index_discard(oid)
         self._pressure.discard(oid)
+        self._spillable.discard(oid)
         return rec.nbytes
 
     def confirm_load(self, oid: int, nbytes: Optional[int] = None) -> None:
@@ -505,14 +520,22 @@ class OOCLayer:
             return []
         if want <= 0:
             return []
-        victims = []
+        # The stream yields resident, unlocked, unprotected objects, so the
+        # ones without queued messages are exactly _spillable - protect.
+        protected = set(protect)
+        spillable = self._spillable
+        left = len(spillable) - len(spillable & protected)
+        victims: list[int] = []
+        if not left:
+            return victims
         freed = 0
-        for oid in self.iter_eviction_candidates(protect):
-            if self.table[oid].queued_messages > 0:
+        for oid in self.iter_eviction_candidates(protected):
+            if oid not in spillable:
                 continue
             victims.append(oid)
             freed += self.table[oid].nbytes
-            if freed >= want:
+            left -= 1
+            if freed >= want or not left:
                 break
         return victims
 
@@ -548,10 +571,12 @@ class OOCLayer:
         if limit is None:
             limit = self.config.prefetch_depth
         budget = self.memory_free - self._hard_threshold
-        for oid in upcoming:
-            if len(picks) >= limit:
-                break
-            if oid in seen or oid in skip:
+        # Nothing on disk is smaller than the floor: below it no hint fits.
+        floor = self._smallest_stored
+        if limit <= 0 or budget < floor:
+            return picks
+        for oid in itertools.filterfalse(skip.__contains__, upcoming):
+            if oid in seen:
                 continue
             seen.add(oid)
             rec = self.table.get(oid)
@@ -560,4 +585,6 @@ class OOCLayer:
             if rec.nbytes <= budget:
                 picks.append(oid)
                 budget -= rec.nbytes
+                if len(picks) >= limit or budget < floor:
+                    break
         return picks

@@ -1808,42 +1808,42 @@ class MRTS:
     ) -> None:
         """Launch one batched background warm for the likely-next objects.
 
-        Candidate sources, merged in priority order: the ready queue
-        (objects with messages already waiting), the learned predictor's
-        confidence-ranked successors of ``current`` (the object the
-        calling worker is about to process), and the pack-file curve
-        neighbors of those seeds — the buffer-zone patches a refine
-        message will touch before it is even scheduled.  Objects whose
-        bytes are already in flight (write-behind drain, another load or
-        prefetch) are skipped; the OOC layer drops anything that does not
-        fit without eviction (prefetch stays advisory).
+        Candidate sources, chained lazily in priority order (the picker
+        mostly stops inside the first): the ready queue (objects with
+        messages already waiting), the learned predictor's successors of
+        ``current`` (the object the calling worker is about to process),
+        and the pack-file curve neighbors of those seeds — the buffer-zone
+        patches a refine message will touch before it is even scheduled.
+        ``current`` and objects whose bytes are already in flight
+        (write-behind drain, another load or prefetch) are skipped; the OOC
+        layer drops what does not fit without eviction (stays advisory).
         """
         cfg = self.config
-        upcoming = list(nrt.ready.snapshot())
-        if self.predictor is not None:
-            upcoming.extend(self.predictor.predict(
-                nrt.rank,
-                after=current,
-                k=max(cfg.prefetch_depth, 2),
-            ))
-        limit = cfg.prefetch_depth
-        pf = nrt.packfile
-        if pf is not None and cfg.neighborhood_warm > 0:
-            seeds = [] if current is None else [current]
-            seeds.extend(upcoming[:1])
-            for seed in seeds:
-                upcoming.extend(pf.neighborhood(seed, cfg.neighborhood_warm))
-            limit += cfg.neighborhood_warm
-        skip = set(nrt.prefetching)
-        skip.update(nrt.loading)
-        skip.update(nrt.write_behind.pending)
-        if current is not None:
-            skip.add(current)
-        batch = nrt.ooc.prefetch_candidates(upcoming, skip=skip, limit=limit)
+        if cfg.prefetch_depth == 0:
+            return
+        warm = cfg.neighborhood_warm if nrt.packfile is not None else 0
+
+        def hints():
+            ready = nrt.ready.snapshot()
+            yield from ready
+            seeds = ([] if current is None else [current]) + ready[:1]
+            if self.predictor is not None:
+                predicted = self.predictor.predict(
+                    nrt.rank, after=current, k=max(cfg.prefetch_depth, 2))
+                yield from predicted
+                if not ready:
+                    seeds += predicted[:1]
+            if warm:
+                for seed in seeds:
+                    yield from nrt.packfile.neighborhood(seed, warm)
+
+        skip = {current, *nrt.prefetching, *nrt.loading,
+                *nrt.write_behind.pending}  # a None current is nobody's oid
+        batch = nrt.ooc.prefetch_candidates(
+            hints(), skip=skip, limit=cfg.prefetch_depth + warm)
         if not batch:
             return
-        for oid in batch:
-            nrt.prefetching.add(oid)
+        nrt.prefetching.update(batch)
         self.engine.process(
             self._prefetch_batch_proc(nrt, batch),
             name=f"prefetch[{nrt.rank}:{batch[0]}+{len(batch) - 1}]",

@@ -23,7 +23,11 @@ Invariants checked (``check_runtime``):
   either writes the divergence back or there was none), and a clean
   resident object has a storage copy backing the write-back it would skip;
 * **quiescence** — at quiescence no messages are queued, no handlers are
-  in flight, and the termination detector agrees.
+  in flight, and the termination detector agrees;
+* **planning indexes** — what plans read instead of scanning (spillable
+  set, sorted pressure tier, smallest-stored floor, ready-queue arrival
+  order) equals what a scan finds: a missed update site fails here, not
+  as a drifted victim order somewhere.
 
 ``check_ooc_layer`` applies the memory/lock subset to a bare
 :class:`~repro.core.ooc.OOCLayer` (unit tests).  ``check_dist`` applies
@@ -103,7 +107,30 @@ def check_ooc_layer(ooc: "OOCLayer", label: str = "ooc") -> list[str]:
             problems.append(
                 f"{label}: object {oid} dirty but not resident (lost update)"
             )
+    problems.extend(_check_planning_indexes(ooc, label))
     return problems
+
+
+def _check_planning_indexes(ooc: "OOCLayer", label: str) -> list[str]:
+    """The indexes OOC plans read, against a scan of the residency table."""
+    records = ooc.table.values()
+    keys = list(ooc._pressure.iter_in_order())
+    agrees = {
+        "spillable index": ooc._spillable == {
+            r.oid for r in records
+            if r.resident and not r.locked and not r.queued_messages},
+        "pressure tier order": all(a < b for a, b in zip(keys, keys[1:])),
+        "pressure tier membership": {oid: eff for eff, _, oid in keys} == {
+            r.oid: ooc._effective(r) for r in records
+            if r.resident and ooc._effective(r) != 0.0},
+        "smallest-stored floor": all(
+            ooc._smallest_stored <= r.nbytes
+            for r in records if not r.resident),
+    }
+    return [
+        f"{label}: {index} disagrees with a scan of the residency table"
+        for index, ok in agrees.items() if not ok
+    ]
 
 
 def check_runtime(runtime: "MRTS") -> list[str]:
@@ -115,6 +142,10 @@ def check_runtime(runtime: "MRTS") -> list[str]:
     for nrt in runtime.nodes:
         label = f"node {nrt.rank}"
         problems.extend(check_ooc_layer(nrt.ooc, label))
+
+        seqs = [entry[0] for entry in nrt.ready._entries.values()]
+        if seqs != sorted(seqs):
+            problems.append(f"{label}: ready queue not in arrival order")
 
         local_ids = set(nrt.locals)
         tracked_ids = set(nrt.ooc.table)

@@ -4,16 +4,20 @@ Slow on purpose and kept apart from ``src/``: the predicates in exact
 rational arithmetic (what ``repro.geometry.predicates`` used as its
 fallback before the integer stage), patch refinement with a full
 rescan per insertion (what ``patch_refine`` did before it memoised
-triangle verdicts), and polling from a coroutine that re-arms a
+triangle verdicts), polling from a coroutine that re-arms a
 ``Timeout`` per tick (what the runtime's thief did before
-``Engine.poll``).
+``Engine.poll``), and the out-of-core planning paths as scans (the lazy
+pressure heap, full-sort swap plans, the prefetch picker's plain loop and
+the sorting ready-queue snapshot, as they were before they planned from
+indexes).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from repro.core import computing
 from repro.geometry.predicates import Point, circumcenter, dist_sq
@@ -21,6 +25,7 @@ from repro.geometry.pslg import BoundingBox
 from repro.mesh.sizing import SizingFunction
 from repro.mesh.triangulation import NO_TRI, Triangulation
 from repro.pumg.patch import PatchResult, _in_box
+from repro.util.errors import OutOfMemory
 
 
 def sign(x) -> int:
@@ -255,3 +260,148 @@ def coroutine_thief(rt, nrt):
         # the run alive even if the victim's queues drain meanwhile.
         rt.termination.add(1)
         yield from rt._migrate_and_done(oid, victim_rank, nrt.rank)
+
+
+class LazyHeapPressureTier:
+    """``repro.core.ooc._PressureTier`` as it was before the sorted list
+    (verbatim): a lazy min-heap of ``(effective, score, oid, stamp)``,
+    stale entries skipped at iteration time, compacted when they dominate.
+    """
+
+    def __init__(self) -> None:
+        self._heap: list[tuple[float, float, int, int]] = []
+        self._live: dict[int, tuple[float, float, int]] = {}
+        self._stamp = 0
+
+    def __contains__(self, oid: int) -> bool:
+        return oid in self._live
+
+    def __len__(self) -> int:
+        return len(self._live)
+
+    def live_ids(self) -> list[int]:
+        return list(self._live)
+
+    def set(self, oid: int, effective: float, score: float) -> None:
+        self._stamp += 1
+        self._live[oid] = (effective, score, self._stamp)
+        heapq.heappush(self._heap, (effective, score, oid, self._stamp))
+        self._maybe_compact()
+
+    def discard(self, oid: int) -> None:
+        self._live.pop(oid, None)
+        self._maybe_compact()
+
+    def iter_in_order(self) -> Iterator[tuple[float, float, int]]:
+        """Yield live ``(effective, score, oid)`` in ascending key order."""
+        heap = list(self._heap)  # snapshot: iteration must not consume state
+        while heap:
+            effective, score, oid, stamp = heapq.heappop(heap)
+            entry = self._live.get(oid)
+            if entry is not None and entry[2] == stamp:
+                yield effective, score, oid
+
+    def _maybe_compact(self) -> None:
+        if len(self._heap) > 64 and len(self._heap) > 4 * len(self._live):
+            self._heap = [
+                (eff, score, oid, stamp)
+                for (eff, score, oid, stamp) in self._heap
+                if self._live.get(oid, (0.0, 0.0, -1))[2] == stamp
+            ]
+            heapq.heapify(self._heap)
+
+
+def _ranked_evictable(ooc, protect: Container[int]) -> list:
+    """Every evictable record, full sort on the reference rank."""
+    return sorted(
+        (
+            rec for rec in ooc.table.values()
+            if rec.resident and not rec.locked and rec.oid not in protect
+        ),
+        key=ooc._eviction_rank,
+    )
+
+
+def advise_swap_full_sort(ooc, protect: Container[int] = ()) -> list[int]:
+    """``OOCLayer.advise_swap`` by brute force: rank everything, filter."""
+    if ooc.degraded:
+        want = ooc.memory_used - ooc.budget
+    elif ooc.below_soft_threshold():
+        want = ooc.soft_threshold() - ooc.memory_free
+    else:
+        return []
+    if want <= 0:
+        return []
+    victims, freed = [], 0
+    for rec in _ranked_evictable(ooc, protect):
+        if rec.queued_messages > 0:
+            continue
+        victims.append(rec.oid)
+        freed += rec.nbytes
+        if freed >= want:
+            break
+    return victims
+
+
+def plan_free_full_sort(
+    ooc, need: int, protect: Container[int] = ()
+) -> list[int]:
+    """``OOCLayer._plan_free`` over a full sort, with the parent's two
+    phases spelled out: victims in rank order until ``need`` fits, then
+    only unused objects until the hard-threshold headroom.  Leaves the
+    layer's counters alone.
+    """
+    target_free = need + ooc.hard_threshold()
+    if ooc.memory_free >= target_free:
+        return []
+    ranked = _ranked_evictable(ooc, protect)
+    victims, freed = [], 0
+    while ranked and ooc.memory_free + freed < need:
+        rec = ranked.pop(0)
+        victims.append(rec.oid)
+        freed += rec.nbytes
+    if ooc.memory_free + freed < need:
+        raise OutOfMemory(f"need {need} B")
+    for rec in ranked:
+        if ooc.memory_free + freed >= target_free:
+            break
+        if rec.queued_messages > 0 or rec.priority > 0:
+            continue
+        victims.append(rec.oid)
+        freed += rec.nbytes
+    return victims
+
+
+def prefetch_candidates_scan(
+    ooc,
+    upcoming: Iterable[int],
+    skip: Container[int] = (),
+    limit: Optional[int] = None,
+) -> list[int]:
+    """``OOCLayer.prefetch_candidates`` as it was before the early exits
+    (the parent's loop, verbatim): every hint is looked at until the
+    limit is reached.
+    """
+    picks: list[int] = []
+    seen: set[int] = set()
+    if limit is None:
+        limit = ooc.config.prefetch_depth
+    budget = ooc.memory_free - ooc.hard_threshold()
+    for oid in upcoming:
+        if len(picks) >= limit:
+            break
+        if oid in seen or oid in skip:
+            continue
+        seen.add(oid)
+        rec = ooc.table.get(oid)
+        if rec is None or rec.resident:
+            continue
+        if rec.nbytes <= budget:
+            picks.append(oid)
+            budget -= rec.nbytes
+    return picks
+
+
+def sorted_snapshot(queue) -> list[int]:
+    """``ReadyQueue.snapshot`` as it was (verbatim): sort members by seq."""
+    return sorted(queue._entries, key=lambda oid: queue._entries[oid][0])

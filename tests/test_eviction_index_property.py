@@ -8,15 +8,28 @@ admit, touch, forget, evict, load, priority hints, queue-length updates,
 locks — and require that ``eviction_candidates()`` stays byte-identical to
 the reference definition: a full sort of the resident, unlocked records on
 ``(effective priority, log-replay scheme score, oid)``.
+
+PR 16 made the plans that consume the ranking cost what they return (a
+sorted pressure tier, the spillable index, two early exits).  The stateful
+machine at the bottom holds each against what it replaced — kept in
+``tests/oracles.py`` — after every step, under memory pressure, for all
+five schemes, in normal and degraded mode.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, initialize, invariant, precondition, rule)
 
+from oracles import (
+    LazyHeapPressureTier, advise_swap_full_sort, plan_free_full_sort,
+    prefetch_candidates_scan)
 from repro.core.config import MRTSConfig
 from repro.core.ooc import OOCLayer
 from repro.core.swapping import make_scheme
+from repro.testing.invariants import check_ooc_layer
 from repro.testing.models import make_reference
+from repro.util.errors import OutOfMemory
 
 SCHEMES = ["lru", "mru", "lfu", "mu", "lu"]
 
@@ -139,3 +152,189 @@ def test_ranking_query_is_pure(name):
     for _ in range(3):
         assert ooc.eviction_candidates() == first
     assert first == oracle_order(ooc, model)
+
+
+# ------------------------------------------- plans against what they replaced
+class _MirroredTier:
+    """The layer's pressure tier, every update copied to the lazy heap."""
+
+    def __init__(self, tier):
+        self.tier = tier
+        self.heap = LazyHeapPressureTier()
+
+    def set(self, oid, effective, score):
+        self.tier.set(oid, effective, score)
+        self.heap.set(oid, effective, score)
+
+    def discard(self, oid):
+        self.tier.discard(oid)
+        self.heap.discard(oid)
+
+    def __getattr__(self, name):  # reads go to the tier under test
+        return getattr(self.tier, name)
+
+    def __contains__(self, oid):
+        return oid in self.tier
+
+    def __len__(self):
+        return len(self.tier)
+
+
+PLAN_OIDS = st.integers(min_value=0, max_value=11)
+HINTS = st.lists(st.integers(min_value=0, max_value=14), max_size=24)
+
+
+SIZES = st.integers(min_value=40, max_value=300)
+# Fixed arguments for the checks that run after every step: repeats,
+# ids the layer never saw (12-14), a few skipped.
+FIXED_HINTS = [7, 3, 3, 12, 0, 9, 14, 5, 1, 7, 11, 2, 13, 8, 4, 10, 6, 0]
+FIXED_SKIP = frozenset({3, 9})
+
+
+class PlanningMachine(RuleBasedStateMachine):
+    """A starved layer (1 000 B, objects of 40-300 B, about half of them
+    on disk from the start) driven through every operation that moves a
+    field the plans read."""
+
+    scheme_name = "lru"
+
+    @initialize(degraded=st.booleans(),
+                sizes=st.lists(SIZES, min_size=6, max_size=12))
+    def build(self, degraded, sizes):
+        name = self.scheme_name
+        self.ooc = OOCLayer(
+            MRTSConfig(swap_scheme=name, degraded=degraded,
+                       hard_threshold_factor=1.0),
+            scheme=make_scheme(name), budget=1000)
+        self.ooc._pressure = _MirroredTier(self.ooc._pressure)
+        for oid, nbytes in enumerate(sizes):
+            self.admit(oid, nbytes)
+
+    def _rec(self, oid, resident=None):
+        rec = self.ooc.table.get(oid)
+        if rec is None or (resident is not None and rec.resident != resident):
+            return None
+        return rec
+
+    def _evict(self, victims):
+        for victim in victims:
+            self.ooc.confirm_evict(victim)
+
+    @rule(oid=PLAN_OIDS, nbytes=SIZES)
+    def admit(self, oid, nbytes):
+        if self._rec(oid) is None:
+            try:
+                self._evict(self.ooc.admit(oid, nbytes))
+            except OutOfMemory:
+                return
+            self.ooc.confirm_admit(oid)
+
+    @rule(oid=PLAN_OIDS)
+    def forget(self, oid):
+        rec = self._rec(oid)
+        if rec is not None and not rec.locked:
+            self.ooc.forget(oid)
+
+    @rule(oid=PLAN_OIDS)
+    def lock(self, oid):
+        if self._rec(oid, resident=True):
+            self.ooc.lock(oid)
+
+    @rule(oid=PLAN_OIDS)
+    def unlock(self, oid):
+        rec = self._rec(oid)
+        if rec is not None and rec.locked:
+            self.ooc.unlock(oid)
+
+    @rule(oid=PLAN_OIDS, priority=st.sampled_from([-2.0, -0.5, 0.0, 0.5, 3.0]))
+    def set_priority(self, oid, priority):
+        if self._rec(oid):
+            self.ooc.set_priority(oid, priority)
+
+    @rule(oid=PLAN_OIDS, n=st.integers(min_value=0, max_value=3))
+    def set_queue_length(self, oid, n):
+        if self._rec(oid):
+            self.ooc.set_queue_length(oid, n)
+
+    @rule(oid=PLAN_OIDS)
+    def touch(self, oid):
+        if self._rec(oid):
+            self.ooc.touch(oid)
+
+    @rule(oid=PLAN_OIDS)
+    def confirm_evict(self, oid):
+        rec = self._rec(oid, resident=True)
+        if rec is not None and not rec.locked:
+            self.ooc.confirm_evict(oid)
+
+    @rule(oid=PLAN_OIDS, nbytes=st.none() | SIZES)
+    def load(self, oid, nbytes):
+        rec = self._rec(oid, resident=False)
+        if rec is not None:
+            try:
+                self._evict(self.ooc.plan_load(oid))
+            except OutOfMemory:
+                return
+            # The plan made room for the recorded size: reload that or less.
+            self.ooc.confirm_load(oid, nbytes and min(nbytes, rec.nbytes))
+
+    @rule(oid=PLAN_OIDS, nbytes=SIZES)
+    def resize(self, oid, nbytes):
+        if self._rec(oid, resident=True):
+            try:
+                self._evict(self.ooc.resize(oid, nbytes))
+            except OutOfMemory:
+                self.ooc.force_resize(oid, nbytes)  # as the runtime does
+
+    @rule(oid=PLAN_OIDS, nbytes=st.integers(min_value=300, max_value=900))
+    def grow_while_pinned(self, oid, nbytes):
+        # A handler grew its pinned object past what eviction could free:
+        # the overrun that degraded mode's advise_swap exists to pay down.
+        if self._rec(oid, resident=True):
+            self.ooc.force_resize(oid, nbytes)
+
+    @rule(protect=st.frozensets(PLAN_OIDS, max_size=2))
+    def advise_swap_is_the_full_sort(self, protect):
+        assert self.ooc.advise_swap(protect) == advise_swap_full_sort(
+            self.ooc, protect)
+
+    @rule(need=st.integers(min_value=1, max_value=600),
+          protect=st.frozensets(PLAN_OIDS, max_size=2))
+    def plan_free_is_the_full_sort(self, need, protect):
+        try:
+            want = plan_free_full_sort(self.ooc, need, protect)
+        except OutOfMemory:
+            with pytest.raises(OutOfMemory):
+                self.ooc._plan_free(need, protect)
+            return
+        assert self.ooc._plan_free(need, protect) == want
+
+    @rule(upcoming=HINTS, skip=st.frozensets(PLAN_OIDS, max_size=4),
+          limit=st.none() | st.integers(min_value=0, max_value=5))
+    def prefetch_picks_are_the_scan(self, upcoming, skip, limit):
+        # Hints repeat and name ids the layer never saw (12-14).
+        assert self.ooc.prefetch_candidates(
+            iter(upcoming), skip=skip, limit=limit
+        ) == prefetch_candidates_scan(self.ooc, upcoming, skip, limit)
+
+    @precondition(lambda self: hasattr(self, "ooc"))
+    @invariant()
+    def indexes_agree_with_scans(self):
+        mirrored = self.ooc._pressure
+        if self.ooc.scheme.clock_sensitive:
+            self.ooc._refresh_pressure_scores()  # LU: as every plan does
+        assert list(mirrored.tier.iter_in_order()) == list(
+            mirrored.heap.iter_in_order())
+        # _spillable, the tier's membership and order, the stored floor.
+        assert check_ooc_layer(self.ooc) == []
+        self.advise_swap_is_the_full_sort(frozenset({1}))
+        self.prefetch_picks_are_the_scan(FIXED_HINTS, FIXED_SKIP, None)
+        self.prefetch_picks_are_the_scan(FIXED_HINTS, (), 4)
+
+
+@pytest.mark.parametrize("name", SCHEMES)
+def test_plans_match_what_they_replaced(name):
+    machine = type(f"PlanningMachine_{name}", (PlanningMachine,),
+                   {"scheme_name": name})
+    settings(max_examples=40, stateful_step_count=60, deadline=None)(
+        machine).TestCase().runTest()

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import MRTSConfig
 from repro.core.prefetch import PrefetchPredictor
+from repro.evalsim.apps import run_pcdm_model
 from repro.obs.events import EventBus, LoadEvent
 from repro.testing.harness import RuntimeHarness
 from repro.testing.workloads import WorkloadSpec, run_storm
@@ -162,6 +163,20 @@ def test_prefetch_lane_in_chrome_trace():
     assert prefetch_rows
     names = {e["name"] for e in doc["traceEvents"] if e.get("ph") == "M"}
     assert "thread_name" in names
+
+
+def test_prefetch_depth_zero_alone_turns_prefetching_off(cluster_spec):
+    """``neighborhood_warm`` (default 1) is an allowance *on* a prefetch,
+    not a prefetcher of its own: before PR 16 it was added to a zero depth
+    and spent on ready-queue hints (166 issued on this run)."""
+    mem = 8 * 1024 * 1024
+    cluster = cluster_spec(n_nodes=2, cores=2, memory_bytes=mem)
+    config = MRTSConfig(memory_budget=mem, prefetch_depth=0)
+    assert config.neighborhood_warm == 1
+    stats = run_pcdm_model(300_000, cluster, config=config).stats
+    assert stats.objects_loaded > 0  # starved: there was reason to warm
+    assert [(n.prefetch_issued, n.prefetch_hits, n.prefetch_wasted)
+            for n in stats.nodes] == [(0, 0, 0)] * 2
 
 
 # ----------------------------------------------------- advisory-only property

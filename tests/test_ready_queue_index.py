@@ -17,6 +17,10 @@ and the op generator below models exactly that: per-object real and
 speculative message counts mirror the node's ``spec_only`` predicate,
 with drains consuming real messages first so silent changes only ever
 demote.
+
+PR 16 made ``snapshot()`` read the members' dict order instead of
+sorting them by ``seq``; the sort survives in ``tests/oracles.py`` and
+the same op sequences hold the two equal after every op.
 """
 
 from collections import deque
@@ -24,6 +28,7 @@ from typing import Callable, Optional
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import sorted_snapshot
 from repro.core.control import ReadyQueue
 
 
@@ -172,6 +177,7 @@ def _drive(discipline: str, use_resident: bool, use_spec: bool, ops) -> list:
                 continue
             _pop_both(indexed, oracle, qlen, res_fn, spec_fn,
                       real, spec, results)
+        assert indexed.snapshot() == sorted_snapshot(indexed)
     # Drain both to exhaustion: the full service order must agree.
     while indexed or oracle:
         _pop_both(indexed, oracle, qlen, res_fn, spec_fn, real, spec, results)
@@ -193,6 +199,7 @@ def _pop_both(indexed, oracle, qlen, res_fn, spec_fn, real, spec,
     except IndexError:
         want = IndexError
     results.append((got, want))
+    assert indexed.snapshot() == sorted_snapshot(indexed)
     if got is not IndexError:
         # Serving the object consumes its whole queue (the runtime drains
         # messages for the popped object before re-pushing).
