@@ -164,7 +164,7 @@ class GreedyBalancer:
             if loads[src] - weight < loads[dst] + weight - 1e-9:
                 break  # moving it would just flip the imbalance
             taken.add(oid)
-            ptr = runtime._objects_by_oid[oid]
+            ptr = runtime.pointers[oid]
             runtime.migrate(ptr, dst)
             report.migrations.append((oid, src, dst))
             loads[src] -= weight
@@ -217,7 +217,7 @@ class DiffusionBalancer:
                     oid = candidates[0]
                     taken.add(oid)
                     weight = len(runtime.nodes[rank].locals[oid].queue)
-                    ptr = runtime._objects_by_oid[oid]
+                    ptr = runtime.pointers[oid]
                     runtime.migrate(ptr, dst)
                     report.migrations.append((oid, rank, dst))
                     loads[rank] -= weight
@@ -318,7 +318,7 @@ class ElasticBalancer:
         oid = candidates[0]
         self._last_move = rt.engine.now
         self.migrations += 1
-        rt.migrate(rt._objects_by_oid[oid], cold)
+        rt.migrate(rt.pointers[oid], cold)
         # The moved queue leaves the hot node: start its EWMA decaying
         # from the post-move backlog instead of the stale peak.
         moved = len(rt.nodes[hot].locals[oid].queue)

@@ -25,9 +25,16 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.messages import Message, MessageQueue
-from repro.core.mobile import MobileObject, MobilePointer
-from repro.core.runtime import MRTS, _LocalObject
+from repro.core.messages import Message
+from repro.core.mobile import MobilePointer
+from repro.core.runtime import MRTS
+from repro.core.spill import (
+    admit,
+    canonical_payload,
+    install,
+    pack_local,
+    rehydrate,
+)
 from repro.core.storage import decode_frame, encode_frame
 from repro.util.errors import CorruptObject, MRTSError
 
@@ -117,7 +124,7 @@ def checkpoint(runtime: MRTS) -> Checkpoint:
     """
     snapshot = Checkpoint(
         n_nodes=len(runtime.nodes),
-        next_oid=runtime._id_alloc.peek(),
+        next_oid=runtime.next_oid,
         outstanding=runtime.termination.outstanding,
     )
     for nrt in runtime.nodes:
@@ -133,10 +140,10 @@ def checkpoint(runtime: MRTS) -> Checkpoint:
                 # here even while its virtual disk charge is still
                 # draining.  Delta spills may have left an append-log;
                 # the canonical payload reassembles it into one full blob.
-                payload = runtime._canonical_payload(nrt, oid)
+                payload = canonical_payload(runtime, nrt, oid)
             else:
-                payload = runtime._pack_local(rec)
-            cls = runtime._obj_class(oid)
+                payload = pack_local(runtime, rec)
+            cls = runtime.object_class(oid)
             residency = nrt.ooc.table[oid]
             pending = [
                 (m.handler, m.args, m.kwargs, m.source_node)
@@ -172,7 +179,7 @@ def restore(
     versions); by default classes are imported from their recorded module.
     Returns oid -> pointer for the restored objects.
     """
-    if runtime._objects_by_oid:
+    if runtime.pointers:
         raise MRTSError("restore requires a fresh runtime")
     if len(runtime.nodes) < snapshot.n_nodes:
         raise MRTSError(
@@ -183,36 +190,23 @@ def restore(
     for rec in snapshot.objects:
         cls = _resolve_class(rec, class_map)
         ptr = MobilePointer(oid=rec.oid, last_known_node=rec.node)
-        obj = object.__new__(cls)
-        MobileObject.__init__(obj, ptr)
-        obj.unpack(rec.payload)
+        runtime.register_object(ptr, cls, rec.node)
+        obj = rehydrate(runtime, rec.oid, [rec.payload])
         nrt = runtime.nodes[rec.node]
-        victims = nrt.ooc.admit(rec.oid, rec.nbytes)
-        for victim in victims:
-            runtime._evict_now(nrt, victim)
-        nrt.ooc.confirm_admit(rec.oid)
+        admit(runtime, nrt, rec.oid, rec.nbytes)
         nrt.ooc.set_priority(rec.oid, rec.priority)
         for _ in range(rec.locked):
             nrt.ooc.lock(rec.oid)
-        queue = MessageQueue()
         # Freshly restored state is dirty (this runtime's storage has no
         # copy) but the payload doubles as a warm pack cache.
-        nrt.locals[rec.oid] = _LocalObject(
-            obj=obj, queue=queue, pack_cache=rec.payload
-        )
-        runtime._bind_dirty(nrt, rec.oid, obj)
-        runtime.directory.register(rec.oid, rec.node)
-        runtime._objects_by_oid[rec.oid] = ptr
-        runtime._obj_classes[rec.oid] = cls
-        obj.on_register(rec.node)
+        install(runtime, nrt, rec.oid, obj, pack_cache=rec.payload)
         pointers[rec.oid] = ptr
     # Requeue pending messages (after all objects exist, so targets resolve).
     for rec in snapshot.objects:
         for handler_name, args, kwargs, source in rec.pending:
             runtime.post(pointers[rec.oid], handler_name, *args, **kwargs)
     # Restart id allocation past every restored id.
-    while runtime._id_alloc.peek() < snapshot.next_oid:
-        runtime._id_alloc.allocate()
+    runtime.reserve_oids(snapshot.next_oid)
     return pointers
 
 

@@ -28,17 +28,47 @@ The deterministic policies expose :meth:`schedule_trace`: given a DAG of
 task durations they compute per-worker timelines, which is how the
 simulated driver turns handler task trees into virtual time (and what the
 Table VII benchmark measures).
+
+The layer's other half is what runs a message handler on the
+discrete-event substrate: :func:`handler` marks one, :class:`HandlerContext`
+is what it sees of the runtime, :func:`worker` is one in-flight handler
+slot of a node, :func:`execute_handler` / :func:`call_direct` run the body
+and charge its compute, and :func:`node_thief` rebalances ready work
+between nodes.  These take the runtime ``rt`` (and per-node state
+``nrt``) explicitly and reach down through :mod:`repro.core.control` and
+:mod:`repro.core.spill`, never up into :mod:`repro.core.runtime`.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import functools
+import time as _time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
+
+from repro.core.control import (
+    dispatch_outbox,
+    migrate_and_done,
+    note_maybe_idle,
+)
+from repro.core.messages import Message, MulticastMessage
+from repro.core.mobile import MobileObject, MobilePointer
+from repro.core.spill import (
+    account_growth,
+    evict_all,
+    issue_prefetch,
+    load_blocking,
+)
+from repro.util.errors import MRTSError
 
 __all__ = [
+    "handler",
+    "HandlerContext",
+    "worker",
+    "execute_handler",
+    "call_direct",
     "Task",
     "ScheduleResult",
     "TaskScheduler",
@@ -113,11 +143,11 @@ def node_thief(rt, nrt):
         oid = pick_steal_candidate(rt, nrt, victim)
         if oid is None:
             continue
-        rt.stats.node(nrt.rank).steals += 1
+        rt.ledger.count(nrt.rank, "steals")
         # Hold a credit across the move: the steal itself must keep
         # the run alive even if the victim's queues drain meanwhile.
         rt.termination.add(1)
-        yield from rt._migrate_and_done(oid, victim.rank, nrt.rank)
+        yield from migrate_and_done(rt, oid, victim.rank, nrt.rank)
 
 
 def pick_steal_candidate(rt, thief, victim) -> Optional[int]:
@@ -159,6 +189,439 @@ def pick_steal_candidate(rt, thief, victim) -> Optional[int]:
         if best_score is None or score < best_score:
             best, best_score = oid, score
     return best
+
+
+def handler(fn: Optional[Callable] = None, *, readonly: bool = False) -> Callable:
+    """Decorator marking a :class:`MobileObject` method as a message handler.
+
+    ``@handler(readonly=True)`` declares that the handler never mutates the
+    object's serialized state.  The runtime then skips the conservative
+    post-handler dirty marking (and re-sizing), so a spill of an object that
+    only served read-only handlers since its last load needs no write-back —
+    the storage copy is still current.  A readonly handler that *does*
+    mutate state must call ``self.mark_dirty()`` itself or its changes can
+    be lost on eviction.
+    """
+
+    def mark(f: Callable) -> Callable:
+        f._mrts_handler = True
+        f._mrts_readonly = readonly
+        return f
+
+    return mark(fn) if fn is not None else mark
+
+
+def resolve_handler(obj: MobileObject, name: str) -> Callable:
+    """The bound ``@handler`` method ``name`` of ``obj``, or an error."""
+    fn = getattr(obj, name, None)
+    if fn is None or not getattr(fn, "_mrts_handler", False):
+        raise MRTSError(f"{type(obj).__name__} has no handler {name!r}")
+    return fn
+
+
+def after_write(
+    rt, nrt, oid: int, obj: MobileObject, ctx: "HandlerContext",
+    speculative: bool = False,
+) -> None:
+    """A non-readonly handler ran on ``obj``: it is dirty and may have
+    changed size; a committed (non-speculative) write also bumps the
+    version stamp, which proves any pending speculation elsewhere that
+    read this object's state stale at commit validation."""
+    obj.mark_dirty()
+    account_growth(rt, nrt, oid, ctx.take_size_hint())
+    if rt.speculation is not None and not speculative:
+        rt.directory.bump_version(oid)
+
+
+class HandlerContext:
+    """What a message handler sees as its window into the runtime.
+
+    Exposes the paper's API surface: posting messages (including multicast
+    and self-messages), creating mobile objects, locking/priorities for the
+    out-of-core layer, direct handler calls (the §III shared-memory
+    optimization), explicit compute charging for modeled applications, and
+    task-tree execution through the computing layer.
+    """
+
+    def __init__(self, runtime, node: int) -> None:
+        self.runtime = runtime
+        self.node = node
+        self.outbox: list[Message | MulticastMessage] = []
+        self.extra_charge = 0.0
+        self._size_hint: Optional[tuple] = None  # ("abs"|"delta", nbytes)
+        # True while a speculative handler runs (PR 9): its outbox is
+        # buffered on the speculation record, direct calls and peeks are
+        # refused (they would leak unvalidated effects across objects).
+        self.speculative = False
+
+    # -- messaging --------------------------------------------------------
+    def post(
+        self, target: MobilePointer, handler_name: str, *args: Any, **kwargs: Any
+    ) -> None:
+        """Send a one-sided message; delivered after this handler finishes."""
+        self.outbox.append(
+            Message(target, handler_name, args, kwargs, source_node=self.node)
+        )
+
+    def post_speculative(
+        self, target: MobilePointer, handler_name: str, *args: Any, **kwargs: Any
+    ) -> None:
+        """Post a message that may execute past the current phase boundary.
+
+        With ``config.speculation`` on, the message carries the
+        speculative flag: the ready queue serves it only on
+        otherwise-idle slots, its execution is provisional, and its
+        effects buffer until commit-time validation against the
+        directory's version stamps (docs/speculative_tasking.md).  With
+        speculation off this degrades to a plain :meth:`post` — same
+        delivery, no marker — so applications call it unconditionally.
+        """
+        msg = Message(target, handler_name, args, kwargs, source_node=self.node)
+        if self.runtime.speculation is not None:
+            msg.speculative = True
+        self.outbox.append(msg)
+
+    def post_multicast(
+        self,
+        targets: Sequence[MobilePointer],
+        handler_name: str,
+        deliver_count: int = 1,
+        *args: Any,
+        mode: str = "collect",
+        **kwargs: Any,
+    ) -> None:
+        """Send the experimental multicast mobile message (§III Findings).
+
+        ``mode="fanout"`` switches to the ghost-exchange push semantics:
+        all targets receive the handler, grouped into one aggregated wire
+        send per destination node carrying the payload once.
+        """
+        self.outbox.append(
+            MulticastMessage(
+                list(targets), handler_name, deliver_count, args, kwargs,
+                source_node=self.node, mode=mode,
+            )
+        )
+
+    def call_direct(
+        self, target: MobilePointer, handler_name: str, *args: Any, **kwargs: Any
+    ) -> bool:
+        """§III optimization: run the handler inline if target is here, in-core.
+
+        Returns True on success; False means the caller should fall back to
+        :meth:`post`.  The inline handler's compute cost accrues to the
+        current handler.
+        """
+        return call_direct(
+            self.runtime, self, target, handler_name, args, kwargs)
+
+    # -- object management --------------------------------------------------
+    def create(
+        self, cls: type, *args: Any, node: Optional[int] = None, **kwargs: Any
+    ) -> MobilePointer:
+        """Create a new mobile object (on this node unless ``node`` given)."""
+        return self.runtime.create_object(
+            cls, *args, node=node if node is not None else self.node, **kwargs
+        )
+
+    def destroy(self, target: MobilePointer) -> None:
+        self.runtime.destroy_object(target)
+
+    def _home(self, target: MobilePointer):
+        """Per-node state of wherever ``target`` lives right now."""
+        rt = self.runtime
+        return rt.nodes[rt.directory.location(target.oid)]
+
+    def lock(self, target: MobilePointer) -> None:
+        """Pin an object in core on its current node."""
+        self._home(target).ooc.lock(target.oid)
+
+    def unlock(self, target: MobilePointer) -> None:
+        self._home(target).ooc.unlock(target.oid)
+
+    def set_priority(self, target: MobilePointer, priority: float) -> None:
+        """Out-of-core priority hint: higher stays in core longer."""
+        target.priority = priority
+        self._home(target).ooc.set_priority(target.oid, priority)
+
+    def boost_schedule(self, target: MobilePointer, amount: float = 1.0) -> None:
+        """Raise the target's position in its node's ready queue (§III)."""
+        self._home(target).ready.boost(target.oid, amount)
+
+    def is_resident(self, target: MobilePointer) -> bool:
+        """Is the object on this node and in core right now?"""
+        rt = self.runtime
+        return (
+            rt.directory.truth.get(target.oid) == self.node
+            and rt.nodes[self.node].ooc.is_resident(target.oid)
+        )
+
+    def peek(self, target: MobilePointer) -> Optional[MobileObject]:
+        """Read access to a co-resident, in-core object; None otherwise.
+
+        The shared-memory fast path of §III: after a multicast collected a
+        leaf's buffer on one node, the leaf handler reads buffer data
+        directly instead of round-tripping messages.
+        """
+        if self.speculative:
+            # Commit validation only covers the handler's own target:
+            # a cross-object read here would be unvalidated input.
+            # Callers already handle None by falling back to messages,
+            # which buffer until the speculation commits.
+            return None
+        if not self.is_resident(target):
+            return None
+        nrt = self.runtime.nodes[self.node]
+        rec = nrt.locals.get(target.oid)
+        if rec is None or rec.obj is None:
+            return None
+        nrt.ooc.touch(target.oid)
+        return rec.obj
+
+    # -- size accounting -----------------------------------------------------
+    def grew(self, nbytes: int) -> None:
+        """Report that this handler grew the object's state by ``nbytes``.
+
+        Pack-free accounting: the runtime applies the reported growth to
+        the out-of-core budget instead of re-serializing the object to
+        measure it.  Multiple calls accumulate; the hint is consumed by
+        the post-handler growth accounting of the handler's own object.
+        """
+        if nbytes < 0:
+            raise ValueError("negative growth; use report_size instead")
+        if self._size_hint is None:
+            self._size_hint = ("delta", nbytes)
+        else:
+            kind, n = self._size_hint
+            self._size_hint = (kind, n + nbytes)
+
+    def report_size(self, nbytes: int) -> None:
+        """Report the object's absolute serialized size after this handler."""
+        if nbytes < 0:
+            raise ValueError("object size cannot be negative")
+        self._size_hint = ("abs", nbytes)
+
+    def take_size_hint(self) -> Optional[tuple]:
+        """Consume the pending growth report (runtime use)."""
+        hint, self._size_hint = self._size_hint, None
+        return hint
+
+    # -- compute ------------------------------------------------------------
+    def charge(self, seconds: float) -> None:
+        """Add explicit compute cost (modeled applications)."""
+        if seconds < 0:
+            raise ValueError("negative compute charge")
+        self.extra_charge += seconds
+
+    def run_tasks(self, roots: Sequence[Task]) -> float:
+        """Run a task tree through the computing layer; returns makespan.
+
+        The makespan (under the configured executor policy, using all the
+        node's cores) is charged as this handler's parallel-region time.
+        """
+        result = self.runtime.executors[self.node].schedule(roots)
+        self.extra_charge += result.makespan
+        return result.makespan
+
+    @property
+    def now(self) -> float:
+        return self.runtime.engine.now
+
+
+def worker(rt, nrt):
+    """One in-flight handler slot on a node (DES process body).
+
+    After loading an object the worker *drains* its message queue while
+    it stays resident — the paper's control layer explicitly decides
+    "whether to continue to process the message queue of the current
+    object or switch", and staying is what amortizes each out-of-core
+    load over all pending messages.  Messages of one object serialize
+    (the paper parallelizes across objects and within handlers, never
+    two handlers on one object).
+    """
+    speculation = rt.speculation
+    spec_only = nrt.spec_only if speculation is not None else None
+    while True:
+        yield nrt.tokens.get()
+        try:
+            oid = nrt.ready.pop(
+                nrt.queue_len, resident=nrt.ooc.is_resident,
+                spec_only=spec_only,
+            )
+        except IndexError:
+            continue
+        rec = nrt.locals.get(oid)
+        if rec is None or not rec.queue or rec.in_flight > 0:
+            continue
+        # Issue opportunistic prefetches: ready-queue hints, learned
+        # successors of the object we are about to process, and its
+        # pack-file curve neighbors (never the target itself).
+        issue_prefetch(rt, nrt, current=oid)
+        if oid in nrt.prefetched:
+            # A background warm covered this pop — the object is
+            # either already in core or its transfer is in flight (the
+            # demand path below then waits on the load gate instead of
+            # paying its own read).
+            nrt.prefetched.discard(oid)
+            rt.ledger.prefetch(nrt.rank, oid, "hit")
+        # Bring the target in core (charges disk time, holds no core).
+        if rec.obj is None:
+            yield from load_blocking(rt, nrt, oid)
+        while True:
+            if nrt.locals.get(oid) is not rec or not rec.queue:
+                break
+            if rec.obj is None:
+                # Evicted between messages: hand the rest back to the
+                # scheduler rather than thrash.
+                nrt.ready.push(oid)
+                break
+            msg = rec.queue.pop()
+            nrt.queued_msgs -= 1
+            nrt.ooc.set_queue_length(oid, len(rec.queue))
+            yield from execute_handler(rt, nrt, oid, rec, msg)
+            if speculation is not None and not rec.queue:
+                # Local quiescent point: the drain consumed every
+                # message delivered to this object, so a surviving
+                # record validates now.  Committing here (before the
+                # message's termination credit retires) may refill
+                # the queue and keeps the wavefront flowing without
+                # a global synchronization.
+                speculation.resolve_local(oid)
+            rt.termination.done(1)
+            note_maybe_idle(rt, nrt)
+
+
+def execute_handler(rt, nrt, oid: int, rec, msg):
+    """Run one message handler: compute via cores, then dispatch output."""
+    engine = rt.engine
+    node = rt.cluster[nrt.rank]
+    speculation = rt.speculation
+    t0 = engine.now
+    charged = 0.0
+    nrt.ooc.touch(oid)
+    spec = speculation is not None and getattr(msg, "speculative", False)
+    if speculation is not None and not spec:
+        # Eager conflict detection: a non-speculative access (even a
+        # readonly one — it must not see unvalidated state) proves any
+        # pending speculation on this object read stale input.  Abort
+        # first so this handler executes against the restored state.
+        speculation.abort_if_pending(oid)
+    obj = rec.obj
+    ctx = HandlerContext(rt, nrt.rank)
+    fn = resolve_handler(obj, msg.handler)
+    record = None
+    if spec:
+        ctx.speculative = True
+        record = speculation.begin(nrt, oid, rec, msg)
+    rec.in_flight += 1
+    nrt.active_handlers += 1
+    # Pin the object while its handler runs: a mid-handler eviction
+    # (reachable through direct-call chains that trigger spills)
+    # would snapshot partial state and lose later mutations.
+    nrt.ooc.lock(oid)
+    yield node.cores.acquire()
+    try:
+        wall0 = _time.perf_counter()
+        fn(ctx, *msg.args, **msg.kwargs)
+        measured = _time.perf_counter() - wall0
+        modeled = rt.cost_model.handler_cost(obj, msg.handler, msg)
+        cost = (modeled if modeled is not None else measured)
+        cost += ctx.extra_charge
+        cost = node.compute_time(cost)
+        if cost > 0:
+            start = engine.now
+            yield engine.timeout(cost)
+            charged = engine.now - start
+    finally:
+        node.cores.release()
+        rec.in_flight -= 1
+        nrt.active_handlers -= 1
+        if oid in nrt.ooc.table:
+            nrt.ooc.unlock(oid)
+    # Object size may have changed during the handler (skip if the
+    # object migrated away while we were charging compute time).
+    # Readonly handlers promised not to mutate serialized state, so the
+    # object stays clean and keeps its size — that is what lets the
+    # eviction path skip the write-back for read-mostly objects.
+    # A speculative record aborted mid-charge (a direct call from
+    # another handler) already rolled the object back: its growth and
+    # dirty state are the restore's business, not this execution's.
+    orphaned = record is not None and (
+        speculation.pending.get(oid) is not record
+    )
+    if (
+        nrt.locals.get(oid) is rec
+        and rec.obj is not None
+        and not getattr(fn, "_mrts_readonly", False)
+        and not orphaned
+    ):
+        after_write(rt, nrt, oid, rec.obj, ctx, speculative=spec)
+    # Dispatch messages the handler produced.  A speculative
+    # execution's output buffers on its record until commit; an
+    # orphaned record's output is dropped — the abort already
+    # re-posted the message, so the work re-runs and regenerates it.
+    if record is not None:
+        if not orphaned:
+            record.outbox.extend(ctx.outbox)
+    else:
+        dispatch_outbox(rt, ctx.outbox, nrt.rank)
+    # Soft-threshold advice: spill idle objects in the background.
+    if oid in nrt.ooc.table:
+        evict_all(rt, nrt, nrt.ooc.advise_swap(protect={oid}))
+    rt.ledger.handler(
+        nrt.rank, oid, msg.handler, t0, charged,
+        len(rec.queue) if nrt.locals.get(oid) is rec else 0,
+    )
+
+
+def call_direct(
+    rt,
+    ctx: HandlerContext,
+    target: MobilePointer,
+    handler_name: str,
+    args: tuple,
+    kwargs: dict,
+) -> bool:
+    """Run ``target``'s handler inline for the handler that owns ``ctx``.
+
+    Only when the target is on the caller's node and in core; returns
+    False otherwise (the caller falls back to a message).
+    """
+    node = ctx.node
+    oid = target.oid
+    if ctx.speculative:
+        # A speculative handler may not reach other objects directly:
+        # those effects would bypass commit validation.  Refusing
+        # falls back to a message, which buffers until commit.
+        return False
+    if rt.directory.truth.get(oid) != node:
+        return False
+    nrt = rt.nodes[node]
+    if not nrt.ooc.is_resident(oid):
+        return False
+    rec = nrt.locals[oid]
+    if rt.speculation is not None:
+        # Eager conflict detection, same as the worker path: this
+        # direct access must see validated (pre-speculation) state.
+        rt.speculation.abort_if_pending(oid)
+    obj = rec.obj
+    if obj is None:
+        return False
+    fn = resolve_handler(obj, handler_name)
+    nrt.ooc.touch(oid)
+    nrt.ooc.lock(oid)  # pin across the inline handler
+    try:
+        wall0 = _time.perf_counter()
+        fn(ctx, *args, **kwargs)
+        measured = _time.perf_counter() - wall0
+    finally:
+        nrt.ooc.unlock(oid)
+    probe = Message(target, handler_name, args, kwargs, source_node=node)
+    modeled = rt.cost_model.handler_cost(obj, handler_name, probe)
+    ctx.extra_charge += modeled if modeled is not None else measured
+    if not getattr(fn, "_mrts_readonly", False):
+        after_write(rt, nrt, oid, obj, ctx)
+    return True
 
 
 @dataclass

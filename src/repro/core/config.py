@@ -27,8 +27,6 @@ class MRTSConfig:
       chose *lazy* forwarding updates as the accuracy/overhead compromise.
     * ``executor`` — computing-layer backend: ``"workstealing"`` (TBB-like),
       ``"centralqueue"`` (GCD-like), or ``"serial"``.
-    * ``overdecomposition`` — recommended N/P ratio hint used by the
-      application drivers when they choose subdomain counts (N >> P).
 
     Self-healing knobs (PR 3):
 
@@ -78,10 +76,6 @@ class MRTSConfig:
       their effects buffer until commit-time validation against the
       directory's per-object version stamps, with rollback to the
       pre-speculation snapshot on conflict (docs/speculative_tasking.md).
-    * ``spec_force_abort`` — testing knob: every speculative execution
-      that reaches commit-time validation is aborted and re-run, so a
-      chaos cell can prove the rollback path leaves state identical to a
-      non-speculative reference.
     * ``work_stealing`` — start one thief process per node that migrates
       ready work from the most backlogged node onto an idle one,
       preferring victim-resident objects near the thief's own pack-file
@@ -98,7 +92,6 @@ class MRTSConfig:
     swap_scheme: str = "lru"
     directory_policy: str = "lazy"
     executor: str = "workstealing"
-    overdecomposition: int = 8
     prefetch_depth: int = 2
     message_aggregation: int = 1
     storage_retries: int = 3
@@ -112,7 +105,6 @@ class MRTSConfig:
     learned_prefetch: bool = True
     neighborhood_warm: int = 1
     speculation: bool = False
-    spec_force_abort: bool = False
     work_stealing: bool = False
     elastic_balance: bool = False
 
@@ -142,8 +134,6 @@ class MRTSConfig:
                 f"unknown executor {self.executor!r}; "
                 f"choose from {self.VALID_EXECUTORS}"
             )
-        if self.overdecomposition < 1:
-            raise ConfigError("overdecomposition must be >= 1")
         if self.prefetch_depth < 0:
             raise ConfigError("prefetch_depth must be >= 0")
         if self.message_aggregation < 1:
@@ -156,5 +146,3 @@ class MRTSConfig:
             raise ConfigError("delta_compact_factor must be >= 1")
         if self.neighborhood_warm < 0:
             raise ConfigError("neighborhood_warm must be >= 0")
-        if self.spec_force_abort and not self.speculation:
-            raise ConfigError("spec_force_abort requires speculation")

@@ -212,7 +212,7 @@ class RecoveryPolicy:
                 self.degraded_restarts += 1
             self._degraded = True
         runtime = self.factory(config)
-        if runtime._objects_by_oid:
+        if runtime.pointers:
             raise MRTSError("recovery factory must return a fresh runtime")
         pointers = restore(snap, runtime, class_map=self.class_map)
         # Restore's own spills wrote snapshot-payload bytes, which is

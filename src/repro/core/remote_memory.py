@@ -206,7 +206,7 @@ class RemoteMemoryBackend(StorageBackend):
 
     # -- StorageBackend interface ----------------------------------------------
     # Timing note: the runtime charges transfer time itself (its
-    # _disk_xfer routes through the interconnect when a node has a spill
+    # spill.disk_xfer routes through the interconnect when a node has a spill
     # server attached), so this backend only manages bytes and capacity —
     # all through the pool's accounting, so LRU order, pressure evictions
     # and watermarks are maintained for every client of the server.
@@ -252,7 +252,7 @@ def attach_remote_memory(
     it under injected faults (each node's plan reseeded by rank).
     Returns the pools for inspection.
     """
-    if runtime._objects_by_oid:
+    if runtime.pointers:
         raise ConfigError("attach_remote_memory requires a fresh runtime")
     pools = []
     for nrt in runtime.nodes:
@@ -267,7 +267,7 @@ def attach_remote_memory(
             backend = FaultyBackend(
                 backend, replace(fault_plan, seed=fault_plan.seed + nrt.rank)
             )
-        nrt.storage = runtime._compose_storage(nrt.rank, backend)
+        nrt.storage = runtime.compose_storage(nrt.rank, backend)
         nrt.spill_server = remote.server_rank
         pools.append(pool)
     return pools

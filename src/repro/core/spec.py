@@ -64,9 +64,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.mobile import MobileObject
-from repro.obs.events import SpecEvent
-from repro.util.errors import OutOfMemory
+from repro.core.control import dispatch_outbox, post_message
+from repro.core.spill import (
+    install,
+    pack_local,
+    rebaseline,
+    rehydrate,
+    resize_resident,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runtime import MRTS
@@ -101,7 +106,10 @@ class SpeculationManager:
 
     def __init__(self, runtime: "MRTS") -> None:
         self.runtime = runtime
-        self.force_abort = runtime.config.spec_force_abort
+        # Test hook: abort every record that reaches commit validation,
+        # so a chaos cell can prove rollback leaves state identical to a
+        # non-speculative reference.
+        self.force_abort = False
         self.pending: dict[int, SpecRecord] = {}
         self._seq = 0
 
@@ -123,15 +131,12 @@ class SpeculationManager:
                 oid=oid,
                 seq=self._seq,
                 version=self.runtime.directory.version(oid),
-                snapshot=self.runtime._pack_local(rec, nrt.rank),
+                snapshot=pack_local(self.runtime, rec, nrt.rank),
                 pre_nbytes=nrt.ooc.table[oid].nbytes,
             )
             self.pending[oid] = record
         record.messages.append(msg)
-        self.runtime.stats.node(nrt.rank).spec_issued += 1
-        if self.runtime.bus.active:
-            self.runtime.bus.publish(SpecEvent(
-                self.runtime.engine.now, nrt.rank, oid, "issued"))
+        self.runtime.ledger.spec(nrt.rank, oid, "issued")
         return record
 
     # ---------------------------------------------------------- conflict
@@ -214,11 +219,8 @@ class SpeculationManager:
         node = self.runtime.directory.location(oid)
         del self.pending[oid]
         self.runtime.directory.bump_version(oid)
-        self.runtime.stats.node(node).spec_committed += len(record.messages)
-        if self.runtime.bus.active:
-            self.runtime.bus.publish(SpecEvent(
-                self.runtime.engine.now, node, oid, "committed"))
-        self.runtime._dispatch_outbox(record.outbox, node)
+        self.runtime.ledger.spec(node, oid, "committed", len(record.messages))
+        dispatch_outbox(self.runtime, record.outbox, node)
 
     # ------------------------------------------------------------- abort
     def abort(self, record: SpecRecord) -> None:
@@ -234,13 +236,10 @@ class SpeculationManager:
         nrt = self.runtime.nodes[node]
         del self.pending[oid]
         self._restore(nrt, oid, record)
-        self.runtime.stats.node(node).spec_aborted += len(record.messages)
-        if self.runtime.bus.active:
-            self.runtime.bus.publish(SpecEvent(
-                self.runtime.engine.now, node, oid, "aborted"))
+        self.runtime.ledger.spec(node, oid, "aborted", len(record.messages))
         for msg in record.messages:
             msg.speculative = False
-            self.runtime._post_message(msg, from_node=node)
+            post_message(self.runtime, msg, node)
 
     def _restore(self, nrt, oid: int, record: SpecRecord) -> None:
         rt = self.runtime
@@ -250,25 +249,13 @@ class SpeculationManager:
             # as a migration installs its clone.  The restored state
             # diverges from whatever the storage copy holds, so the
             # residency goes dirty with a warm pack cache (= snapshot).
-            old = rec.obj
-            old.on_unregister(node := nrt.rank)
-            clone = object.__new__(rt._obj_class(oid))
-            MobileObject.__init__(clone, rt._objects_by_oid[oid])
-            clone.unpack(record.snapshot)
-            rec.obj = clone
-            rt._bind_dirty(nrt, oid, clone)
-            rec.pack_cache = record.snapshot
+            rec.obj.on_unregister(nrt.rank)
+            install(
+                rt, nrt, oid, rehydrate(rt, oid, [record.snapshot]),
+                pack_cache=record.snapshot,
+            )
             nrt.ooc.mark_dirty(oid)
-            try:
-                victims = nrt.ooc.resize(oid, record.pre_nbytes)
-            except OutOfMemory:
-                nrt.ooc.force_resize(oid, record.pre_nbytes)
-                victims = []
-            for victim in victims:
-                vrec = nrt.locals.get(victim)
-                if vrec is not None and vrec.obj is not None:
-                    rt._evict_now(nrt, victim)
-            clone.on_register(node)
+            resize_resident(rt, nrt, oid, record.pre_nbytes)
         else:
             # Spilled mid-speculation: the medium holds post-spec bytes.
             # Rewrite it with the snapshot in Python time — no virtual
@@ -277,14 +264,10 @@ class SpeculationManager:
             # bookkeeping, not a modeled I/O.
             nrt.storage.delete(oid)
             nrt.storage.store(oid, record.snapshot)
-            residency = nrt.ooc.table[oid]
-            residency.nbytes = record.pre_nbytes
-            rec.base_payload_bytes = len(record.snapshot)
+            nrt.ooc.table[oid].nbytes = record.pre_nbytes
         # Either way the delta log no longer describes the medium: force
         # the next dirty spill to re-baseline with a full store.
-        rec.stored_token = None
-        rec.log_frames = 1
-        rec.log_payload_bytes = 0
+        rebaseline(rec, len(record.snapshot))
         rec.stored_modeled = record.pre_nbytes
 
     # ---------------------------------------------------------- lifecycle

@@ -13,13 +13,36 @@ clock).  The MRTS is designed so the three activities overlap heavily.
 :class:`RunStats` aggregates across nodes and computes the paper's
 metrics.  Drivers feed these: the threaded driver with real perf-counter
 durations, the simulated driver with virtual-time spans.
+
+:class:`Ledger` is the simulated runtime's one accounting path: a layer
+reports what happened with one call, and that call updates the
+``NodeStats`` counter *and* — only when someone subscribed — publishes
+the obs event built from the same numbers, so the event-stream analyzer
+equals ``RunStats`` by construction rather than by discipline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["NodeStats", "RunStats"]
+from repro.obs.events import (
+    CorruptEvent,
+    DiskSpan,
+    EventBus,
+    EvictEvent,
+    HandlerSpan,
+    LoadEvent,
+    MigrateEvent,
+    PackEvent,
+    PrefetchEvent,
+    QueueDepthEvent,
+    RetryEvent,
+    SendSpan,
+    SpecEvent,
+    SpillEvent,
+)
+
+__all__ = ["NodeStats", "RunStats", "Ledger"]
 
 
 @dataclass
@@ -319,3 +342,153 @@ class RunStats:
     @property
     def multicast_sends(self) -> int:
         return sum(n.multicast_sends for n in self.nodes)
+
+
+class Ledger:
+    """Counter and event from the same floats, in one call.
+
+    Holds the run's :class:`RunStats`, its obs :class:`EventBus` and the
+    clock (anything with a ``now``; the DES engine).  One method per kind
+    of thing the runtime accounts for.  Events are constructed only under
+    ``bus.active``, so with no subscriber a call costs its counter update
+    and one attribute read — instrumentation stays pay-for-use.  Kinds
+    with no ``NodeStats`` counter (evict, load, migrate, queue depth) are
+    event-only; what nobody draws (``steals``, ``messages_received``,
+    ``multicast_sends``, ``barrier_idle_s``) goes through :meth:`count`.
+    """
+
+    __slots__ = ("stats", "bus", "_clock")
+
+    _PREFETCH_COUNTER = {"issue": "prefetch_issued", "hit": "prefetch_hits",
+                         "wasted": "prefetch_wasted"}
+
+    def __init__(self, stats: RunStats, bus: EventBus, clock) -> None:
+        self.stats = stats
+        self.bus = bus
+        self._clock = clock
+
+    def count(self, rank: int, counter: str, n: float = 1) -> None:
+        """Add ``n`` to a ``NodeStats`` counter that has no event."""
+        node = self.stats.node(rank)
+        setattr(node, counter, getattr(node, counter) + n)
+
+    # -- computing layer ---------------------------------------------------
+    def handler(
+        self, rank: int, oid: int, name: str, start: float,
+        charged: float, queue_len: int,
+    ) -> None:
+        """A handler finished: ``charged`` virtual compute seconds."""
+        self.stats.node(rank).add_comp(charged)
+        if self.bus.active:
+            self.bus.publish(HandlerSpan(
+                start, rank, oid, name, self._clock.now - start, charged,
+                queue_len))
+
+    def spec(self, rank: int, oid: int, phase: str, n: int = 1) -> None:
+        """``n`` speculative executions on ``oid`` were ``issued`` /
+        ``committed`` / ``aborted``."""
+        self.count(rank, "spec_" + phase, n)
+        if self.bus.active:
+            self.bus.publish(SpecEvent(self._clock.now, rank, oid, phase))
+
+    # -- control layer -----------------------------------------------------
+    def send(
+        self, src: int, dst: int, nbytes: int, start: float,
+        service: float, span: float, counted: bool = True,
+    ) -> None:
+        """A wire transfer left ``src``.  Same-node sends bypass the NIC:
+        drawn on the timeline, never counted as communication."""
+        if counted:
+            self.stats.node(src).add_comm(service, nbytes, span=span)
+        if self.bus.active:
+            self.bus.publish(SendSpan(
+                start, src, dst, nbytes, service, span, counted))
+
+    def queue_depth(self, rank: int, oid: int, depth: int) -> None:
+        if self.bus.active:
+            self.bus.publish(QueueDepthEvent(
+                self._clock.now, rank, oid, depth))
+
+    def migrate(self, src: int, oid: int, dst: int, nbytes: int) -> None:
+        if self.bus.active:
+            self.bus.publish(MigrateEvent(
+                self._clock.now, src, oid, dst, nbytes))
+
+    # -- out-of-core layer -------------------------------------------------
+    def disk(
+        self, rank: int, start: float, nbytes: int, is_store: bool,
+        blocking: bool, service: float, span: float,
+    ) -> None:
+        self.stats.node(rank).add_disk(service, nbytes, is_store, span=span)
+        if self.bus.active:
+            self.bus.publish(DiskSpan(
+                start, rank, nbytes, is_store, blocking, service, span))
+
+    def load_wait(self, rank: int, start: float, span: float) -> None:
+        """A demand path waited behind another process's in-flight load.
+
+        The transfer's service time and bytes were charged exactly once
+        by the gate holder; the waiter still *perceived* disk wait, which
+        is what the paper's disk%/overlap% measure: a zero-byte blocking
+        span.
+        """
+        self.disk(rank, start, 0, False, True, 0.0, span)
+
+    def evict(
+        self, rank: int, oid: int, nbytes: int, clean: bool, memory_used: int
+    ) -> None:
+        if self.bus.active:
+            self.bus.publish(EvictEvent(
+                self._clock.now, rank, oid, nbytes, clean, memory_used))
+
+    def load(
+        self, rank: int, oid: int, nbytes: int, background: bool,
+        memory_used: int,
+    ) -> None:
+        if self.bus.active:
+            self.bus.publish(LoadEvent(
+                self._clock.now, rank, oid, nbytes, background, memory_used))
+
+    def prefetch(self, rank: int, oid: int, phase: str) -> None:
+        """A background warm was ``issue``d, ``hit`` or ``wasted``."""
+        self.count(rank, self._PREFETCH_COUNTER[phase])
+        if self.bus.active:
+            self.bus.publish(PrefetchEvent(self._clock.now, rank, oid, phase))
+
+    # -- data plane and storage layer ---------------------------------------
+    def pack(self, rank: int, op: str, seconds: float, nbytes: int) -> None:
+        """A serialization op ran on ``rank``; ``op`` is ``"pack"`` or
+        ``"unpack"``, ``seconds`` host wall time."""
+        if op == "pack":
+            self.stats.node(rank).add_pack(seconds, nbytes)
+        else:
+            self.stats.node(rank).add_unpack(seconds, nbytes)
+        if self.bus.active:
+            self.bus.publish(PackEvent(
+                self._clock.now, rank, op, seconds, nbytes))
+
+    def spill(
+        self, rank: int, oid: int, kind: str, raw: int, stored: int
+    ) -> None:
+        """A dirty spill persisted on ``rank``; ``kind`` is ``"delta"`` or
+        ``"full"``, ``raw``/``stored`` are payload bytes before and after
+        the compression tier."""
+        self.stats.node(rank).add_spill(kind, raw, stored)
+        if self.bus.active:
+            self.bus.publish(SpillEvent(
+                self._clock.now, rank, oid, kind, raw, stored))
+
+    def retry(
+        self, rank: int, op: str, oid: int, attempt: int, delay: float
+    ) -> None:
+        """A storage op on ``rank`` is about to be retried."""
+        self.stats.node(rank).storage_retries += 1
+        if self.bus.active:
+            self.bus.publish(RetryEvent(
+                self._clock.now, rank, op, oid, attempt, delay))
+
+    def corrupt(self, rank: int, oid: int) -> None:
+        """A load on ``rank`` failed frame validation."""
+        self.stats.node(rank).corrupt_loads += 1
+        if self.bus.active:
+            self.bus.publish(CorruptEvent(self._clock.now, rank, oid))

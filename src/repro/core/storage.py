@@ -336,16 +336,14 @@ class CountingBackend(StorageBackend):
 # the CRC.  That is exactly the property torn-write recovery needs: a
 # partially persisted store can never be loaded as a valid object.
 #
-# Reads remain backward-compatible with the legacy MRF1 format (no flags
-# byte): frames written before the data-plane fast path still decode.
+# MRF2 is the only format read.  Bytes under any other magic — the
+# flag-less MRF1 frames of PRs 3-4 included — are foreign and rejected
+# as corrupt; spill media and checkpoints are per-run, so nothing in
+# that format can reach a reader.
 
 _FRAME_MAGIC = b"MRF2"
 _FRAME_HEADER = struct.Struct("<4sBQI")
 FRAME_OVERHEAD = _FRAME_HEADER.size
-
-_LEGACY_MAGIC = b"MRF1"
-_LEGACY_HEADER = struct.Struct("<4sQI")
-_LEGACY_OVERHEAD = _LEGACY_HEADER.size
 
 FLAG_COMPRESSED = 0x01  # payload is zlib-deflated
 FLAG_DELTA = 0x02       # frame is an append-log delta segment
@@ -371,34 +369,22 @@ def _decode_one(
     data: bytes, offset: int, context: str
 ) -> tuple[bytes, int, int]:
     """Validate the frame starting at ``offset``; -> (payload, flags, end)."""
-    magic = bytes(data[offset:offset + 4])
-    if magic == _LEGACY_MAGIC:
-        header, overhead, flags = _LEGACY_HEADER, _LEGACY_OVERHEAD, 0
-    else:
-        header, overhead, flags = _FRAME_HEADER, FRAME_OVERHEAD, None
-    if len(data) - offset < overhead:
+    if len(data) - offset < FRAME_OVERHEAD:
         raise CorruptObject(
             f"{context}: {len(data) - offset} B is shorter than the "
-            f"{overhead} B frame header (torn write?)"
+            f"{FRAME_OVERHEAD} B frame header (torn write?)"
         )
-    if flags is None:
-        magic, flags, length, crc = _FRAME_HEADER.unpack_from(data, offset)
-        if magic != _FRAME_MAGIC:
-            raise CorruptObject(f"{context}: bad frame magic {magic!r}")
-    else:
-        magic, length, crc = _LEGACY_HEADER.unpack_from(data, offset)
-    end = offset + overhead + length
-    payload = bytes(data[offset + overhead:end])
+    magic, flags, length, crc = _FRAME_HEADER.unpack_from(data, offset)
+    if magic != _FRAME_MAGIC:
+        raise CorruptObject(f"{context}: bad frame magic {magic!r}")
+    end = offset + FRAME_OVERHEAD + length
+    payload = bytes(data[offset + FRAME_OVERHEAD:end])
     if len(payload) != length:
         raise CorruptObject(
             f"{context}: frame promises {length} B but carries "
             f"{len(payload)} B (torn write?)"
         )
-    # Legacy MRF1 frames checksummed the payload alone; MRF2 covers the
-    # flags byte too.
-    expect = zlib.crc32(payload) if overhead == _LEGACY_OVERHEAD \
-        else _frame_crc(payload, flags)
-    if expect != crc:
+    if _frame_crc(payload, flags) != crc:
         raise CorruptObject(f"{context}: payload CRC mismatch (bit rot?)")
     return payload, flags, end
 

@@ -384,7 +384,7 @@ def run_chaos_matrix(
 # the pre-speculation snapshot restores the object and the speculated
 # messages re-run for real, so the final mesh state is independent of how
 # many speculations aborted.  This cell drives the claim to its extreme
-# with ``spec_force_abort`` — every validation is made to fail, so every
+# with ``SpeculationManager.force_abort`` set — every validation is made to fail, so every
 # speculative execution exercises the rollback path (snapshot restore,
 # possibly against spilled post-spec bytes, plus non-speculative re-post)
 # — and the resulting UPDR refinement witness must still equal the
@@ -417,8 +417,8 @@ def _updr_witness(result) -> dict[int, tuple]:
     """
     runtime = result.runtime
     out = {}
-    for oid in sorted(runtime._objects_by_oid):
-        obj = runtime.get_object(runtime._objects_by_oid[oid])
+    for oid in sorted(runtime.pointers):
+        obj = runtime.get_object(runtime.pointers[oid])
         if hasattr(obj, "region_id") and hasattr(obj, "round"):
             out[obj.region_id] = (obj.elements, obj.round)
     return out
@@ -442,8 +442,8 @@ def run_spec_chaos_case(spec: SpecChaosSpec) -> ChaosReport:
         spec.total_elements, cluster, mrts=True,
         config=MRTSConfig(
             prefetch_depth=3, speculation=True, work_stealing=True,
-            spec_force_abort=True,
         ),
+        on_runtime=lambda rt: setattr(rt.speculation, "force_abort", True),
     )
     got = _updr_witness(chaos)
     stats = chaos.stats
@@ -480,7 +480,7 @@ def run_spec_chaos_case(spec: SpecChaosSpec) -> ChaosReport:
         )
     if stats.spec_committed != 0:
         report.problems.append(
-            f"spec_force_abort leaked {stats.spec_committed} commits"
+            f"force_abort leaked {stats.spec_committed} commits"
         )
     return report
 

@@ -215,7 +215,7 @@ def check_runtime(runtime: "MRTS") -> list[str]:
             )
     for oid in set(truth) - set(seen):
         problems.append(f"directory tracks object {oid} which lives nowhere")
-    for oid in set(runtime._objects_by_oid) - set(seen):
+    for oid in set(runtime.pointers) - set(seen):
         problems.append(f"pointer table has object {oid} which lives nowhere")
 
     if quiescent and runtime.termination.outstanding != 0:

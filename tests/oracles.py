@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
-from repro.core import computing
+from repro.core import computing, control
 from repro.geometry.predicates import Point, circumcenter, dist_sq
 from repro.geometry.pslg import BoundingBox
 from repro.mesh.sizing import SizingFunction
@@ -239,8 +239,8 @@ def poll_with_timeouts(engine, interval: float, ready: Callable[[], object]):
 
 def coroutine_thief(rt, nrt):
     """``MRTS._thief`` as it was before ``Engine.poll`` (PR 14's body,
-    verbatim but for ``self`` -> ``rt`` and the two names that moved to
-    ``repro.core.computing``); patch it over ``repro.core.runtime.node_thief``.
+    verbatim but for ``self`` -> ``rt`` and the names that moved to
+    ``repro.core.computing`` / ``repro.core.control``); patch it over ``repro.core.runtime.node_thief``.
     """
     while True:
         yield rt.engine.timeout(computing.STEAL_INTERVAL_S)
@@ -259,7 +259,7 @@ def coroutine_thief(rt, nrt):
         # Hold a credit across the move: the steal itself must keep
         # the run alive even if the victim's queues drain meanwhile.
         rt.termination.add(1)
-        yield from rt._migrate_and_done(oid, victim_rank, nrt.rank)
+        yield from control.migrate_and_done(rt, oid, victim_rank, nrt.rank)
 
 
 class LazyHeapPressureTier:

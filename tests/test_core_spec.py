@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import MRTS, MobileObject, handler
 from repro.core.config import MRTSConfig
+from repro.core.control import post_message
 from repro.core.messages import Message
 from repro.core.spec import SpeculationManager
 from repro.sim.cluster import ClusterSpec
@@ -56,22 +57,23 @@ class Driver(MobileObject):
 
 def make_runtime(n_nodes=2, cores=1, speculation=True, force_abort=False,
                  memory_bytes=1 << 20):
-    return MRTS(
+    rt = MRTS(
         ClusterSpec(
             n_nodes=n_nodes,
             node=NodeSpec(cores=cores, memory_bytes=memory_bytes),
         ),
-        config=MRTSConfig(
-            speculation=speculation, spec_force_abort=force_abort,
-        ),
+        config=MRTSConfig(speculation=speculation),
     )
+    if force_abort:
+        rt.speculation.force_abort = True
+    return rt
 
 
 def post_speculative(rt, ptr, handler_name, *args):
     """Inject a pre-run speculative message (the ctx path, minus a ctx)."""
     msg = Message(ptr, handler_name, args, {}, source_node=-1)
     msg.speculative = True
-    rt._post_message(msg, from_node=rt.directory.location(ptr.oid))
+    post_message(rt, msg, rt.directory.location(ptr.oid))
 
 
 # ----------------------------------------------------------------- protocol
@@ -241,8 +243,8 @@ def test_updr_speculative_witness_matches_reference():
         result = run_updr_model(60_000, cluster, mrts=True, config=config)
         rt = result.runtime
         out = {}
-        for oid in sorted(rt._objects_by_oid):
-            obj = rt.get_object(rt._objects_by_oid[oid])
+        for oid in sorted(rt.pointers):
+            obj = rt.get_object(rt.pointers[oid])
             if hasattr(obj, "region_id") and hasattr(obj, "round"):
                 out[obj.region_id] = (obj.elements, obj.round)
         return out, result

@@ -29,8 +29,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         MRTSConfig(executor="gpu")
     with pytest.raises(ConfigError):
-        MRTSConfig(overdecomposition=0)
-    with pytest.raises(ConfigError):
         MRTSConfig(prefetch_depth=-1)
     with pytest.raises(ConfigError):
         MRTSConfig(message_aggregation=0)

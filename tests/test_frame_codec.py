@@ -2,7 +2,7 @@
 
 The self-healing storage layer wraps every stored object in a
 ``MRF2 | flags | length | CRC32`` frame (see :mod:`repro.core.storage`;
-legacy ``MRF1 | length | CRC32`` frames still decode).  The codec's
+nothing else decodes).  The codec's
 contract is binary-exact, so we state it as properties and let
 hypothesis hunt for counterexamples:
 
@@ -71,19 +71,17 @@ def test_flags_round_trip_and_range():
         encode_frame(b"abc", -1)
 
 
-def test_legacy_mrf1_frames_still_decode():
+def test_mrf1_frames_are_foreign_bytes():
+    """A well-formed frame of the retired flag-less format is rejected
+    like any other bytes that are not ``MRF2`` — never decoded."""
     import struct
 
     payload = b"old format"
     legacy = struct.Struct("<4sQI").pack(
         b"MRF1", len(payload), zlib.crc32(payload)
     ) + payload
-    assert decode_frame(legacy) == payload
-    # A corrupt legacy frame is still rejected.
-    bad = bytearray(legacy)
-    bad[-1] ^= 0xFF
-    with pytest.raises(CorruptObject):
-        decode_frame(bytes(bad))
+    with pytest.raises(CorruptObject, match="bad frame magic"):
+        decode_frame(legacy)
 
 
 # ------------------------------------------------------------- torn writes

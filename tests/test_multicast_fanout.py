@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import MobileObject, MRTS, handler
 from repro.core.config import MRTSConfig
+from repro.core.control import post_message
 from repro.core.messages import Message, MulticastMessage
 from repro.sim.cluster import ClusterSpec
 from repro.sim.node import NodeSpec
@@ -146,18 +147,15 @@ def test_unknown_multicast_mode_rejected():
 
 # --------------------------------------------------------------- speculation
 def _spec_runtime(force_abort=False):
-    return MRTS(
-        small_cluster(2),
-        config=MRTSConfig(
-            speculation=True, spec_force_abort=force_abort,
-        ),
-    )
+    rt = MRTS(small_cluster(2), config=MRTSConfig(speculation=True))
+    rt.speculation.force_abort = force_abort
+    return rt
 
 
 def _post_speculative(rt, ptr, handler_name, *args):
     msg = Message(ptr, handler_name, args, {}, source_node=-1)
     msg.speculative = True
-    rt._post_message(msg, from_node=rt.directory.location(ptr.oid))
+    post_message(rt, msg, rt.directory.location(ptr.oid))
 
 
 def test_speculative_fanout_dispatches_on_commit():

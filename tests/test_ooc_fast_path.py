@@ -15,6 +15,7 @@ Pins the three behaviors the fast path introduced:
 import pytest
 
 from repro.core import MRTS, MobileObject, handler
+from repro.core.spill import evict_now, load_blocking
 from repro.sim.cluster import ClusterSpec
 from repro.sim.node import NodeSpec
 from repro.testing import assert_invariants
@@ -92,7 +93,7 @@ def test_readonly_handler_does_not_mark_dirty():
     assert nrt.ooc.is_dirty(p.oid)  # fresh state: storage has no copy
     rt.run()
     # Spill + reload establishes a current storage copy.
-    rt._evict_now(nrt, p.oid)
+    evict_now(rt, nrt, p.oid)
     assert rt.get_object(p) is not None
     assert not nrt.ooc.is_dirty(p.oid)
     rt.post(p, "read")
@@ -120,12 +121,12 @@ def test_write_behind_overlaps_store_with_load():
     assert a.oid in nrt.write_behind.pending
     size_a = nrt.ooc.table[a.oid].nbytes
 
-    rt._evict_now(nrt, b.oid)  # second in-flight store drain
+    evict_now(rt, nrt, b.oid)  # second in-flight store drain
     assert nrt.storage.contains(b.oid)
     assert b.oid in nrt.write_behind.pending
 
     s = rt.cluster[0].disk.service_time(size_a)  # equal sizes, equal s
-    proc = rt.engine.process(rt._load_blocking(nrt, a.oid))
+    proc = rt.engine.process(load_blocking(rt, nrt, a.oid))
     rt.engine.run(until=proc)
     # Barrier: read could only start at s (A's drain done) → finishes 2s.
     # Overlap: B's drain rode along in [0, s]; serialized would be 3s.
@@ -140,12 +141,12 @@ def test_reeviction_after_clean_load_is_free():
     a = rt.create_object(Blob)
     rt.create_object(Blob)  # spills a (dirty)
     nrt = rt.nodes[0]
-    proc = rt.engine.process(rt._load_blocking(nrt, a.oid))
+    proc = rt.engine.process(load_blocking(rt, nrt, a.oid))
     rt.engine.run(until=proc)
 
     stores = nrt.storage.stores
     clean = nrt.ooc.clean_evictions
-    rt._evict_now(nrt, a.oid)  # untouched since the load: clean spill
+    evict_now(rt, nrt, a.oid)  # untouched since the load: clean spill
     assert nrt.storage.stores == stores
     assert a.oid not in nrt.write_behind.pending  # no virtual charge either
     assert nrt.ooc.clean_evictions == clean + 1

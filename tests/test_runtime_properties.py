@@ -22,6 +22,7 @@ from repro.core import (
     MRTSConfig,
     handler,
 )
+from repro.core.spill import evict_now
 from repro.sim.cluster import ClusterSpec
 from repro.sim.node import NodeSpec
 
@@ -159,7 +160,7 @@ def test_forced_eviction_midrun_preserves_state():
     victim = ptrs[0]
     nrt = rt.nodes[0]
     # Adversarial spill through the runtime's own machinery.
-    rt._evict_now(nrt, victim.oid)
+    evict_now(rt, nrt, victim.oid)
     assert not nrt.ooc.is_resident(victim.oid)
     rt.post(victim, "hit")
     rt.run()

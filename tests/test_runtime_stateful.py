@@ -1,0 +1,239 @@
+"""A Hypothesis stateful model of the public ``MRTS`` API.
+
+Random sequences of ``create_object`` / ``post`` / ``ctx.lock`` /
+``ctx.unlock`` / ``ctx.set_priority`` / ``migrate`` / ``run`` /
+``checkpoint`` -> ``restore`` onto a fresh runtime, on a two-node cluster
+starved enough to spill, against a plain-dict reference.  The actor is
+order-independent (the :class:`~repro.testing.workloads.StormActor`
+family): where a message goes depends on its token, never on delivery
+order, so the reference needs no scheduler.
+
+After every ``run``: each object's state equals the model's, the
+cross-layer invariants hold, the runtime is quiescent, and the overlap
+analyzer over the event stream equals ``RunStats`` exactly — the
+:class:`~repro.core.stats.Ledger` contract, checked on random API
+sequences rather than on fixed workloads.
+"""
+
+import random
+
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    precondition,
+    rule,
+)
+
+from repro.core import MRTS, MobileObject, handler
+from repro.core.checkpoint import Checkpoint, checkpoint, restore
+from repro.obs import busy_times, overlap_report
+from repro.sim.cluster import ClusterSpec
+from repro.sim.node import NodeSpec
+from repro.testing.harness import FixedCostModel
+from repro.testing.invariants import check_runtime
+
+N_NODES = 2
+MAX_CELLS = 8
+PAYLOAD = 4096
+GROW_EVERY = 3
+GROW = 512
+SEED = 29
+
+
+def _next_peer(oid: int, peers: list, token: str):
+    return peers[random.Random(f"{SEED}:{oid}:{token}").randrange(len(peers))]
+
+
+class Cell(MobileObject):
+    """Counts hits, grows, and relays along a token-determined path."""
+
+    def __init__(self, ptr, peers) -> None:
+        super().__init__(ptr)
+        self.payload = bytes(PAYLOAD)
+        self.hits = 0
+        self.peers = list(peers)
+
+    @handler
+    def hit(self, ctx, hops: int, token: str) -> None:
+        self.hits += 1
+        if self.hits % GROW_EVERY == 0:
+            self.payload += bytes(GROW)
+        if hops > 0 and self.peers:
+            ctx.post(_next_peer(self.oid, self.peers, token), "hit",
+                     hops - 1, token + ".")
+
+    @handler(readonly=True)
+    def pin(self, ctx) -> None:
+        ctx.lock(self.pointer)
+
+    @handler(readonly=True)
+    def unpin(self, ctx) -> None:
+        ctx.unlock(self.pointer)
+
+    @handler(readonly=True)
+    def prefer(self, ctx, priority: float) -> None:
+        ctx.set_priority(self.pointer, priority)
+
+
+def _fresh_runtime():
+    rt = MRTS(
+        ClusterSpec(n_nodes=N_NODES,
+                    node=NodeSpec(cores=1, memory_bytes=24 * 1024)),
+        cost_model=FixedCostModel(1e-4),
+    )
+    return rt, rt.bus.subscribe()
+
+
+class RuntimeMachine(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.rt, self.events = _fresh_runtime()
+        self.ptrs: dict[int, object] = {}      # oid -> live pointer
+        # The reference: plain dicts keyed by oid.
+        self.hits: dict[int, int] = {}
+        self.peers: dict[int, list[int]] = {}
+        self.node: dict[int, int] = {}
+        self.priority: dict[int, float] = {}
+        self.locked: set[int] = set()
+        self.migrating: set[int] = set()    # moves posted since the last run
+        self.preferring: set[int] = set()   # priorities posted since then
+        self.tokens = 0
+
+    def _model_hit(self, oid: int, hops: int, token: str) -> None:
+        while True:
+            self.hits[oid] += 1
+            if hops <= 0 or not self.peers[oid]:
+                return
+            oid = _next_peer(oid, self.peers[oid], token)
+            hops, token = hops - 1, token + "."
+
+    # ---------------------------------------------------------------- rules
+    @initialize()
+    def first_cell(self) -> None:
+        self.create(node=0)
+
+    @precondition(lambda self: len(self.ptrs) < MAX_CELLS)
+    @rule(node=st.integers(0, N_NODES - 1))
+    def create(self, node: int) -> None:
+        peers = [self.ptrs[o] for o in sorted(self.ptrs)]
+        ptr = self.rt.create_object(Cell, peers, node=node)
+        self.ptrs[ptr.oid] = ptr
+        self.hits[ptr.oid] = 0
+        self.peers[ptr.oid] = sorted(p.oid for p in peers)
+        self.node[ptr.oid] = node
+        self.priority[ptr.oid] = 0.0
+
+    @rule(data=st.data(), hops=st.integers(0, 4))
+    def post_hit(self, data, hops: int) -> None:
+        oid = data.draw(st.sampled_from(sorted(self.ptrs)))
+        self.tokens += 1
+        token = f"t{self.tokens}"
+        self.rt.post(self.ptrs[oid], "hit", hops, token)
+        self._model_hit(oid, hops, token)
+
+    # One pinned object at a time: a starved node cannot make room around
+    # many pins, and a pinned object cannot migrate until it is unpinned.
+    @precondition(lambda self: not self.locked)
+    @rule(data=st.data())
+    def lock(self, data) -> None:
+        free = sorted(set(self.ptrs) - self.migrating)
+        if free:
+            oid = data.draw(st.sampled_from(free))
+            self.rt.post(self.ptrs[oid], "pin")
+            self.locked.add(oid)
+
+    @precondition(lambda self: self.locked)
+    @rule()
+    def unlock(self) -> None:
+        oid = self.locked.pop()
+        self.rt.post(self.ptrs[oid], "unpin")
+
+    # KNOWN DEFECT, pinned not fixed (present at PR 17's parent; the fix
+    # moves NUPDR's virtual schedule, so it does not belong to a
+    # same-schedule refactor): a residency priority does not travel with a
+    # migration — the destination admits the object at priority 0.  The
+    # model says so, and keeps a priority change and a move of one object
+    # out of the same run, where which of them lands first is a race.
+    @rule(data=st.data(), priority=st.sampled_from([0.0, 1.0, 5.0]))
+    def set_priority(self, data, priority: float) -> None:
+        settled = sorted(set(self.ptrs) - self.migrating)
+        if settled:
+            oid = data.draw(st.sampled_from(settled))
+            self.rt.post(self.ptrs[oid], "prefer", priority)
+            self.priority[oid] = priority
+            self.preferring.add(oid)
+
+    @rule(data=st.data(), dst=st.integers(0, N_NODES - 1))
+    def migrate(self, data, dst: int) -> None:
+        # One move per object per run (two racing moves of one object
+        # land wherever the first to finish put it).
+        movable = sorted(
+            set(self.ptrs) - self.locked - self.migrating - self.preferring)
+        if movable:
+            oid = data.draw(st.sampled_from(movable))
+            self.rt.migrate(self.ptrs[oid], dst)
+            if dst != self.node[oid]:
+                self.migrating.add(oid)
+                self.node[oid] = dst
+                self.priority[oid] = 0.0  # the known defect above
+
+    @rule()
+    def run(self) -> None:
+        rt = self.rt
+        stats = rt.run()
+        self.migrating.clear()
+        self.preferring.clear()
+        # (``quiescent`` is only ever true once something was posted.)
+        assert rt.termination.outstanding == 0
+        assert rt.termination.quiescent or not rt.termination.total_items
+        for oid, ptr in self.ptrs.items():
+            obj = rt.get_object(ptr)
+            grown = PAYLOAD + GROW * (self.hits[oid] // GROW_EVERY)
+            assert (obj.hits, len(obj.payload)) == (self.hits[oid], grown)
+            assert rt.object_location(ptr) == self.node[oid]
+            residency = rt.nodes[self.node[oid]].ooc.table[oid]
+            assert residency.priority == self.priority[oid]
+            assert residency.locked == (1 if oid in self.locked else 0)
+        problems = [
+            p for p in check_runtime(rt)
+            if not (self.locked and "still locked at quiescence" in p)
+        ]
+        assert problems == []
+        # The ledger's contract: counter and event come from the same
+        # floats in the same order, so the analyzer is not "close", it is
+        # equal.  (get_object above may have loaded spilled objects; those
+        # loads went through the same ledger.)
+        events = list(self.events.events)
+        busy = busy_times(events)
+        for rank, node in enumerate(stats.nodes):
+            seen = busy.get(rank)
+            assert (node.comp_time, node.comm_span, node.disk_span,
+                    node.handlers_run) == (
+                (seen.comp_s, seen.comm_span_s, seen.disk_span_s,
+                 seen.handlers) if seen is not None else (0.0, 0.0, 0.0, 0))
+        n_pes = max(len(stats.nodes), 1)
+        report = overlap_report(events, stats.total_time, n_pes=n_pes)
+        assert report["comp_pct"] == stats.comp_pct(n_pes)
+        assert report["comm_pct"] == stats.comm_pct(n_pes)
+        assert report["disk_pct"] == stats.disk_pct(n_pes)
+        assert report["overlap_pct"] == stats.overlap_pct(n_pes)
+
+    # A checkpoint captures queued messages but not a move in flight.
+    @precondition(lambda self: not self.migrating)
+    @rule()
+    def checkpoint_restore(self) -> None:
+        snap = Checkpoint.from_bytes(checkpoint(self.rt).to_bytes())
+        self.rt, self.events = _fresh_runtime()
+        self.ptrs = restore(snap, self.rt, class_map={"Cell": Cell})
+        assert sorted(self.ptrs) == sorted(self.hits)
+
+    def teardown(self) -> None:
+        self.run()
+
+
+TestRuntimeMachine = RuntimeMachine.TestCase
+TestRuntimeMachine.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None,
+    derandomize=True,
+)
