@@ -15,9 +15,13 @@ bytes:
   Packs as ``residue + items`` and can emit **delta segments** carrying
   only the items appended since a recorded token, which is what lets the
   runtime spill an append-log instead of the whole object;
-* :class:`MeshPatchCodec` — the PUMG mesh-patch codec: points pack as a
-  flat float64 coordinate array (16 B/point) instead of generic pickle —
-  the compact mesh representation that directly cuts I/O volume;
+* :class:`PointColumn` — an append-only sequence of ``(x, y)`` points
+  held as one flat float64 array: the in-memory form of a patch's points
+  *is* their spill layout, so packing is ``tobytes()`` and unpacking is
+  one buffer read;
+* :class:`MeshPatchCodec` — the PUMG mesh-patch codec: points pack as
+  that flat float64 coordinate array (16 B/point) instead of generic
+  pickle — the compact mesh representation that directly cuts I/O volume;
 * :class:`BytesAppendCodec` — append-mostly raw byte payloads (grow-only
   buffers), deltas are byte suffixes;
 * :class:`SnapshotDeltaCodec` — for modeled stand-in objects whose
@@ -40,7 +44,8 @@ from __future__ import annotations
 import pickle
 import struct
 from array import array
-from typing import Any, Optional
+from itertools import chain
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.core.mobile import PickleSerializer, Serializer
 from repro.util.errors import SerializationError
@@ -52,6 +57,7 @@ __all__ = [
     "PickleCodec",
     "Pickle5Codec",
     "AppendStateCodec",
+    "PointColumn",
     "MeshPatchCodec",
     "BytesAppendCodec",
     "SnapshotDeltaCodec",
@@ -160,7 +166,7 @@ class AppendStateCodec(Serializer):
     def encode_items(self, items: Any) -> bytes:
         return pickle.dumps(list(items), protocol=pickle.HIGHEST_PROTOCOL)
 
-    def decode_items(self, data: bytes) -> Any:
+    def decode_items(self, data: memoryview) -> Any:
         return pickle.loads(data)
 
     def join_items(self, chunks: list) -> Any:
@@ -192,7 +198,8 @@ class AppendStateCodec(Serializer):
             (rlen,) = self._RLEN.unpack_from(data, 0)
             start = self._RLEN.size
             residue = pickle.loads(data[start:start + rlen])
-            items = self.decode_items(data[start + rlen:])
+            # A view, not a slice: the items are read out of ``data`` once.
+            items = self.decode_items(memoryview(data)[start + rlen:])
             return residue, items
         except SerializationError:
             raise
@@ -251,40 +258,133 @@ class AppendStateCodec(Serializer):
         return state
 
 
-class MeshPatchCodec(AppendStateCodec):
-    """PUMG mesh patches: points as a flat float64 coordinate array.
+def _flat_coordinates(points: Iterable) -> array:
+    """``[(x, y), ...]`` as ``array('d', [x0, y0, x1, y1, ...])``.
 
-    A mesh point is a ``(x, y)`` tuple; a region's ``points`` list packs
-    as ``array('d', [x0, y0, x1, y1, ...])`` — 16 bytes per point instead
-    of ~70 B of generic pickle per tuple — and refinement only appends
-    points, so delta spills carry just the new coordinates.
+    Every point must be a pair — a 1- or 3-tuple anywhere would shift
+    every coordinate after it — and every coordinate a real number.
+    """
+    if not isinstance(points, (list, tuple)):
+        points = list(points)
+    if points and set(map(len, points)) != {2}:
+        bad = next(p for p in points if len(p) != 2)
+        raise SerializationError(f"mesh-patch points must be 2-D, got {bad!r}")
+    return array("d", chain.from_iterable(points))
+
+
+class PointColumn:
+    """Append-only sequence of 2-D points over one flat float64 array.
+
+    Reads like the ``list[(x, y)]`` it replaces — ``len``, indexing,
+    contiguous slices (a new column), iteration, ``==`` against a column
+    or a list — but holds 16 bytes per point instead of a tuple and two
+    float objects, and nothing the cyclic collector has to walk.
+    ``flat`` (``[x0, y0, x1, y1, ...]``) is the ``mesh-patch`` wire
+    format, so a patch is packed by ``flat.tobytes()`` and unpacked by
+    one ``frombytes``.  There is no way to remove or overwrite a point:
+    delta spills rely on the column only ever growing.
     """
 
-    name = "mesh-patch"
-    append_field = "points"
+    __slots__ = ("flat",)
 
-    def encode_items(self, items: Any) -> bytes:
-        flat = array("d")
-        for p in items:
-            if len(p) != 2:
-                raise SerializationError(
-                    f"mesh-patch points must be 2-D, got {p!r}"
-                )
-            flat.append(float(p[0]))
-            flat.append(float(p[1]))
-        return flat.tobytes()
+    def __init__(self, points: Iterable = ()) -> None:
+        self.flat = array("d")
+        self.extend(points)
 
-    def decode_items(self, data: bytes) -> list:
+    @classmethod
+    def from_flat(cls, flat: array) -> "PointColumn":
+        """Adopt ``flat`` (an ``array('d')`` of even length) without a copy."""
+        if len(flat) % 2:
+            raise SerializationError("odd coordinate count in mesh patch")
+        column = cls.__new__(cls)
+        column.flat = flat
+        return column
+
+    @classmethod
+    def from_bytes(cls, data) -> "PointColumn":
+        """The column a float64 stream encodes (bytes-like, read once)."""
         flat = array("d")
         if len(data) % flat.itemsize:
             raise SerializationError(
                 f"coordinate array of {len(data)} B is not a whole "
                 "number of float64s"
             )
-        flat.frombytes(bytes(data))
-        if len(flat) % 2:
-            raise SerializationError("odd coordinate count in mesh patch")
-        return [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
+        flat.frombytes(data)
+        return cls.from_flat(flat)
+
+    def __len__(self) -> int:
+        return len(self.flat) >> 1
+
+    def __getitem__(self, index):
+        flat = self.flat
+        n = len(flat) >> 1
+        if isinstance(index, slice):
+            start, stop, step = index.indices(n)
+            if step != 1:
+                raise ValueError("a PointColumn slice must be contiguous")
+            return PointColumn.from_flat(flat[2 * start:2 * max(stop, start)])
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("PointColumn index out of range")
+        return (flat[2 * index], flat[2 * index + 1])
+
+    def __iter__(self) -> Iterator[tuple[float, float]]:
+        flat = self.flat
+        return zip(flat[0::2], flat[1::2])
+
+    def append(self, point) -> None:
+        self.flat.extend(_flat_coordinates((point,)))
+
+    def extend(self, points: Iterable) -> None:
+        if isinstance(points, PointColumn):
+            self.flat.extend(points.flat)
+        else:
+            self.flat.extend(_flat_coordinates(points))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PointColumn):
+            return self.flat == other.flat
+        if isinstance(other, list):
+            return len(other) == len(self) and list(self) == other
+        return NotImplemented
+
+    __hash__ = None  # mutable
+
+    def __reduce__(self):
+        return (PointColumn.from_bytes, (self.flat.tobytes(),))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"PointColumn({list(self)!r})"
+
+
+class MeshPatchCodec(AppendStateCodec):
+    """PUMG mesh patches: points as a flat float64 coordinate array.
+
+    A region's ``points`` is a :class:`PointColumn`, whose flat array
+    ``[x0, y0, x1, y1, ...]`` is the packed form — 16 bytes per point
+    instead of ~70 B of generic pickle per tuple — and refinement only
+    appends points, so delta spills carry just the new coordinates.
+    Unpacking returns a column; a plain ``list[(x, y)]`` still packs (to
+    the same bytes), so a caller that builds its state from a list works.
+    """
+
+    name = "mesh-patch"
+    append_field = "points"
+
+    def encode_items(self, items: Any) -> bytes:
+        if isinstance(items, PointColumn):
+            return items.flat.tobytes()
+        return _flat_coordinates(items).tobytes()
+
+    def decode_items(self, data: memoryview) -> PointColumn:
+        return PointColumn.from_bytes(data)
+
+    def join_items(self, chunks: list) -> PointColumn:
+        column = chunks[0]
+        for chunk in chunks[1:]:
+            column.extend(chunk)
+        return column
 
     def item_nbytes(self) -> Optional[int]:
         return 16  # two float64 coordinates
@@ -303,7 +403,7 @@ class BytesAppendCodec(AppendStateCodec):
     def encode_items(self, items: Any) -> bytes:
         return bytes(items)
 
-    def decode_items(self, data: bytes) -> bytes:
+    def decode_items(self, data: memoryview) -> bytes:
         return bytes(data)
 
     def join_items(self, chunks: list) -> bytes:

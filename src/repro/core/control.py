@@ -673,6 +673,9 @@ def migrate_proc(rt, oid: int, src: int, dst: int):
     data = pack_local(rt, rec, nrt.rank)
     queue = rec.queue
     del nrt.locals[oid]
+    # An idle worker may still hold this record from the last message it
+    # served; the instance must not outlive the move through it.
+    rec.obj = None
     nrt.prefetched.discard(oid)
     nrt.ooc.forget(oid)
     nrt.storage.delete(oid)

@@ -144,10 +144,12 @@ class MobileObject:
     def __init__(self, pointer: MobilePointer) -> None:
         self.pointer = pointer
         self._size_cache: Optional[int] = None
-        # Runtime-installed observer fired on mark_dirty(); lets the
-        # out-of-core layer keep Residency.dirty as the single source of
-        # truth for "storage copy is stale" without the object knowing
-        # anything about residency.
+        # Runtime-installed observer, called as ``cb(self)`` on
+        # mark_dirty(); lets the out-of-core layer keep Residency.dirty as
+        # the single source of truth for "storage copy is stale" without
+        # the object knowing anything about residency.  It must not
+        # reference this instance: an evicted object is freed by
+        # reference count, and a hook closing over it would be a cycle.
         self._dirty_cb: Optional[Any] = None
 
     # -- identity ----------------------------------------------------------
@@ -223,7 +225,7 @@ class MobileObject:
         self._size_cache = None
         cb = getattr(self, "_dirty_cb", None)
         if cb is not None:
-            cb()
+            cb(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(oid={self.pointer.oid})"

@@ -447,6 +447,7 @@ class MRTS:
             self.speculation.forget(ptr.oid)
         if rec.obj is not None:
             rec.obj.on_unregister(node)
+            rec.obj = None  # an idle worker may still hold the record
         nrt.prefetched.discard(ptr.oid)
         nrt.ooc.forget(ptr.oid)
         nrt.storage.delete(ptr.oid)

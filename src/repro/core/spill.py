@@ -165,18 +165,22 @@ def pack_local(rt, rec: LocalObject, rank: Optional[int] = None) -> bytes:
 def bind_dirty(nrt, oid: int, obj: MobileObject) -> None:
     """Install the dirty hook: object mutation -> residency + cache.
 
-    The hook only fires through to the layers while ``obj`` is the
-    node's current in-core instance — a stale reference held after a
-    spill or migration cannot corrupt the residency dirty bit.
+    ``mark_dirty()`` hands the hook the instance it fired on, and the
+    hook only goes through to the layers while that is the node's
+    current in-core instance — a stale reference held after a spill or
+    migration cannot corrupt the residency dirty bit.  The hook closes
+    over ``(nrt, oid)`` and never over ``obj``: the node's record is then
+    the only owner of an in-core instance, so ``rec.obj = None`` frees it
+    on the spot instead of leaving a cycle for the collector.
     """
 
-    def _on_dirty() -> None:
+    def on_dirty(fired: MobileObject) -> None:
         rec = nrt.locals.get(oid)
-        if rec is not None and rec.obj is obj:
+        if rec is not None and rec.obj is fired:
             rec.pack_cache = None
             nrt.ooc.mark_dirty(oid)
 
-    obj._dirty_cb = _on_dirty
+    obj._dirty_cb = on_dirty
 
 
 # ================================================= putting an object on a node

@@ -63,7 +63,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.core.codec import get_codec
+from repro.core.codec import PointColumn, get_codec
 from repro.core.config import MRTSConfig
 from repro.core.mobile import MobileObject
 from repro.core.runtime import MRTS, handler
@@ -152,10 +152,10 @@ class ReadOnlyActor(MobileObject):
 class PatchStreamActor(MobileObject):
     """An append-mostly mesh patch for the serialization-bound workload.
 
-    Points accumulate through the ``mesh-patch`` codec (flat float64
-    coordinate arrays, delta spills of the appended suffix) and each
-    append reports its growth via ``ctx.grew`` so the residency layer
-    never has to pack just to re-measure the object.
+    Points accumulate in a :class:`PointColumn` — the flat float64 array
+    the ``mesh-patch`` codec stores as it is, delta spills being the
+    appended suffix — and each append reports its growth via ``ctx.grew``
+    so the residency layer never has to pack just to re-measure the object.
     """
 
     serializer = get_codec("mesh-patch")
@@ -164,9 +164,9 @@ class PatchStreamActor(MobileObject):
         super().__init__(ptr)
         self.seed = seed
         rng = random.Random(f"{seed}:init")
-        self.points = [
+        self.points = PointColumn(
             (rng.random(), rng.random()) for _ in range(initial_points)
-        ]
+        )
 
     @handler
     def extend(self, ctx, n: int) -> None:

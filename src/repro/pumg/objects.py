@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.core.codec import get_codec
+from repro.core.codec import PointColumn, get_codec
 from repro.core.mobile import MobileObject
 from repro.core.packfile import morton2
 from repro.core.runtime import handler
@@ -93,9 +93,10 @@ class RegionObject(MobileObject):
     4. the leaf reports ``update(region_id, dirty_ids)`` to the coordinator.
 
     ``points`` is strictly append-only (refinement inserts, recreate
-    ships points in — nothing ever removes one), so the region uses the
-    mesh-patch codec: coordinates pack as a flat float64 array and
-    re-spills after refinement carry only the appended points.
+    ships points in — nothing ever removes one), so it is a
+    :class:`PointColumn` under the mesh-patch codec: the flat float64
+    array it holds is its packed form, and re-spills after refinement
+    carry only the appended points.  Messages still ship plain lists.
     """
 
     serializer = get_codec("mesh-patch")
@@ -114,7 +115,7 @@ class RegionObject(MobileObject):
         super().__init__(pointer)
         self.region_id = region_id
         self.box = tuple(box)
-        self.points = list(points)
+        self.points = PointColumn(points)
         self.neighbor_ids = list(neighbor_ids)
         self.sizing_spec = sizing_spec
         self.quality_bound = quality_bound
@@ -264,8 +265,9 @@ class RegionObject(MobileObject):
                 self._request_segments(ctx)
         else:
             # We are a buffer member: ship our points to the leaf.
-            if not ctx.call_direct(leaf_ptr, "add_to_buffer", self.points):
-                ctx.post(leaf_ptr, "add_to_buffer", self.points)
+            pts = list(self.points)
+            if not ctx.call_direct(leaf_ptr, "add_to_buffer", pts):
+                ctx.post(leaf_ptr, "add_to_buffer", pts)
 
     @handler
     def add_to_buffer(self, ctx, pts: list[Point]) -> None:
@@ -283,8 +285,9 @@ class RegionObject(MobileObject):
             ctx.post(self.registry, "request_segments", box_tuple, self.pointer)
 
     def _patch_box(self) -> BoundingBox:
-        xs = [p[0] for p in self.points + self._buffer_pts]
-        ys = [p[1] for p in self.points + self._buffer_pts]
+        pts = [*self.points, *self._buffer_pts]
+        xs = [p[0] for p in pts]
+        ys = [p[1] for p in pts]
         if not xs:
             b = self.box
             return BoundingBox(b[0], b[1], b[2], b[3])
@@ -316,7 +319,7 @@ class RegionObject(MobileObject):
         else:
             insert_region = owner
         result = patch_refine(
-            self.points + self._buffer_pts,
+            [*self.points, *self._buffer_pts],
             segments,
             sizing,
             insert_region,

@@ -9,13 +9,15 @@ triangle verdicts), polling from a coroutine that re-arms a
 ``Engine.poll``), and the out-of-core planning paths as scans (the lazy
 pressure heap, full-sort swap plans, the prefetch picker's plain loop and
 the sorting ready-queue snapshot, as they were before they planned from
-indexes).
+indexes), and the ``mesh-patch`` item codec one point at a time (what
+``MeshPatchCodec`` did before a patch's points were a ``PointColumn``).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from fractions import Fraction
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
@@ -25,7 +27,7 @@ from repro.geometry.pslg import BoundingBox
 from repro.mesh.sizing import SizingFunction
 from repro.mesh.triangulation import NO_TRI, Triangulation
 from repro.pumg.patch import PatchResult, _in_box
-from repro.util.errors import OutOfMemory
+from repro.util.errors import OutOfMemory, SerializationError
 
 
 def sign(x) -> int:
@@ -405,3 +407,32 @@ def prefetch_candidates_scan(
 def sorted_snapshot(queue) -> list[int]:
     """``ReadyQueue.snapshot`` as it was (verbatim): sort members by seq."""
     return sorted(queue._entries, key=lambda oid: queue._entries[oid][0])
+
+
+def mesh_patch_encode_per_point(items) -> bytes:
+    """``MeshPatchCodec.encode_items`` as it was (verbatim): one length
+    check and two ``float()`` calls per point."""
+    flat = array("d")
+    for p in items:
+        if len(p) != 2:
+            raise SerializationError(
+                f"mesh-patch points must be 2-D, got {p!r}"
+            )
+        flat.append(float(p[0]))
+        flat.append(float(p[1]))
+    return flat.tobytes()
+
+
+def mesh_patch_decode_per_point(data: bytes) -> list:
+    """``MeshPatchCodec.decode_items`` as it was (verbatim): a list of
+    ``(x, y)`` tuples built point by point."""
+    flat = array("d")
+    if len(data) % flat.itemsize:
+        raise SerializationError(
+            f"coordinate array of {len(data)} B is not a whole "
+            "number of float64s"
+        )
+    flat.frombytes(bytes(data))
+    if len(flat) % 2:
+        raise SerializationError("odd coordinate count in mesh patch")
+    return [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]

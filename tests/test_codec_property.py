@@ -9,17 +9,26 @@ Every registered codec must satisfy the Serializer contract:
   full pack of the evolved state);
 * ``size_estimate`` (when provided) is a positive int;
 * packs survive the compression tier and the CRC32 frame layer, and a
-  corrupted compressed frame is *rejected*, never silently inflated.
+  corrupted compressed frame is *rejected*, never silently inflated;
+* a :class:`PointColumn` and the list it was built from are one value to
+  the ``mesh-patch`` codec — same bytes, same points back, bit for bit —
+  and both are what the per-point codec in ``oracles.py`` produced.
 """
+
+import copy
+import pickle
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import mesh_patch_decode_per_point, mesh_patch_encode_per_point
 from repro.core.codec import (
     AppendStateCodec,
     BytesAppendCodec,
     MeshPatchCodec,
     Pickle5Codec,
+    PointColumn,
     get_codec,
     register_codec,
     registered_codecs,
@@ -281,3 +290,165 @@ def test_append_state_codec_base_defaults():
     assert codec.unpack_segments(
         [codec.pack(state), codec.pack_delta(grown, token)]
     ) == grown
+
+
+# ------------------------------------------- PointColumn == list == oracle
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _bits(points) -> list[tuple[bytes, bytes]]:
+    """Points as raw float64 bit patterns: ``-0.0`` is not ``0.0`` and a
+    NaN equals itself, payload included."""
+    return [(struct.pack("<d", x), struct.pack("<d", y)) for x, y in points]
+
+
+# Every float64 there is: signed zeros, infinities, subnormals, and NaNs
+# with arbitrary payload bits (Hypothesis's own NaN is one bit pattern).
+ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), 5e-324,
+                     -5e-324, 2.2250738585072009e-308]),
+    st.integers(0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF).map(_from_bits),
+    st.integers(0xFFF0000000000001, 0xFFFFFFFFFFFFFFFF).map(_from_bits),
+)
+ANY_POINTS = st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT), max_size=40)
+
+
+@given(points=ANY_POINTS)
+def test_column_list_and_oracle_encode_to_the_same_bytes(points):
+    codec = get_codec("mesh-patch")
+    want = mesh_patch_encode_per_point(points)
+    assert codec.encode_items(points) == want
+    assert codec.encode_items(PointColumn(points)) == want
+    assert codec.encode_items(tuple(points)) == want
+
+
+@given(points=ANY_POINTS)
+def test_decode_equals_the_oracle_point_for_point(points):
+    codec = get_codec("mesh-patch")
+    data = mesh_patch_encode_per_point(points)
+    want = _bits(mesh_patch_decode_per_point(data))
+    assert want == _bits(points)
+    for view in (data, bytearray(data), memoryview(data)):
+        column = codec.decode_items(view)
+        assert isinstance(column, PointColumn)
+        assert len(column) == len(points)
+        assert _bits(column) == want                       # iteration
+        assert _bits(column[i] for i in range(len(column))) == want
+        assert _bits(column[-i - 1] for i in range(len(column))) == want[::-1]
+
+
+@settings(max_examples=60)
+@given(start=ANY_POINTS, appends=st.lists(ANY_POINTS, max_size=4),
+       residue=RESIDUE)
+def test_base_plus_delta_segments_reassemble_to_the_full_pack(
+        start, appends, residue):
+    codec = get_codec("mesh-patch")
+    column, as_list = PointColumn(start), list(start)
+    state = dict(residue, points=column)
+    segments = [codec.pack(state)]
+    for extra in appends:
+        token = codec.delta_token(state)
+        column.extend(extra)
+        as_list.extend(extra)
+        segments.append(codec.pack_delta(state, token))
+        # A list-holding caller produces the very same delta segment.
+        assert segments[-1] == codec.pack_delta(
+            dict(residue, points=as_list), token)
+    full = codec.pack(state)
+    assert full == codec.pack(dict(residue, points=as_list))
+    rebuilt = codec.unpack_segments(segments)
+    assert codec.pack(rebuilt) == full
+    assert _bits(rebuilt["points"]) == _bits(as_list)
+    assert codec.size_estimate(state) == codec.size_estimate(
+        dict(residue, points=as_list))
+
+
+@given(points=ANY_POINTS, cut=st.data())
+def test_column_reads_like_the_list_it_replaces(points, cut):
+    column = PointColumn(points)
+    n = len(points)
+    lo = cut.draw(st.integers(-n - 2, n + 2), label="lo")
+    hi = cut.draw(st.integers(-n - 2, n + 2), label="hi")
+    for piece, want in ((column[lo:hi], points[lo:hi]),
+                        (column[lo:], points[lo:]), (column[:hi], points[:hi])):
+        assert isinstance(piece, PointColumn)
+        assert _bits(piece) == _bits(want)
+    with pytest.raises(ValueError):
+        column[::2]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            column[bad]
+    # Copies and pickles are columns over the same bits.
+    for twin in (copy.deepcopy(column), pickle.loads(pickle.dumps(column)),
+                 PointColumn(column)):
+        assert isinstance(twin, PointColumn) and twin is not column
+        assert twin.flat is not column.flat
+        assert _bits(twin) == _bits(points)
+
+
+@given(points=POINTS, other=POINTS)
+def test_column_equality_against_columns_and_lists(points, other):
+    column = PointColumn(points)
+    assert column == points and points == column
+    assert column == PointColumn(points)
+    assert (column == PointColumn(other)) == (points == other)
+    assert (column == other) == (points == other)
+    assert (column != other) == (points != other)
+    assert column != tuple(points) or not points  # only lists and columns
+    with pytest.raises(TypeError):
+        hash(column)
+
+
+@given(points=ANY_POINTS, at=st.data(),
+       bad=st.sampled_from([(1.0,), (1.0, 2.0, 3.0), ()]))
+def test_a_point_that_is_not_a_pair_is_refused_everywhere(points, at, bad):
+    codec = get_codec("mesh-patch")
+    pos = at.draw(st.integers(0, len(points)), label="pos")
+    poisoned = points[:pos] + [bad] + points[pos:]
+    column = PointColumn(points)
+    with pytest.raises(SerializationError):
+        column.append(bad)
+    with pytest.raises(SerializationError):
+        column.extend(poisoned)
+    with pytest.raises(SerializationError):
+        column.extend(iter(poisoned))
+    with pytest.raises(SerializationError):
+        PointColumn(poisoned)
+    assert _bits(column) == _bits(points)  # a refused call appends nothing
+    with pytest.raises(SerializationError):
+        codec.encode_items(poisoned)
+    with pytest.raises(SerializationError):
+        mesh_patch_encode_per_point(poisoned)
+    with pytest.raises(SerializationError):
+        codec.pack({"points": poisoned})
+
+
+def test_decode_rejects_torn_coordinate_arrays():
+    codec = get_codec("mesh-patch")
+    whole = mesh_patch_encode_per_point([(1.0, 2.0), (3.0, 4.0)])
+    for torn in (whole[:-1], whole[:-8], whole[:8], b"\0"):
+        with pytest.raises(SerializationError):
+            codec.decode_items(torn)
+        with pytest.raises(SerializationError):
+            mesh_patch_decode_per_point(torn)
+        with pytest.raises(SerializationError):
+            codec.unpack(codec.pack({"points": []}) + torn)
+    assert len(codec.decode_items(b"")) == 0
+
+
+def test_decode_reads_its_buffer_once(monkeypatch):
+    """The stored blob is neither sliced nor copied on the way to the
+    column: the items arrive as a view over the caller's bytes."""
+    codec = MeshPatchCodec()
+    blob = codec.pack({"points": [(1.0, 2.0)] * 64, "region_id": 3})
+    seen = []
+    decode = MeshPatchCodec.decode_items
+    monkeypatch.setattr(
+        MeshPatchCodec, "decode_items",
+        lambda self, data: seen.append(data) or decode(self, data))
+    codec.unpack(blob)
+    (view,) = seen
+    assert isinstance(view, memoryview) and view.obj is blob
+    assert view.nbytes == 64 * 16

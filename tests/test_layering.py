@@ -112,6 +112,69 @@ def test_one_accounting_path():
     assert _accounting_lines(CORE / "stats.py")  # the pattern still matches
 
 
+# ------------------------------------- no hook closes over what it hangs on
+def _bound_names(fn) -> set[str]:
+    """Names a function binds itself: parameters, assignment targets,
+    nested definitions (nested scopes' own bindings are not its own)."""
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+    if isinstance(fn, ast.Lambda):
+        return names
+    for node in _own_nodes(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+    return names
+
+
+def _closure_variables(inner, outer) -> set[str]:
+    """Variables of ``outer`` that ``inner`` (defined in it) closes over."""
+    loaded = {n.id for n in ast.walk(inner)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return (loaded - _bound_names(inner)) & _bound_names(outer)
+
+
+def _hooks_hung_on_objects(path: Path):
+    """``(function, target, closure variables)`` for every
+    ``target.attr = <a function defined right here>`` in ``path``."""
+    for outer in ast.walk(_tree(path)):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inner_defs = {n.name: n for n in _own_nodes(outer)
+                      if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for node in _own_nodes(outer):
+            if not isinstance(node, ast.Assign):
+                continue
+            value = node.value
+            if isinstance(value, ast.Name):
+                value = inner_defs.get(value.id)
+            if not isinstance(value, (ast.FunctionDef, ast.Lambda)):
+                continue
+            for target in node.targets:
+                if isinstance(target, ast.Attribute) \
+                        and isinstance(target.value, ast.Name):
+                    yield (outer.name, target.value.id,
+                           _closure_variables(value, outer))
+
+
+def test_no_hook_closes_over_the_object_it_is_installed_on():
+    """``obj.attr = closure`` with ``obj`` free in the closure is a
+    reference cycle: the object then outlives its eviction until the
+    cyclic collector runs, which is host memory the out-of-core layer
+    believes it released.  The dirty hook is the one such assignment in
+    ``core/``; it closes over the node and the object id, and gets the
+    instance as an argument."""
+    found = {}
+    for path in sorted(CORE.glob("*.py")):
+        for fn, target, captured in _hooks_hung_on_objects(path):
+            assert target not in captured, \
+                f"{path.name}:{fn} hangs a closure over {target!r} on it"
+            found[f"{path.stem}.{fn}"] = captured
+    assert found["spill.bind_dirty"] == {"nrt", "oid"}
+
+
 # ------------------------------------------- cross-module underscore reads
 _RT_NAMES = {"rt", "runtime", "mrts"}
 

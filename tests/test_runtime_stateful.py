@@ -13,14 +13,22 @@ cross-layer invariants hold, the runtime is quiescent, and the overlap
 analyzer over the event stream equals ``RunStats`` exactly — the
 :class:`~repro.core.stats.Ledger` contract, checked on random API
 sequences rather than on fixed workloads.
+
+After every step, with the cyclic collector off for the machine's
+lifetime: the only ``Cell`` instances of this runtime still alive are the
+``rec.obj`` of its live records — whatever a step evicted, moved or
+replaced was freed by reference count during that step.
 """
 
+import gc
 import random
+import weakref
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
+    invariant,
     precondition,
     rule,
 )
@@ -45,6 +53,9 @@ def _next_peer(oid: int, peers: list, token: str):
     return peers[random.Random(f"{SEED}:{oid}:{token}").randrange(len(peers))]
 
 
+_ALIVE = weakref.WeakSet()  # every Cell incarnation not yet freed
+
+
 class Cell(MobileObject):
     """Counts hits, grows, and relays along a token-determined path."""
 
@@ -53,6 +64,11 @@ class Cell(MobileObject):
         self.payload = bytes(PAYLOAD)
         self.hits = 0
         self.peers = list(peers)
+        _ALIVE.add(self)
+
+    def set_state(self, state) -> None:
+        super().set_state(state)
+        _ALIVE.add(self)  # a rehydrated incarnation skips __init__
 
     @handler
     def hit(self, ctx, hops: int, token: str) -> None:
@@ -88,6 +104,7 @@ def _fresh_runtime():
 class RuntimeMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
+        gc.disable()  # until teardown: freed must mean freed by refcount
         self.rt, self.events = _fresh_runtime()
         self.ptrs: dict[int, object] = {}      # oid -> live pointer
         # The reference: plain dicts keyed by oid.
@@ -228,8 +245,24 @@ class RuntimeMachine(RuleBasedStateMachine):
         self.ptrs = restore(snap, self.rt, class_map={"Cell": Cell})
         assert sorted(self.ptrs) == sorted(self.hits)
 
+    @invariant()
+    def only_current_instances_survive(self) -> None:
+        rt = self.rt
+        # This runtime's incarnations carry its canonical pointers (a
+        # runtime dropped by checkpoint_restore is cyclic scaffolding and
+        # the collector's; its cells carry other pointer objects).
+        alive = {id(c) for c in list(_ALIVE)
+                 if rt.pointers.get(c.pointer.oid) is c.pointer}
+        current = {id(rec.obj) for nrt in rt.nodes
+                   for rec in nrt.locals.values() if rec.obj is not None}
+        assert alive == current
+
     def teardown(self) -> None:
-        self.run()
+        try:
+            self.run()
+        finally:
+            gc.enable()
+            gc.collect()
 
 
 TestRuntimeMachine = RuntimeMachine.TestCase
