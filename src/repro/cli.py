@@ -338,7 +338,8 @@ def _perf_dist(
     The dist_storm entry is merged into (not overwriting) the committed
     report so the simulator baselines stay regression-gated; the hard
     verdict here is ``state_equal`` — the distributed run must land on
-    exactly the single-process reference state.
+    exactly the single-process reference state — plus an empty list of
+    worker residency violations.
     """
     from repro import perf
 
@@ -363,9 +364,12 @@ def _perf_dist(
     perf.write_report(report, path)
     if trace_out:
         print(f"  merged cross-process trace written to {trace_out}")
-    verdict = "PASS" if metrics["state_equal"] else "FAIL (state diverged)"
+    for violation in metrics["residency_violations"]:
+        print(f"  VIOLATION: {violation}")
+    ok = metrics["state_equal"] and not metrics["residency_violations"]
+    verdict = "PASS" if ok else "FAIL (state diverged or residency violated)"
     print(f"[perf --backend dist {verdict}; {path} updated in {elapsed:.1f}s]")
-    return 0 if metrics["state_equal"] else 1
+    return 0 if ok else 1
 
 
 def _chaos_dist(seed: int) -> int:

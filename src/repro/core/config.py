@@ -47,11 +47,6 @@ class MRTSConfig:
       the segments appended since the last stored copy, as an append-log
       of frames; also requires ``checksum_frames`` (segment boundaries
       are frames).
-    * ``delta_log_frames_max`` — compact (full re-store) once an
-      object's append-log reaches this many frames.
-    * ``delta_compact_factor`` — compact when the log's payload bytes
-      exceed this multiple of the base segment (real-payload objects
-      only; modeled stand-ins compact on frame count alone).
 
     Load-side knobs (PR 7):
 
@@ -99,8 +94,6 @@ class MRTSConfig:
     degraded: bool = False
     compress_spills: bool = True
     delta_spills: bool = True
-    delta_log_frames_max: int = 8
-    delta_compact_factor: float = 2.0
     packfile_spills: bool = True
     learned_prefetch: bool = True
     neighborhood_warm: int = 1
@@ -140,9 +133,5 @@ class MRTSConfig:
             raise ConfigError("message_aggregation must be >= 1")
         if self.storage_retries < 0:
             raise ConfigError("storage_retries must be >= 0")
-        if self.delta_log_frames_max < 1:
-            raise ConfigError("delta_log_frames_max must be >= 1")
-        if self.delta_compact_factor < 1.0:
-            raise ConfigError("delta_compact_factor must be >= 1")
         if self.neighborhood_warm < 0:
             raise ConfigError("neighborhood_warm must be >= 0")

@@ -21,7 +21,7 @@ from typing import Any, Optional
 
 from repro.util.errors import SerializationError
 
-__all__ = ["MobilePointer", "MobileObject", "Serializer", "PickleSerializer"]
+__all__ = ["MobilePointer", "MobileObject", "Serializer", "PickleSerializer", "revive"]
 
 
 @dataclass
@@ -229,3 +229,15 @@ class MobileObject:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(oid={self.pointer.oid})"
+
+
+def revive(cls: type, pointer: MobilePointer, segments: list[bytes]) -> MobileObject:
+    """A fresh ``cls`` at ``pointer`` holding packed ``segments`` (one full
+    pack, or a stored base plus delta frames); ``__init__`` does not run."""
+    obj = object.__new__(cls)
+    MobileObject.__init__(obj, pointer)
+    if len(segments) == 1:
+        obj.unpack(segments[0])
+    else:
+        obj.unpack_segments(segments)
+    return obj

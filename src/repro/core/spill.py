@@ -22,8 +22,15 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from repro.core.messages import MessageQueue
-from repro.core.mobile import MobileObject
+from repro.core.mobile import MobileObject, revive
 from repro.util.errors import CorruptObject, MRTSError, OutOfMemory
+
+#: Delta-spill compaction bounds: a full re-store once an object's
+#: append-log holds this many frames, or (real payloads only; modeled
+#: stand-ins compact on frame count alone) once the log's payload bytes
+#: exceed this multiple of the base segment.
+DELTA_LOG_FRAMES_MAX = 8
+DELTA_COMPACT_FACTOR = 2.0
 
 __all__ = [
     "LocalObject",
@@ -185,18 +192,8 @@ def bind_dirty(nrt, oid: int, obj: MobileObject) -> None:
 
 # ================================================= putting an object on a node
 def rehydrate(rt, oid: int, segments: list) -> MobileObject:
-    """A fresh instance of ``oid``'s class holding the packed state.
-
-    ``segments`` is one full pack, or a stored append-log (base plus
-    delta frames) that the serializer reassembles.
-    """
-    obj = object.__new__(rt.object_class(oid))
-    MobileObject.__init__(obj, rt.pointers[oid])
-    if len(segments) == 1:
-        obj.unpack(segments[0])
-    else:
-        obj.unpack_segments(segments)
-    return obj
+    """A fresh instance of ``oid``'s class holding the packed state."""
+    return revive(rt.object_class(oid), rt.pointers[oid], segments)
 
 
 def admit(rt, nrt, oid: int, nbytes: int) -> None:
@@ -320,13 +317,12 @@ def store_spill(rt, nrt, rec: LocalObject, oid: int, modeled: int) -> int:
     objects charge the post-compression appended bytes.  Full path:
     store the whole pack and charge the modeled size, exactly as
     before delta spills existed.  Compaction (a forced full store)
-    triggers on ``delta_log_frames_max`` for everyone and
-    additionally on ``delta_compact_factor`` for real payloads,
+    triggers on ``DELTA_LOG_FRAMES_MAX`` for everyone and
+    additionally on ``DELTA_COMPACT_FACTOR`` for real payloads,
     bounding both reassembly work and log bloat.
     """
     obj = rec.obj
     ser = obj.serializer
-    cfg = rt.config
     pf = nrt.packfile
     if pf is not None:
         # Push the object's curve position down to the pack layout so
@@ -337,7 +333,7 @@ def store_spill(rt, nrt, rec: LocalObject, oid: int, modeled: int) -> int:
     if (
         delta_capable
         and rec.stored_token is not None
-        and rec.log_frames < cfg.delta_log_frames_max
+        and rec.log_frames < DELTA_LOG_FRAMES_MAX
     ):
         wall0 = _time.perf_counter()
         payload = ser.pack_delta(obj.get_state(), rec.stored_token)
@@ -350,7 +346,7 @@ def store_spill(rt, nrt, rec: LocalObject, oid: int, modeled: int) -> int:
         payload is not None
         and not is_modeled
         and rec.log_payload_bytes + len(payload)
-        > cfg.delta_compact_factor * max(rec.base_payload_bytes, 1)
+        > DELTA_COMPACT_FACTOR * max(rec.base_payload_bytes, 1)
     ):
         payload = None  # log outgrew its base: compact via full store
     if payload is not None:

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.core.config import MRTSConfig
-from repro.core.mobile import MobileObject, MobilePointer
+from repro.core.mobile import MobileObject, MobilePointer, revive
 from repro.dist.events import EventMerger, decode_event
 from repro.dist.recovery import ShardRecoveryPolicy
 from repro.dist.shard import HashRing
@@ -85,6 +85,11 @@ class DistRunStats:
 
     def aggregate(self, key: str) -> int:
         return sum(int(s.get(key, 0)) for s in self.worker_stats.values())
+
+    def residency_violations(self) -> list[str]:
+        """What each worker's shutdown residency check found."""
+        return [v for s in self.worker_stats.values()
+                for v in s.get("residency_violations", ())]
 
 
 @dataclass
@@ -252,11 +257,10 @@ class DistRuntime:
         entry = self.directory.get(target.oid)
         if entry is None:
             raise ObjectNotFound(f"object {target.oid} unknown")
-        cls = resolve_class(entry.cls_path)
-        obj = object.__new__(cls)
-        MobileObject.__init__(obj, MobilePointer(target.oid, entry.home))
-        obj.unpack(entry.state)
-        return obj
+        return revive(
+            resolve_class(entry.cls_path),
+            MobilePointer(target.oid, entry.home), [entry.state],
+        )
 
     # --------------------------------------------------------------- faults
     def kill_worker(self, rank: int) -> None:

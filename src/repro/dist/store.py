@@ -1,27 +1,13 @@
-"""Tiered residency for shard workers: core -> peer memory -> disk.
+"""The media under a shard worker's spills: peer memory over local disk.
 
-Each worker holds its shard's objects live in a bounded in-core tier
-(L0).  Under pressure it packs the least-recently-used object and demotes
-the bytes down the hierarchy:
-
-* **L1 — peer memory**: a bounded :class:`~repro.core.remote_memory.MemoryPool`
-  slab hosted by the ring neighbor's :class:`PeerMemoryServer` thread and
-  reached over a dedicated pipe.  Writes are **write-through**: every
-  demotion also lands on the local disk stack, so losing a peer (the
-  worker-kill chaos cell murders peers constantly) costs speed, never
-  bytes.  The pool itself evicts under pressure into the *host's* overflow
-  backend — the eviction-on-peer-pressure path of
-  :class:`~repro.core.remote_memory.MemoryPool`.
-* **L2 — local disk**: the same self-healing stack the single-process
-  runtime composes (retry + checksummed frames + counting), built by
-  :func:`~repro.core.storage.build_storage_stack` with a real
-  ``time.sleep`` for backoff.
-
-Loads probe L1 first and fall back to L2; a dead or cold peer is recorded
-in the counters (``peer_fallbacks``) but is never an error.  The
-coordinator's replicated directory entry is the tier of last resort and
-is only consulted at shard re-home — a worker that is alive can always
-satisfy its own loads from L1/L2.
+Residency is the single-process :class:`~repro.core.ooc.OOCLayer`; this
+module supplies only the medium.  :class:`PeerTier` is one raw
+:class:`~repro.core.storage.StorageBackend` over a private disk and the
+ring neighbor's RAM — a bounded :class:`~repro.core.remote_memory.MemoryPool`
+slab served by that neighbor's :class:`PeerMemoryServer` thread, which
+evicts under pressure into its host's overflow backend.  Composed under
+:func:`~repro.core.storage.build_storage_stack`, the peer copy gets the
+retries, checksummed frames and compression the disk copy gets.
 
 Everything here is transport-agnostic: the peer client/server speak any
 object with ``send``/``recv``/``poll`` (a ``multiprocessing`` connection
@@ -32,16 +18,15 @@ which is how the forked worker internals stay inside coverage).
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.core.mobile import MobileObject, MobilePointer
+from repro.core.mobile import MobileObject
 from repro.core.remote_memory import MemoryPool
 from repro.core.storage import StorageBackend
 from repro.dist.wire import PeerOp, PeerReply
-from repro.util.errors import ObjectNotFound, StorageFull
+from repro.util.errors import StorageFull
 
-__all__ = ["PeerMemoryServer", "PeerClient", "TieredStore", "resolve_class"]
+__all__ = ["PeerMemoryServer", "PeerClient", "PeerTier", "resolve_class"]
 
 
 def resolve_class(cls_path: str) -> type:
@@ -117,10 +102,11 @@ class PeerMemoryServer:
 class PeerClient:
     """The worker-side handle on its neighbor's memory server.
 
-    Any transport failure (broken pipe, reply timeout, refused put) marks
-    the peer dead and makes every later call a cheap no-op miss — the
-    tiered store then leans on its disk copy.  ``timeout_s`` bounds how
-    long a live-looking but wedged peer can stall a load.
+    Any transport failure (broken pipe, reply timeout) marks the peer
+    dead and makes every later call a cheap no-op miss — the peer tier
+    then leans on its disk copy.  A refused put is an answer, not a
+    failure.  ``timeout_s`` bounds how long a live-looking but wedged
+    peer can stall a load.
     """
 
     def __init__(self, conn, timeout_s: float = 2.0) -> None:
@@ -158,6 +144,9 @@ class PeerClient:
             return reply.data
         return None
 
+    def drop(self, oid: int) -> None:
+        self._call(PeerOp("del", oid))
+
     def close(self) -> None:
         if self.conn is not None and not self.dead:
             try:
@@ -166,158 +155,41 @@ class PeerClient:
                 pass
 
 
-class TieredStore:
-    """A worker's residency hierarchy: live objects over packed tiers.
+class PeerTier(StorageBackend):
+    """Peer RAM in front of a write-through disk.
 
-    L0 is an LRU of live :class:`MobileObject` instances bounded by
-    ``budget_bytes`` (of ``obj.nbytes()``).  Demotion packs the victim and
-    writes through to disk, opportunistically caching the bytes in peer
-    memory; promotion unpacks from the fastest tier holding the bytes.
-    ``on_event`` (if given) receives obs events (EvictEvent / LoadEvent)
-    for the cross-process relay.
+    Every store lands on disk: the peer may be the next chaos victim, so
+    losing it costs speed, never bytes.  Loads try the peer first and
+    fall back to disk.  A ``put`` the peer refuses or fails drops the
+    peer's copy, or an older copy left there would win the next load.
     """
 
-    def __init__(
-        self,
-        budget_bytes: int,
-        disk: StorageBackend,
-        peer: Optional[PeerClient] = None,
-        on_event: Optional[Callable] = None,
-        node: int = 0,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        if budget_bytes <= 0:
-            raise ValueError("budget_bytes must be positive")
-        self.budget = budget_bytes
+    def __init__(self, disk: StorageBackend, client: PeerClient) -> None:
         self.disk = disk
-        self.peer = peer
-        self.on_event = on_event
-        self.node = node
-        self.clock = clock or (lambda: 0.0)
-        self._live: OrderedDict[int, MobileObject] = OrderedDict()
-        self.classes: dict[int, type] = {}
-        self._charged: dict[int, int] = {}  # oid -> bytes booked against L0
-        self.used = 0
-        self.evictions = 0
-        self.loads = 0
-        self.peer_hits = 0
-        self.peer_fallbacks = 0
+        self.client = client
+        self.fallbacks = 0
 
-    # --------------------------------------------------------------- helpers
-    def _emit(self, event) -> None:
-        if self.on_event is not None:
-            self.on_event(event)
-
-    def owned(self) -> set[int]:
-        """Every oid this store is responsible for (live or packed)."""
-        return set(self.classes)
-
-    def _revive(self, oid: int, data: bytes) -> MobileObject:
-        cls = self.classes[oid]
-        obj = object.__new__(cls)
-        MobileObject.__init__(obj, MobilePointer(oid, self.node))
-        obj.unpack(data)
-        return obj
-
-    # ----------------------------------------------------------------- admit
-    def admit(self, oid: int, cls: type, state: bytes) -> None:
-        """Install (or overwrite) an object from packed state.
-
-        Used for Create and for re-homed shards; an overwrite supersedes
-        any stale packed copy a previous life left in the lower tiers.
-        """
-        self.classes[oid] = cls
-        if oid in self._live:
-            del self._live[oid]
-            self.used -= self._charged.pop(oid)
-        obj = self._revive(oid, state)
-        self._install(oid, obj)
-
-    def _install(self, oid: int, obj: MobileObject) -> None:
-        nbytes = obj.nbytes()
-        self._make_room(nbytes)
-        self._live[oid] = obj
-        self._live.move_to_end(oid)
-        self._charged[oid] = nbytes
-        self.used += nbytes
-
-    def _make_room(self, need: int) -> None:
-        # Evict LRU objects until the newcomer fits; a single object
-        # larger than the whole budget is admitted anyway (and will be
-        # the next victim), matching the OOC layer's overrun tolerance.
-        while self.used + need > self.budget and self._live:
-            victim_oid, obj = next(iter(self._live.items()))
-            self._evict(victim_oid, obj)
-
-    def _evict(self, oid: int, obj: MobileObject) -> None:
-        del self._live[oid]
-        self.used -= self._charged.pop(oid)
-        data = obj.pack()
-        # Write-through: disk always gets a copy (peer RAM is volatile —
-        # its owner may be the next chaos victim); peer memory is the
-        # fast read path when it is alive and has room.
+    def store(self, oid: int, data: bytes) -> None:
         self.disk.store(oid, data)
-        if self.peer is not None:
-            self.peer.put(oid, data)
-        self.evictions += 1
-        self._emit_evict(oid, len(data))
+        if not self.client.put(oid, data):
+            self.client.drop(oid)
 
-    def _emit_evict(self, oid: int, nbytes: int) -> None:
-        from repro.obs.events import EvictEvent
-
-        self._emit(EvictEvent(
-            time=self.clock(), node=self.node, oid=oid, nbytes=nbytes,
-            clean=False, memory_used=self.used,
-        ))
-
-    # ------------------------------------------------------------------- get
-    def get(self, oid: int) -> MobileObject:
-        """The live object, promoting it through the tiers if needed."""
-        obj = self._live.get(oid)
-        if obj is not None:
-            self._live.move_to_end(oid)
-            return obj
-        if oid not in self.classes:
-            raise ObjectNotFound(f"object {oid} is not homed on this shard")
-        data = None
-        if self.peer is not None:
-            data = self.peer.get(oid)
-            if data is not None:
-                self.peer_hits += 1
-            else:
-                self.peer_fallbacks += 1
+    def load(self, oid: int) -> bytes:
+        data = self.client.get(oid)
         if data is None:
-            data = self.disk.load(oid)
-        obj = self._revive(oid, data)
-        self._install(oid, obj)
-        self.loads += 1
-        from repro.obs.events import LoadEvent
+            self.fallbacks += 1
+            return self.disk.load(oid)
+        return data
 
-        self._emit(LoadEvent(
-            time=self.clock(), node=self.node, oid=oid, nbytes=len(data),
-            background=False, memory_used=self.used,
-        ))
-        return obj
+    def delete(self, oid: int) -> None:
+        self.disk.delete(oid)
+        self.client.drop(oid)
 
-    def touch_size(self, oid: int) -> None:
-        """Re-measure a live object after a mutating handler ran."""
-        obj = self._live.get(oid)
-        if obj is None:
-            return
-        obj.mark_dirty()  # drop the stale nbytes() cache
-        new = obj.nbytes()
-        self.used += new - self._charged[oid]
-        self._charged[oid] = new
-        self._live.move_to_end(oid)  # just ran: most recently used
-        self._make_room(0)
+    def contains(self, oid: int) -> bool:
+        return self.disk.contains(oid)
 
-    def counters(self) -> dict:
-        return {
-            "evictions": self.evictions,
-            "loads": self.loads,
-            "peer_hits": self.peer_hits,
-            "peer_fallbacks": self.peer_fallbacks,
-            "peer_puts": self.peer.puts if self.peer else 0,
-            "live": len(self._live),
-            "owned": len(self.classes),
-        }
+    def size(self, oid: int) -> int:
+        return self.disk.size(oid)
+
+    def stored_ids(self) -> list[int]:
+        return self.disk.stored_ids()

@@ -28,17 +28,17 @@ import time
 import traceback
 from typing import Optional
 
-from repro.core.mobile import MobilePointer
+from repro.core.mobile import MobileObject, MobilePointer, revive
+from repro.core.ooc import OOCLayer
 from repro.core.remote_memory import MemoryPool
-from repro.core.storage import MemoryBackend, build_storage_stack
+from repro.core.spill import LocalObject, bind_dirty
+from repro.core.storage import CountingBackend, MemoryBackend, build_storage_stack
 from repro.dist.events import encode_event
-from repro.dist.store import (
-    PeerClient,
-    PeerMemoryServer,
-    TieredStore,
-    resolve_class,
-)
+from repro.dist.store import PeerClient, PeerMemoryServer, PeerTier, resolve_class
 from repro.dist.wire import Ack, Create, Post, Shutdown
+from repro.obs.events import EvictEvent, HandlerSpan, LoadEvent
+from repro.testing.invariants import check_node_residency
+from repro.util.errors import ObjectNotFound, OutOfMemory
 
 __all__ = ["ShardWorker", "DistHandlerContext", "worker_main"]
 
@@ -63,32 +63,45 @@ class DistHandlerContext:
         self.outbox.append((oid, method, args, kwargs))
 
     def grew(self, nbytes: int) -> None:
-        """Size-hint no-op: the store re-measures after every mutation."""
+        """Size-hint no-op: the worker re-measures after every mutation."""
 
 
 class ShardWorker:
-    """Serve one shard over a control connection until Shutdown."""
+    """Serve one shard over a control connection until Shutdown.
+
+    The shard is kept the way an MRTS node keeps its objects: residency
+    in ``ooc``, ``spill.LocalObject`` records with the node's dirty hook,
+    spills through ``storage`` (a ``build_storage_stack``, with ``peer``
+    under it if any).  So a clean eviction skips the pack and the store,
+    and a dirty one stores the bytes its last handler packed for the
+    ACK.  L0 charges an object its packed size: the worker always holds
+    those bytes.
+    """
 
     def __init__(
         self,
         rank: int,
         conn,
-        store: TieredStore,
+        storage: CountingBackend,
+        ooc: OOCLayer,
+        peer: Optional[PeerTier] = None,
         t0: float = 0.0,
         clock=time.monotonic,
     ) -> None:
         self.rank = rank
         self.conn = conn
-        self.store = store
+        self.storage = storage
+        self.ooc = ooc
+        self.peer = peer
         self.t0 = t0
         self._clock = clock
+        self.locals: dict[int, LocalObject] = {}
+        self.classes: dict[int, type] = {}
         self._acked: dict[int, Ack] = {}
         self._events: list = []
         self.delivered = 0
         self.duplicates = 0
-        # The store emits through the same buffer as handler spans.
-        store.on_event = self._events.append
-        store.clock = self.now
+        self.packs = 0
 
     def now(self) -> float:
         return self._clock() - self.t0
@@ -136,11 +149,83 @@ class ShardWorker:
         self._events.clear()
         return rows
 
+    def _emit(self, kind: type, oid: int, nbytes: int, **fields) -> None:
+        self._events.append(kind(
+            time=self.now(), node=self.rank, oid=oid, nbytes=nbytes,
+            memory_used=self.ooc.memory_used, **fields,
+        ))
+
+    # ------------------------------------------------------------- residency
+    def get(self, oid: int) -> MobileObject:
+        """The in-core instance of ``oid``, loaded if it was spilled."""
+        rec = self.locals.get(oid)
+        if rec is None:
+            raise ObjectNotFound(f"object {oid} is not homed on this shard")
+        if rec.obj is not None:
+            self.ooc.touch(oid)
+            return rec.obj
+        try:
+            victims = self.ooc.plan_load(oid)
+        except OutOfMemory:  # larger than L0: back in as the recorded overrun
+            victims = self.ooc.eviction_candidates(protect={oid})
+        self._evict(victims)
+        self._install(oid, self.storage.load(oid))
+        self.ooc.confirm_load(oid)
+        self._emit(LoadEvent, oid, self.ooc.table[oid].nbytes, background=False)
+        return rec.obj
+
+    def _admit(self, oid: int, cls: type, state: bytes) -> None:
+        if oid in self.locals:
+            # A re-home re-admit: the previous life's record and stored
+            # copy describe an older state than the one arriving.
+            del self.locals[oid]
+            self.ooc.forget(oid)
+            self.storage.delete(oid)
+        self.classes[oid] = cls
+        self._install(oid, state)
+        fits = min(len(state), self.ooc.budget)
+        self._evict(self.ooc.admit(oid, fits))
+        self.ooc.confirm_admit(oid)
+        if fits < len(state):  # larger than L0: admitted as a recorded overrun
+            self.ooc.force_resize(oid, len(state))
+
+    def _install(self, oid: int, packed: bytes) -> None:
+        rec = self.locals.setdefault(oid, LocalObject(obj=None))
+        rec.obj = revive(self.classes[oid], MobilePointer(oid, self.rank),
+                         [packed])
+        rec.pack_cache = packed
+        bind_dirty(self, oid, rec.obj)
+
+    def _resize(self, oid: int, nbytes: int) -> None:
+        """Re-account a mutated object, as ``spill.resize_resident`` does."""
+        try:
+            victims = self.ooc.resize(oid, nbytes)
+        except OutOfMemory:  # grew past what eviction can free
+            victims = self.ooc.eviction_candidates(protect={oid})
+            self.ooc.force_resize(oid, nbytes)
+        self._evict(victims)
+
+    def _evict(self, victims: list[int]) -> None:
+        for oid in victims:
+            rec = self.locals[oid]
+            dirty = self.ooc.is_dirty(oid)
+            if dirty:  # else the stored copy is current: no pack, no store
+                self.storage.store(oid, self._pack(rec))
+            rec.obj = rec.pack_cache = None
+            nbytes = self.ooc.confirm_evict(oid)
+            self._emit(EvictEvent, oid, nbytes, clean=not dirty)
+
+    def _pack(self, rec: LocalObject) -> bytes:
+        """The record's packed state: one ``pack()`` per write at most."""
+        if rec.pack_cache is None:
+            rec.pack_cache = rec.obj.pack()
+            self.packs += 1
+        return rec.pack_cache
+
     # -------------------------------------------------------------- messages
     def _do_create(self, msg: Create) -> Ack:
         try:
-            cls = resolve_class(msg.cls_path)
-            self.store.admit(msg.oid, cls, msg.state)
+            self._admit(msg.oid, resolve_class(msg.cls_path), msg.state)
         except Exception:
             return Ack(msg.msg_id, msg.oid, error=traceback.format_exc())
         return Ack(
@@ -149,10 +234,8 @@ class ShardWorker:
         )
 
     def _do_post(self, msg: Post) -> Ack:
-        from repro.obs.events import HandlerSpan
-
         try:
-            obj = self.store.get(msg.oid)
+            obj = self.get(msg.oid)
             fn = getattr(obj, msg.method, None)
             if fn is None or not getattr(fn, "_mrts_handler", False):
                 raise AttributeError(
@@ -165,8 +248,11 @@ class ShardWorker:
             duration = self.now() - start
             state = None
             if not readonly:
-                self.store.touch_size(msg.oid)
-                state = obj.pack()
+                obj.mark_dirty()  # drops the stale pack cache
+                state = self._pack(self.locals[msg.oid])
+                self._resize(msg.oid, len(state))
+            # Soft-threshold advice, as after every MRTS handler.
+            self._evict(self.ooc.advise_swap(protect={msg.oid}))
             self.delivered += 1
             self._events.append(HandlerSpan(
                 time=start, node=self.rank, oid=msg.oid, handler=msg.method,
@@ -180,10 +266,19 @@ class ShardWorker:
         )
 
     def _ack_shutdown(self, msg: Shutdown) -> Ack:
-        stats = dict(self.store.counters())
-        stats.update(delivered=self.delivered, duplicates=self.duplicates)
-        if self.store.peer is not None:
-            self.store.peer.close()
+        stats = dict(
+            evictions=self.ooc.evictions, loads=self.storage.loads,
+            clean_evictions=self.ooc.clean_evictions, packs=self.packs,
+            stores=self.storage.stores, owned=len(self.locals),
+            delivered=self.delivered, duplicates=self.duplicates,
+            residency_violations=check_node_residency(
+                self, f"worker {self.rank}"),
+        )
+        if self.peer is not None:
+            client = self.peer.client
+            stats.update(peer_hits=client.gets, peer_puts=client.puts,
+                         peer_fallbacks=self.peer.fallbacks)
+            client.close()
         return Ack(
             msg.msg_id, -1, events=self._drain_events(), now=self.now(),
             stats=stats,
@@ -200,23 +295,25 @@ def worker_main(
     peer_pool_bytes: int,
     t0: float,
 ) -> None:
-    """Process entry point: compose the tiers and serve the shard.
+    """Process entry point: compose the layers and serve the shard.
 
-    The disk tier is the same self-healing stack the single-process
-    runtime uses (retry with *real* sleeps + checksummed frames +
-    counting) over a private in-process backend.  The peer server hosts
-    ``peer_pool_bytes`` of slab for the ring neighbor, overflowing under
-    pressure into its own demotion backend — the live deployment of the
-    MemoryPool eviction path.
+    Residency is an :class:`OOCLayer` budgeted at ``l0_bytes``; storage
+    is the single-process runtime's self-healing stack (with *real*
+    sleeps for retry backoff) over a private in-process disk, with the
+    ring neighbor's RAM under it as a :class:`PeerTier`.  The peer server
+    hosts ``peer_pool_bytes`` of slab for the other neighbor, overflowing
+    under pressure into its own demotion backend — the live deployment
+    of the MemoryPool eviction path.
     """
-    disk = build_storage_stack(
-        config, MemoryBackend(), seed=rank, sleep=time.sleep
-    )
+    medium = MemoryBackend()
+    peer = None
+    if peer_client_conn is not None:
+        medium = peer = PeerTier(medium, PeerClient(peer_client_conn))
+    storage = build_storage_stack(config, medium, seed=rank, sleep=time.sleep)
     if peer_server_conn is not None:
         PeerMemoryServer(
             peer_server_conn,
             MemoryPool(peer_pool_bytes, overflow=MemoryBackend()),
         ).start()
-    peer = PeerClient(peer_client_conn) if peer_client_conn is not None else None
-    store = TieredStore(l0_bytes, disk, peer=peer, node=rank)
-    ShardWorker(rank, conn, store, t0=t0).serve_forever()
+    ooc = OOCLayer(config, budget=l0_bytes)
+    ShardWorker(rank, conn, storage, ooc, peer=peer, t0=t0).serve_forever()

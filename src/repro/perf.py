@@ -549,14 +549,16 @@ def run_dist_storm(
     (the reference) and once on a :class:`~repro.dist.DistRuntime` with
     real worker processes.  The report's ``state_equal`` flag is the
     correctness verdict — the distributed final state must match the
-    reference exactly — and the CLI turns a mismatch into a non-zero
-    exit.  ``trace_out`` (if given) writes the merged cross-process
-    Perfetto trace.
+    reference exactly — and ``residency_violations`` (each worker's
+    shutdown residency check) must be empty; the CLI turns either
+    failure into a non-zero exit.  ``trace_out`` (if given) writes the
+    merged cross-process Perfetto trace.
 
     Wall-clock and wire counters are reported but never regression-gated
-    (real processes, real scheduling); ``state_equal`` is the only hard
-    gate, which is why :func:`check_against_baseline` skips this
-    workload's metrics (none of ``_GATED_METRICS`` appear in it).
+    (real processes, real scheduling); ``state_equal`` and the residency
+    check are the only hard gates, which is why
+    :func:`check_against_baseline` skips this workload's metrics (none of
+    ``_GATED_METRICS`` appear in it).
     """
     from repro.dist import DistRuntime
     from repro.testing.harness import RuntimeHarness
@@ -604,10 +606,14 @@ def run_dist_storm(
         "bytes_replicated": stats.bytes_replicated,
         "events_merged": stats.events_merged,
         "l0_evictions": stats.aggregate("evictions"),
+        "clean_evictions": stats.aggregate("clean_evictions"),
         "tier_loads": stats.aggregate("loads"),
+        "stores": stats.aggregate("stores"),
+        "packs": stats.aggregate("packs"),
         "peer_hits": stats.aggregate("peer_hits"),
         "peer_fallbacks": stats.aggregate("peer_fallbacks"),
         "peer_puts": stats.aggregate("peer_puts"),
+        "residency_violations": stats.residency_violations(),
     }
 
 

@@ -635,6 +635,7 @@ def run_dist_chaos_case(spec: DistChaosSpec) -> ChaosReport:
         got = _final_state(runtime, actors)
         stats = runtime.stats
         recovery = runtime.recovery
+    violations.extend(stats.residency_violations())  # filled in by close()
 
     report = ChaosReport(
         name=spec.name,

@@ -30,7 +30,8 @@ Invariants checked (``check_runtime``):
   as a drifted victim order somewhere.
 
 ``check_ooc_layer`` applies the memory/lock subset to a bare
-:class:`~repro.core.ooc.OOCLayer` (unit tests).  ``check_dist`` applies
+:class:`~repro.core.ooc.OOCLayer` (unit tests), ``check_node_residency``
+adds residency and dirty agreement for one node.  ``check_dist`` applies
 the same discipline to the distributed coordinator (shard map, replicated
 directory, delivery ledger).  ``check_mesh`` validates
 a :class:`~repro.mesh.Triangulation`: constrained-Delaunay conformity plus
@@ -53,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "InvariantViolation",
     "check_ooc_layer",
+    "check_node_residency",
     "check_runtime",
     "check_dist",
     "check_mesh",
@@ -133,6 +135,48 @@ def _check_planning_indexes(ooc: "OOCLayer", label: str) -> list[str]:
     ]
 
 
+def check_node_residency(node, label: str) -> list[str]:
+    """Residency violations of one node (``locals``, ``ooc``, ``storage``):
+    an MRTS node, or a ``repro.dist`` worker checking itself at shutdown."""
+    problems = check_ooc_layer(node.ooc, label)
+    local_ids = set(node.locals)
+    tracked_ids = set(node.ooc.table)
+    for oid in local_ids - tracked_ids:
+        problems.append(f"{label}: object {oid} local but untracked by OOC")
+    for oid in tracked_ids - local_ids:
+        problems.append(f"{label}: object {oid} tracked by OOC but not local")
+    for oid, rec in node.locals.items():
+        resident = node.ooc.is_resident(oid)
+        if resident and rec.obj is None:
+            problems.append(
+                f"{label}: object {oid} marked resident but has no "
+                "in-core instance"
+            )
+        if (
+            resident
+            and oid in node.ooc.table
+            and not node.ooc.table[oid].dirty
+            and not node.storage.contains(oid)
+        ):
+            # Clean means "the storage copy is current" — so a copy
+            # must exist; otherwise a clean eviction would skip the
+            # store and the state would be unrecoverable.
+            problems.append(
+                f"{label}: object {oid} marked clean but storage has "
+                "no copy to skip the write-back against"
+            )
+        if not resident:
+            if rec.obj is not None:
+                problems.append(
+                    f"{label}: object {oid} spilled by OOC but still in core"
+                )
+            if not node.storage.contains(oid):
+                problems.append(
+                    f"{label}: spilled object {oid} missing from storage"
+                )
+    return problems
+
+
 def check_runtime(runtime: "MRTS") -> list[str]:
     """Cross-layer violations of a full runtime at an event boundary."""
     problems: list[str] = []
@@ -141,18 +185,11 @@ def check_runtime(runtime: "MRTS") -> list[str]:
 
     for nrt in runtime.nodes:
         label = f"node {nrt.rank}"
-        problems.extend(check_ooc_layer(nrt.ooc, label))
+        problems.extend(check_node_residency(nrt, label))
 
         seqs = [entry[0] for entry in nrt.ready._entries.values()]
         if seqs != sorted(seqs):
             problems.append(f"{label}: ready queue not in arrival order")
-
-        local_ids = set(nrt.locals)
-        tracked_ids = set(nrt.ooc.table)
-        for oid in local_ids - tracked_ids:
-            problems.append(f"{label}: object {oid} local but untracked by OOC")
-        for oid in tracked_ids - local_ids:
-            problems.append(f"{label}: object {oid} tracked by OOC but not local")
 
         for oid, rec in nrt.locals.items():
             if oid in seen:
@@ -160,34 +197,6 @@ def check_runtime(runtime: "MRTS") -> list[str]:
                     f"object {oid} lives on both node {seen[oid]} and {nrt.rank}"
                 )
             seen[oid] = nrt.rank
-            resident = nrt.ooc.is_resident(oid)
-            if resident and rec.obj is None:
-                problems.append(
-                    f"{label}: object {oid} marked resident but has no "
-                    "in-core instance"
-                )
-            if (
-                resident
-                and oid in nrt.ooc.table
-                and not nrt.ooc.table[oid].dirty
-                and not nrt.storage.contains(oid)
-            ):
-                # Clean means "the storage copy is current" — so a copy
-                # must exist; otherwise a clean eviction would skip the
-                # store and the state would be unrecoverable.
-                problems.append(
-                    f"{label}: object {oid} marked clean but storage has "
-                    "no copy to skip the write-back against"
-                )
-            if not resident:
-                if rec.obj is not None:
-                    problems.append(
-                        f"{label}: object {oid} spilled by OOC but still in core"
-                    )
-                if not nrt.storage.contains(oid):
-                    problems.append(
-                        f"{label}: spilled object {oid} missing from storage"
-                    )
             if rec.in_flight < 0:
                 problems.append(f"{label}: object {oid} negative in_flight")
             if quiescent:

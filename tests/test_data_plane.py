@@ -10,7 +10,7 @@ and the new RunStats counters are populated and consistent.
 
 import pytest
 
-from repro.core import MRTS, MobileObject, MRTSConfig, handler
+from repro.core import MRTS, MobileObject, MRTSConfig, handler, spill
 from repro.core.codec import get_codec
 from repro.core.storage import CompressingBackend, MemoryBackend
 from repro.sim.cluster import ClusterSpec
@@ -98,8 +98,9 @@ def test_delta_spills_cut_backend_traffic_without_changing_state():
             > rt_delta.stats.payload_bytes_stored)
 
 
-def test_delta_log_respects_frame_bound():
-    rt = make_runtime(delta_spills=True, delta_log_frames_max=3)
+def test_delta_log_respects_frame_bound(monkeypatch):
+    monkeypatch.setattr(spill, "DELTA_LOG_FRAMES_MAX", 3)
+    rt = make_runtime(delta_spills=True)
     run_grow_workload(rt, rounds=10)
     for nrt in rt.nodes:
         for rec in nrt.locals.values():
@@ -108,10 +109,11 @@ def test_delta_log_respects_frame_bound():
     assert rt.stats.full_spills > len(rt.nodes)
 
 
-def test_delta_log_compacts_when_it_outgrows_the_base():
+def test_delta_log_compacts_when_it_outgrows_the_base(monkeypatch):
     # A tiny base with large appends trips the bytes-factor compaction.
-    rt = make_runtime(delta_spills=True, delta_compact_factor=1.5,
-                      delta_log_frames_max=64)
+    monkeypatch.setattr(spill, "DELTA_COMPACT_FACTOR", 1.5)
+    monkeypatch.setattr(spill, "DELTA_LOG_FRAMES_MAX", 64)
+    rt = make_runtime(delta_spills=True)
     run_grow_workload(rt, n_actors=6, payload=512, rounds=8,
                       grow_bytes=2048)
     assert rt.stats.full_spills > len(rt.nodes)

@@ -8,7 +8,7 @@ test and otherwise lean on the in-process units in test_dist_store.py.
 
 import pytest
 
-from repro.core import MRTS
+from repro.core import MRTS, MRTSConfig
 from repro.dist import DistRuntime, RecoveryFailed, ShardRecoveryPolicy
 from repro.dist.wire import DistError
 from repro.sim.cluster import ClusterSpec
@@ -45,6 +45,18 @@ def test_storm_matches_single_process_reference():
     assert stats.delivered > 0
     assert stats.posts_routed > 0
     assert stats.bytes_replicated > 0
+    assert stats.residency_violations() == []
+
+
+@pytest.mark.parametrize("scheme", MRTSConfig.VALID_SCHEMES)
+def test_storm_matches_reference_under_every_swap_scheme(scheme):
+    """Worker residency is the OOC layer, so every scheme must converge."""
+    config = MRTSConfig(swap_scheme=scheme)
+    with DistRuntime(2, config, l0_bytes=4 * 1024) as runtime:
+        actors = run_storm(runtime, SPEC)
+        assert final_state(runtime, actors) == reference_state(SPEC)
+    assert runtime.stats.aggregate("evictions") > 0
+    assert runtime.stats.residency_violations() == []
 
 
 def test_same_seed_same_state_across_worker_counts():

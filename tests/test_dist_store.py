@@ -2,35 +2,40 @@
 
 Everything under :mod:`repro.dist` below the coordinator is
 transport-agnostic (any object with ``send``/``recv``/``poll`` works), so
-these tests drive the *same* classes the forked workers run — tiered
-residency, peer memory server/client, the shard worker's exactly-once
-control loop, the event codec and the watermark merger — entirely
-in-process, where coverage can see them.
+these tests drive the *same* classes the forked workers run — the shard
+worker's residency on the OOC layer, the peer tier under the storage
+stack, peer memory server/client, the worker's exactly-once control
+loop, the event codec and the watermark merger — entirely in-process,
+where coverage can see them.
 """
 
+import itertools
 import multiprocessing as mp
 import threading
 
 import pytest
 
-from repro.core import MobileObject, handler
+from repro.core import MobileObject, MRTSConfig, handler
 from repro.core.mobile import MobilePointer
+from repro.core.ooc import OOCLayer
 from repro.core.remote_memory import MemoryPool
-from repro.core.storage import MemoryBackend
+from repro.core.storage import MemoryBackend, build_storage_stack
 from repro.dist import (
     PeerClient,
     PeerMemoryServer,
+    PeerTier,
     ShardWorker,
-    TieredStore,
     WireChaos,
     decode_event,
     encode_event,
 )
 from repro.dist.events import EVENT_TYPES, EventMerger
+from repro.dist.runtime import DistRunStats
 from repro.dist.store import class_path, resolve_class
 from repro.dist.wire import Ack, Create, PeerOp, Post, Shutdown
 from repro.obs.events import EvictEvent, EventBus, HandlerSpan, LoadEvent
-from repro.util.errors import ObjectNotFound
+from repro.testing.invariants import check_node_residency
+from repro.util.errors import CorruptObject, ObjectNotFound
 
 
 class Probe(MobileObject):
@@ -69,8 +74,58 @@ def probe(oid, size=2000):
     return Probe(MobilePointer(oid, 0), size=size)
 
 
-def tiered(budget=6000, peer=None):
-    return TieredStore(budget, MemoryBackend(), peer=peer)
+class Sink:
+    """A capture-only connection end for driving ShardWorker.handle."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, msg):
+        self.sent.append(msg)
+
+
+def make_worker(budget=50_000, client=None, config=None, conn=None):
+    """A shard worker composed the way ``worker_main`` composes one.
+
+    ~2 KB probes: a 6000 B budget holds two of them, and a third
+    admission spills one.
+    """
+    config = config or MRTSConfig()
+    medium = MemoryBackend()
+    peer = None
+    if client is not None:
+        medium = peer = PeerTier(medium, client)
+    return ShardWorker(
+        0, conn if conn is not None else Sink(),
+        build_storage_stack(config, medium), OOCLayer(config, budget=budget),
+        peer=peer,
+    )
+
+
+_msg_ids = itertools.count(1)
+
+
+def create(worker, oid, size=2000, count=0):
+    obj = probe(oid, size)
+    obj.count = count
+    assert worker.handle(
+        Create(next(_msg_ids), oid, class_path(Probe), obj.pack())
+    )
+    return worker.conn.sent[-1]
+
+
+def post(worker, oid, method, *args):
+    assert worker.handle(Post(next(_msg_ids), oid, method, args, {}))
+    return worker.conn.sent[-1]
+
+
+def spilled(worker):
+    return {oid for oid, rec in worker.locals.items() if rec.obj is None}
+
+
+def evict_events(ack):
+    return [e for e in map(decode_event, ack.events)
+            if isinstance(e, EvictEvent)]
 
 
 # ------------------------------------------------------------- class paths
@@ -84,75 +139,138 @@ def test_resolve_class_rejects_non_mobile_types():
         resolve_class("builtins:dict")
 
 
-# ------------------------------------------------------------ tiered store
+# ------------------------------------------------- residency on the OOC layer
 def test_store_admits_and_serves_live_objects():
-    store = tiered()
-    store.admit(1, Probe, probe(1).pack())
-    obj = store.get(1)
+    worker = make_worker()
+    create(worker, 1)
+    obj = worker.get(1)
     assert isinstance(obj, Probe)
-    assert store.get(1) is obj  # L0 hit: same instance
-    assert store.owned() == {1}
-    assert store.counters()["loads"] == 0
+    assert worker.get(1) is obj  # in core: same instance
+    assert set(worker.locals) == {1}
+    assert worker.storage.loads == 0
 
 
 def test_store_evicts_lru_and_promotes_from_disk():
-    store = tiered(budget=6000)
-    for oid in (1, 2, 3):  # ~2KB each: the third admit evicts oid 1
-        store.admit(oid, Probe, probe(oid).pack())
-    assert store.evictions >= 1
-    assert store.disk.contains(1)  # write-through landed on disk
-    obj = store.get(1)  # promotion: revived from packed bytes
+    worker = make_worker(budget=6000)
+    for oid in (1, 2, 3):  # the third admission spills oid 1
+        create(worker, oid)
+    assert worker.ooc.evictions >= 1
+    assert worker.storage.contains(1)
+    obj = worker.get(1)  # promotion: revived from the stored bytes
     assert obj.count == 0
-    assert store.loads == 1
-    assert store.counters()["live"] <= 3
+    assert worker.storage.loads == 1
 
 
 def test_store_eviction_prefers_least_recently_used():
-    store = tiered(budget=6000)
-    store.admit(1, Probe, probe(1).pack())
-    store.admit(2, Probe, probe(2).pack())
-    store.get(1)  # refresh 1: now 2 is the LRU victim
-    store.admit(3, Probe, probe(3).pack())
-    assert 1 in store._live
-    assert 2 not in store._live
+    worker = make_worker(budget=6000)
+    create(worker, 1)
+    create(worker, 2)
+    worker.get(1)  # refresh 1: now 2 is the LRU victim
+    create(worker, 3)
+    assert spilled(worker) == {2}
 
 
-def test_touch_size_recharges_after_mutation():
-    store = tiered(budget=50_000)
-    store.admit(1, Probe, probe(1).pack())
-    before = store.used
-    store.get(1).data += bytes(4000)
-    store.touch_size(1)
-    assert store.used > before
-    assert store._charged[1] == store.get(1).nbytes()
+def test_worker_victim_order_follows_the_swap_scheme():
+    victims = {}
+    for scheme in ("lru", "mru"):
+        worker = make_worker(budget=6000,
+                             config=MRTSConfig(swap_scheme=scheme))
+        create(worker, 1)
+        create(worker, 2)
+        worker.get(1)  # 1 is now the most recently used
+        create(worker, 3)
+        victims[scheme] = spilled(worker)
+    assert victims == {"lru": {2}, "mru": {1}}
+
+
+def test_mutating_handler_recharges_residency():
+    worker = make_worker(budget=50_000)
+    create(worker, 1)
+    before = worker.ooc.memory_used
+    ack = post(worker, 1, "grow", 4000)
+    assert worker.ooc.memory_used > before
+    assert worker.ooc.table[1].nbytes == len(ack.state)
 
 
 def test_unknown_oid_raises_object_not_found():
     with pytest.raises(ObjectNotFound):
-        tiered().get(42)
+        make_worker().get(42)
 
 
 def test_admit_overwrites_a_previous_life():
-    """Re-homing re-admits an oid the store may already track."""
-    store = tiered()
-    store.admit(1, Probe, probe(1).pack())
-    store.get(1).count = 99
-    fresh = probe(1)
-    fresh.count = 7
-    store.admit(1, Probe, fresh.pack())
-    assert store.get(1).count == 7
-    assert store.used == store._charged[1]
+    """Re-homing re-admits an oid the worker may already track."""
+    worker = make_worker()
+    create(worker, 1)
+    worker.get(1).count = 99
+    create(worker, 1, count=7)
+    assert worker.get(1).count == 7
+    assert worker.ooc.memory_used == worker.ooc.table[1].nbytes
+
+
+def test_rehomed_object_is_not_served_from_its_previous_stored_copy():
+    worker = make_worker(budget=6000)
+    create(worker, 1, count=99)
+    create(worker, 2)
+    create(worker, 3)  # 1 spills: its previous life is on the medium
+    assert worker.storage.contains(1)
+    create(worker, 1, count=7)  # re-home re-admit
+    assert not worker.storage.contains(1)
+    assert post(worker, 1, "bump").error is None
+    create(worker, 4)
+    create(worker, 5)
+    assert 1 in spilled(worker)
+    assert worker.get(1).count == 8
 
 
 def test_store_emits_evict_and_load_events():
-    store = tiered(budget=6000)
-    seen = []
-    store.on_event = seen.append
+    worker = make_worker(budget=6000)
     for oid in (1, 2, 3):
-        store.admit(oid, Probe, probe(oid).pack())
-    store.get(1)
-    kinds = {type(e) for e in seen}
+        create(worker, oid)
+    post(worker, 1, "peek")
+    kinds = {type(decode_event(row))
+             for ack in worker.conn.sent for row in ack.events}
     assert EvictEvent in kinds and LoadEvent in kinds
+
+
+def test_readonly_handler_then_eviction_stores_nothing():
+    worker = make_worker(budget=6000)
+    for oid in (1, 2, 3):
+        create(worker, oid)
+    post(worker, 1, "peek")  # 1 reloads and serves a read-only epoch
+    stores = worker.storage.stores
+    ack = post(worker, 2, "peek")  # room for 2: 1 goes
+    assert [e.clean for e in evict_events(ack) if e.oid == 1] == [True]
+    assert worker.storage.stores == stores
+    assert worker.ooc.clean_evictions == 1
+
+
+def test_one_pack_per_mutating_handler_and_eviction(monkeypatch):
+    worker = make_worker(budget=6000)
+    create(worker, 1)
+    packed = []
+    pack = Probe.pack
+    monkeypatch.setattr(
+        Probe, "pack", lambda self: packed.append(self.oid) or pack(self))
+    ack = post(worker, 1, "bump")  # the ACK's state is the one pack
+    create(worker, 2)
+    create(worker, 3)  # 1 is dirty and least recent: stored, not repacked
+    assert 1 in spilled(worker)
+    assert packed.count(1) == 1
+    assert worker.packs == 1
+    assert worker.storage.load(1) == ack.state
+
+
+def test_object_larger_than_l0_is_admitted_as_an_overrun():
+    worker = make_worker(budget=1000)
+    create(worker, 1, size=3000)
+    assert 1 not in spilled(worker)
+    assert worker.ooc.overruns == 1
+    assert check_node_residency(worker, "worker") == []
+    create(worker, 2, size=100)  # spills the big one
+    assert spilled(worker) == {1}
+    assert post(worker, 1, "bump").error is None  # and it loads back
+    assert worker.get(1).count == 1
+    assert check_node_residency(worker, "worker") == []
 
 
 # ------------------------------------------------------- peer memory tiers
@@ -215,46 +333,82 @@ def test_peer_client_timeout_marks_peer_dead_permanently():
     assert client.failures == 1
 
 
-def test_tiered_store_survives_peer_death_via_write_through():
+def test_peer_tier_survives_peer_death_via_write_through():
     """The worker-kill guarantee: peer RAM is a cache, disk is the truth."""
     client_end, _server_end = mp.Pipe()
-    dead_peer = PeerClient(client_end, timeout_s=0.05)
-    store = tiered(budget=6000, peer=dead_peer)
+    worker = make_worker(budget=6000,
+                         client=PeerClient(client_end, timeout_s=0.05))
     for oid in (1, 2, 3):
-        store.admit(oid, Probe, probe(oid).pack())
-    assert store.evictions >= 1
-    obj = store.get(1)  # peer miss -> disk fallback
-    assert isinstance(obj, Probe)
-    assert store.peer_fallbacks >= 1
-    assert store.peer_hits == 0
+        create(worker, oid)
+    assert worker.ooc.evictions >= 1
+    assert isinstance(worker.get(1), Probe)  # peer miss -> disk fallback
+    assert worker.peer.fallbacks >= 1
+    assert worker.peer.client.gets == 0
 
 
-def test_tiered_store_reads_prefer_the_peer():
+def test_peer_tier_reads_prefer_the_peer():
     client, server, pool = served_pool()
-    store = tiered(budget=6000, peer=client)
+    worker = make_worker(budget=6000, client=client)
     for oid in (1, 2, 3):
-        store.admit(oid, Probe, probe(oid).pack())
-    store.get(1)
-    assert store.peer_hits >= 1
-    assert store.counters()["peer_puts"] >= 1
+        create(worker, oid)
+    worker.get(1)
+    assert worker.peer.client.gets >= 1
+    assert worker.peer.client.puts >= 1
+    client.close()
+
+
+def test_peer_death_mid_run_falls_back_to_disk():
+    client_end, server_end = mp.Pipe()
+    pool = MemoryPool(100_000)
+    serving = threading.Thread(
+        target=PeerMemoryServer(server_end, pool).serve, daemon=True)
+    serving.start()
+    client = PeerClient(client_end, timeout_s=0.5)
+    worker = make_worker(budget=6000, client=client)
+    for oid in (1, 2, 3):
+        create(worker, oid)
+    assert pool.holds(1)  # the spill reached the peer
+    client.close()  # the peer goes away
+    serving.join(timeout=5)
+    assert not serving.is_alive()
+    server_end.close()
+    assert worker.get(1).count == 0
+    assert client.dead
+    assert worker.peer.fallbacks == 1
+
+
+def test_flipped_byte_in_a_peer_copy_raises_corrupt_object():
+    client, server, pool = served_pool()
+    worker = make_worker(budget=6000, client=client)
+    for oid in (1, 2, 3):
+        create(worker, oid)
+    framed = bytearray(pool.get(1))  # the peer holds the framed bytes
+    framed[-1] ^= 0xFF
+    pool.store.store(1, bytes(framed))
+    with pytest.raises(CorruptObject):
+        worker.get(1)
+    client.close()
+
+
+def test_refused_peer_put_drops_the_stale_copy():
+    """A 4 KB re-spill the 3 KB peer slab refuses must not leave the
+    peer's older copy (demoted to its overflow) to win the next load."""
+    client, server, pool = served_pool(capacity=3000)
+    worker = make_worker(budget=2500, client=client,
+                         config=MRTSConfig(compress_spills=False))
+    create(worker, 1)
+    create(worker, 2)  # 1 spills: version 0 on the peer and on disk
+    post(worker, 1, "grow", 2000)  # reloaded and grown to 4000 B
+    post(worker, 2, "peek")  # 1 spills again; the peer refuses it
+    assert len(worker.get(1).data) == 4000
+    assert worker.peer.fallbacks >= 1
     client.close()
 
 
 # ------------------------------------------------------------ shard worker
-class Sink:
-    """A capture-only connection end for driving ShardWorker.handle."""
-
-    def __init__(self):
-        self.sent = []
-
-    def send(self, msg):
-        self.sent.append(msg)
-
-
 def worker_with_sink(budget=50_000):
-    sink = Sink()
-    worker = ShardWorker(0, sink, tiered(budget))
-    return worker, sink
+    worker = make_worker(budget)
+    return worker, worker.conn
 
 
 def test_worker_create_then_post_updates_replica():
@@ -276,7 +430,7 @@ def test_worker_dedupes_via_cached_ack():
     worker.handle(Post(2, 10, "bump", (), {}))
     worker.handle(Post(2, 10, "bump", (), {}))  # exact redelivery
     assert worker.duplicates == 1
-    assert worker.store.get(10).count == 1  # executed once
+    assert worker.get(10).count == 1  # executed once
     assert sink.sent[1] is sink.sent[2]  # the very same cached ACK
 
 
@@ -314,11 +468,27 @@ def test_worker_shutdown_ack_carries_stats():
     stats = sink.sent[-1].stats
     assert stats["delivered"] == 1
     assert stats["owned"] == 1
+    assert stats["residency_violations"] == []
+
+
+def test_worker_shutdown_reports_a_corrupted_layer():
+    worker = make_worker(budget=6000)
+    for oid in (1, 2, 3):
+        create(worker, oid)
+    worker.ooc.memory_used += 7  # accounting drift
+    worker.storage.delete(1)  # a spilled object's bytes vanish
+    worker.handle(Shutdown(next(_msg_ids)))
+    violations = worker.conn.sent[-1].stats["residency_violations"]
+    assert any("memory_used" in v for v in violations)
+    assert "worker 0: spilled object 1 missing from storage" in violations
+    stats = DistRunStats(worker_stats={
+        0: worker.conn.sent[-1].stats, 1: {"residency_violations": []}})
+    assert stats.residency_violations() == violations
 
 
 def test_worker_serve_forever_over_a_real_pipe():
     ours, theirs = mp.Pipe()
-    worker = ShardWorker(0, theirs, tiered())
+    worker = make_worker(conn=theirs)
     thread = threading.Thread(target=worker.serve_forever, daemon=True)
     thread.start()
     ours.send(Create(1, 10, class_path(Probe), probe(10).pack()))

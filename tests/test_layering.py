@@ -112,6 +112,19 @@ def test_one_accounting_path():
     assert _accounting_lines(CORE / "stats.py")  # the pattern still matches
 
 
+def test_one_rebuild_from_bytes():
+    """``object.__new__`` + ``MobileObject.__init__`` + ``unpack`` is
+    written once, as ``core.mobile.revive``: spill loads, ``repro.dist``
+    workers and the dist coordinator all rebuild objects through it."""
+    sites = [
+        f"{path.relative_to(SRC)}:{i}"
+        for path in sorted(SRC.rglob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if "object.__new__(" in line
+    ]
+    assert len(sites) == 1 and sites[0].startswith("repro/core/mobile.py:")
+
+
 # ------------------------------------- no hook closes over what it hangs on
 def _bound_names(fn) -> set[str]:
     """Names a function binds itself: parameters, assignment targets,
