@@ -22,17 +22,16 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from repro.geometry.predicates import (
-    Point,
-    dist_sq,
-    incircle,
-    orient2d,
-)
+from repro.geometry.predicates import Point, incircle, orient2d
 from repro.geometry.pslg import PSLG, BoundingBox
 
-__all__ = ["Triangulation", "triangulate_pslg"]
+__all__ = ["Triangulation", "UnsplittableSegment", "triangulate_pslg"]
 
 NO_TRI = -1
+
+
+class UnsplittableSegment(RuntimeError):
+    """The midpoint of a subsegment rounds to one of its endpoints."""
 
 
 def _edge_key(u: int, v: int) -> tuple[int, int]:
@@ -81,6 +80,9 @@ class Triangulation:
 
     def is_super_vertex(self, vid: int) -> bool:
         return vid < 3
+
+    def is_alive(self, tid: int) -> bool:
+        return self._alive[tid]
 
     def triangle_vertices(self, tid: int) -> tuple[int, int, int]:
         if not self._alive[tid]:
@@ -138,9 +140,11 @@ class Triangulation:
         self._free.append(tid)
 
     def _set_neighbor(self, tid: int, edge: int, nbr: int) -> None:
-        n = list(self._tri_n[tid])
-        n[edge] = nbr
-        self._tri_n[tid] = (n[0], n[1], n[2])
+        n0, n1, n2 = self._tri_n[tid]
+        self._tri_n[tid] = (
+            (nbr, n1, n2) if edge == 0 else
+            (n0, nbr, n2) if edge == 1 else (n0, n1, nbr)
+        )
 
     def _edge_index(self, tid: int, u: int, v: int) -> int:
         """Index of the edge {u, v} in triangle ``tid``."""
@@ -171,31 +175,29 @@ class Triangulation:
         (possible only after exterior removal, for points outside the
         domain).
         """
-        tid = hint if hint is not None and self._alive[hint] else self._last_tri
-        if not self._alive[tid]:
+        alive, tri_v, tri_n, points = (
+            self._alive, self._tri_v, self._tri_n, self.points)
+        orient = orient2d
+        tid = hint if hint is not None and alive[hint] else self._last_tri
+        if not alive[tid]:
             tid = next(self.alive_triangles())
-        visited = 0
-        limit = 4 * len(self._tri_v) + 16
-        while True:
-            visited += 1
-            if visited > limit:
-                raise RuntimeError("point location walk did not terminate")
-            a, b, c = self._tri_v[tid]
-            pa, pb, pc = self.points[a], self.points[b], self.points[c]
-            moved = False
-            # Edge order randomization is unnecessary: a straight walk in a
-            # Delaunay triangulation cannot cycle.
-            for edge, (p1, p2) in enumerate(((pb, pc), (pc, pa), (pa, pb))):
-                if orient2d(p1, p2, p) < 0:
-                    nbr = self._tri_n[tid][edge]
-                    if nbr == NO_TRI:
-                        raise KeyError(f"point {p} lies outside the mesh")
-                    tid = nbr
-                    moved = True
-                    break
-            if not moved:
+        # Edge order randomization is unnecessary: a straight walk in a
+        # Delaunay triangulation cannot cycle.
+        for _ in range(4 * len(tri_v) + 16):
+            a, b, c = tri_v[tid]
+            pa, pb, pc = points[a], points[b], points[c]
+            if orient(pb, pc, p) < 0:
+                tid = tri_n[tid][0]
+            elif orient(pc, pa, p) < 0:
+                tid = tri_n[tid][1]
+            elif orient(pa, pb, p) < 0:
+                tid = tri_n[tid][2]
+            else:
                 self._last_tri = tid
                 return tid
+            if tid == NO_TRI:
+                raise KeyError(f"point {p} lies outside the mesh")
+        raise RuntimeError("point location walk did not terminate")
 
     def find_vertex(self, p: Point, hint: Optional[int] = None) -> Optional[int]:
         """Return the id of an existing vertex at exactly ``p``, if any."""
@@ -224,30 +226,32 @@ class Triangulation:
         midpoints that round epsilon-outside the domain safe).
         """
         start = self.locate(p, hint) if start is None else start
+        tri_v, tri_n, points = self._tri_v, self._tri_n, self.points
+        constrained, in_circle = self.constrained, incircle
         cavity = {start}
         stack = [start]
         while stack:
             tid = stack.pop()
-            a, b, c = self._tri_v[tid]
-            for edge, (u, v) in enumerate(((b, c), (c, a), (a, b))):
-                nbr = self._tri_n[tid][edge]
-                if nbr == NO_TRI or nbr in cavity:
-                    continue
-                if self.is_constrained(u, v):
-                    continue
-                na, nb, nc = self._tri_v[nbr]
-                if incircle(
-                    self.points[na], self.points[nb], self.points[nc], p
-                ) > 0:
-                    cavity.add(nbr)
-                    stack.append(nbr)
+            a, b, c = tri_v[tid]
+            n0, n1, n2 = tri_n[tid]
+            # Edge i is opposite vertex i; a constrained edge blocks growth.
+            for nbr, u, v in ((n0, b, c), (n1, c, a), (n2, a, b)):
+                if nbr != NO_TRI and nbr not in cavity and (
+                        (u, v) if u < v else (v, u)) not in constrained:
+                    x, y, z = tri_v[nbr]
+                    if in_circle(points[x], points[y], points[z], p) > 0:
+                        cavity.add(nbr)
+                        stack.append(nbr)
         boundary: list[tuple[int, int, int]] = []
         for tid in cavity:
-            a, b, c = self._tri_v[tid]
-            for edge, (u, v) in enumerate(((b, c), (c, a), (a, b))):
-                nbr = self._tri_n[tid][edge]
-                if nbr not in cavity:
-                    boundary.append((u, v, nbr))
+            a, b, c = tri_v[tid]
+            n0, n1, n2 = tri_n[tid]
+            if n0 not in cavity:
+                boundary.append((b, c, n0))
+            if n1 not in cavity:
+                boundary.append((c, a, n1))
+            if n2 not in cavity:
+                boundary.append((a, b, n2))
         return cavity, boundary
 
     def insert_point(
@@ -281,38 +285,29 @@ class Triangulation:
         for tid in cavity:
             self._kill(tid)
 
-        # Fan: one new triangle (vid, u, v) per boundary edge.
-        new_tris: list[int] = []
-        by_edge: dict[tuple[int, int], tuple[int, int]] = {}
+        # Fan: one new triangle (vid, u, v) per boundary edge, allocated in
+        # boundary order.  Its edge 0 (u, v) faces ``outer``, edge 1
+        # (v, vid) the fan triangle starting at v, edge 2 (vid, u) the one
+        # ending at u.
+        skip = _skip_collinear_boundary
+        fan: list[tuple[int, int, int, int]] = []
+        starts: dict[int, int] = {}
+        ends: dict[int, int] = {}
         for u, v, outer in boundary:
-            if (
-                _skip_collinear_boundary is not None
-                and outer == NO_TRI
-                and {u, v} == set(_skip_collinear_boundary)
-            ):
+            if skip is not None and outer == NO_TRI and {u, v} == set(skip):
                 continue
-            tid = self._new_triangle((vid, u, v), (NO_TRI, NO_TRI, NO_TRI))
-            new_tris.append(tid)
-            # Edge 0 of (vid,u,v) is (u,v): faces the outside.
-            self._set_neighbor(tid, 0, outer)
-            if outer != NO_TRI:
-                back = self._edge_index(outer, u, v)
-                self._set_neighbor(outer, back, tid)
-            by_edge[(u, v)] = (tid, 0)
-            by_edge[(v, vid)] = (tid, 1)   # edge 1 = (v, vid)
-            by_edge[(vid, u)] = (tid, 2)   # edge 2 = (vid, u)
-        # Stitch the fan: edge (vid,u) of one triangle pairs with (u,vid)
-        # of its neighbor in the fan.
-        for (u, v), (tid, edge) in by_edge.items():
-            if edge == 0:
-                continue
-            mate = by_edge.get((v, u))
-            if mate is not None:
-                self._set_neighbor(tid, edge, mate[0])
-
-        if not new_tris:
+            tid = self._new_triangle((vid, u, v), (outer, NO_TRI, NO_TRI))
+            fan.append((tid, u, v, outer))
+            starts[u] = tid
+            ends[v] = tid
+        if not fan:
             raise RuntimeError(f"insertion of {p} produced no triangles")
-        self._last_tri = new_tris[0]
+        tri_n = self._tri_n
+        for tid, u, v, outer in fan:
+            tri_n[tid] = (outer, starts.get(v, NO_TRI), ends.get(u, NO_TRI))
+            if outer != NO_TRI:
+                self._set_neighbor(outer, self._edge_index(outer, u, v), tid)
+        self._last_tri = fan[0][0]
         return vid
 
     def split_segment(self, u: int, v: int) -> int:
@@ -320,13 +315,18 @@ class Triangulation:
 
         Returns the new vertex id.  The constraint is replaced by two
         constrained halves; works both for interior constraints and for
-        domain-boundary edges (one side already removed).
+        domain-boundary edges (one side already removed).  A subsegment
+        so short that its midpoint rounds to an endpoint raises
+        :class:`UnsplittableSegment` and leaves the mesh as it was.
         """
         key = _edge_key(u, v)
         if key not in self.constrained:
             raise KeyError(f"({u},{v}) is not a constrained edge")
         pu, pv = self.points[u], self.points[v]
         mid = ((pu[0] + pv[0]) / 2.0, (pu[1] + pv[1]) / 2.0)
+        if mid == pu or mid == pv:
+            raise UnsplittableSegment(
+                f"subsegment ({u},{v}) {pu}-{pv} is too short to split")
         tid = self._find_triangle_with_edge(u, v)
         if tid is None:
             raise KeyError(f"constrained edge ({u},{v}) has no live triangle")
@@ -351,15 +351,18 @@ class Triangulation:
     def insert_segment(self, u: int, v: int) -> None:
         """Force edge (u, v) into the triangulation and mark it constrained.
 
-        If the edge is already present we just mark it.  Otherwise remove
-        the corridor of triangles the segment crosses and re-triangulate
-        the two flanking pseudo-polygons.  Existing vertices exactly on the
+        If the edge is already present we just mark it: an edge of a
+        triangulation has no vertex in its interior.  Otherwise remove the
+        corridor of triangles the segment crosses and re-triangulate the
+        two flanking pseudo-polygons.  Existing vertices exactly on the
         segment's interior split it into chained constrained subsegments.
         """
         if u == v:
             raise ValueError("degenerate segment")
-        on_path = self._vertices_on_segment(u, v)
-        chain = [u] + on_path + [v]
+        if self._edge_exists(u, v):
+            self.constrained.add(_edge_key(u, v))
+            return
+        chain = [u, *self._vertices_on_segment(u, v), v]
         for a, b in zip(chain, chain[1:]):
             self._insert_subsegment(a, b)
 
@@ -640,14 +643,20 @@ class Triangulation:
                     continue
                 doomed.add(nbr)
                 stack.append(nbr)
+        self.remove_triangles(doomed)
+
+    def remove_triangles(self, doomed: Iterable[int]) -> None:
+        """Delete the triangles ``doomed``, in its iteration order.
+
+        A neighbour still alive when a triangle goes gets a boundary
+        (``NO_TRI``) edge in its place.  Raises RuntimeError if nothing
+        survives.
+        """
         for tid in doomed:
-            # Detach neighbors that survive.
-            for edge in range(3):
-                nbr = self._tri_n[tid][edge]
-                if nbr != NO_TRI and nbr not in doomed:
-                    a, b, c = self._tri_v[tid]
-                    edge_verts = ((b, c), (c, a), (a, b))[edge]
-                    back = self._edge_index(nbr, *edge_verts)
+            a, b, c = self._tri_v[tid]
+            for edge, nbr in enumerate(self._tri_n[tid]):
+                if nbr != NO_TRI and self._alive[nbr]:
+                    back = self._edge_index(nbr, *((b, c), (c, a), (a, b))[edge])
                     self._set_neighbor(nbr, back, NO_TRI)
             self._kill(tid)
         self._exterior_removed = True

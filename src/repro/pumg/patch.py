@@ -17,16 +17,17 @@ Two building blocks:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.geometry.predicates import Point, circumcenter, dist_sq
 from repro.geometry.pslg import PSLG, BoundingBox
 from repro.mesh.sizing import SizingFunction
 from repro.mesh.triangulation import NO_TRI, Triangulation
 
-__all__ = ["mesh_subdomain", "PatchResult", "patch_refine"]
+__all__ = ["mesh_subdomain", "PatchResult", "build_patch", "patch_refine"]
 
 
 def mesh_subdomain(sub_pslg: PSLG, seeds: Sequence[Point]) -> Triangulation:
@@ -74,25 +75,11 @@ def mesh_subdomain(sub_pslg: PSLG, seeds: Sequence[Point]) -> Triangulation:
         keep.add(region[tid])
     if not keep:
         raise ValueError("no seed fell inside the subdomain boundary")
-    for tid in list(tri.alive_triangles()):
-        verts = tri.triangle_vertices(tid)
-        doomed = region[tid] not in keep or any(
-            tri.is_super_vertex(v) for v in verts
-        )
-        if doomed:
-            for edge in range(3):
-                nbr = tri.triangle_neighbors(tid)[edge]
-                if nbr != NO_TRI and tri._alive[nbr]:
-                    a, b, c = verts
-                    edge_verts = ((b, c), (c, a), (a, b))[edge]
-                    back = tri._edge_index(nbr, *edge_verts)
-                    tri._set_neighbor(nbr, back, NO_TRI)
-            tri._kill(tid)
-    tri._exterior_removed = True
-    live = next(tri.alive_triangles(), None)
-    if live is None:
-        raise ValueError("subdomain meshing removed everything")
-    tri._last_tri = live
+    tri.remove_triangles([
+        tid for tid in tri.alive_triangles()
+        if region[tid] not in keep
+        or any(tri.is_super_vertex(v) for v in tri.triangle_vertices(tid))
+    ])
     return tri
 
 
@@ -108,12 +95,39 @@ class PatchResult:
     # but belong to another region — the caller dirties their owner.
     foreign_splits: list[Point] = field(default_factory=list)
     clean: bool = True          # no *owned* bad triangles remain unresolved
-    deferred: int = 0           # bad triangles owned by someone else (info)
-    triangles_seen: int = 0
 
 
 def _in_box(box: BoundingBox, p: Point) -> bool:
     return box.xmin <= p[0] <= box.xmax and box.ymin <= p[1] <= box.ymax
+
+
+def build_patch(
+    points: Sequence[Point], boundary_segments: Sequence[tuple[Point, Point]]
+) -> Optional[Triangulation]:
+    """``points`` in order, then the boundary subsegments (an endpoint not
+    among the points is inserted first); None if there is nothing to mesh
+    (fewer than three points, or a flat bounding box)."""
+    pts = list(points)
+    if len(pts) < 3:
+        return None
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    bbox = BoundingBox(min(xs), min(ys), max(xs), max(ys))
+    if bbox.width == 0 or bbox.height == 0:
+        return None
+    tri = Triangulation(bbox)
+    for p in pts:
+        tri.insert_point(p)
+    for pu, pv in boundary_segments:
+        u = tri.find_vertex(pu)
+        v = tri.find_vertex(pv)
+        if u is None:
+            u = tri.insert_point(pu)
+        if v is None:
+            v = tri.insert_point(pv)
+        if u != v:
+            tri.insert_segment(u, v)
+    return tri
 
 
 def patch_refine(
@@ -144,77 +158,53 @@ def patch_refine(
     def owned(p: Point) -> bool:
         return any(_in_box(b, p) for b in boxes)
 
-    pts = list(points)
-    if len(pts) < 3:
+    tri = build_patch(points, boundary_segments)
+    if tri is None:
         return PatchResult(clean=True)
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    bbox = BoundingBox(min(xs), min(ys), max(xs), max(ys))
-    if bbox.width == 0 or bbox.height == 0:
-        return PatchResult(clean=True)
-    tri = Triangulation(bbox)
-    for p in pts:
-        tri.insert_point(p)
-    for pu, pv in boundary_segments:
-        u = tri.find_vertex(pu)
-        v = tri.find_vertex(pv)
-        if u is None:
-            u = tri.insert_point(pu)
-        if v is None:
-            v = tri.insert_point(pv)
-        if u != v:
-            tri.insert_segment(u, v)
 
     result = PatchResult()
     quality_sq = quality_bound * quality_bound
     min_length_sq = min_length * min_length
 
     skipped: set[Point] = set()
+    # (tid, vertex tuple, circumcenter) of every owned bad in-domain
+    # triangle, lowest tid first.  A triangle's verdict depends on its
+    # vertices alone and only insertions make triangles, so each one is
+    # classified once: all of them after the build, then the star of each
+    # new vertex.  Tids are recycled; an entry is current only while the
+    # triangle still holds the very tuple it was made from (the entry keeps
+    # that tuple alive, so ``is`` cannot be fooled).
+    bad: list[tuple[int, tuple[int, int, int], Point]] = []
 
-    def classify(verts: tuple[int, int, int]) -> tuple:
-        """``(counts as seen, circumcenter if bad, circumcenter owned)``."""
-        if any(tri.is_super_vertex(v) for v in verts):
-            return False, None, False
-        a, b, c = (tri.vertex(v) for v in verts)
-        centroid = ((a[0] + b[0] + c[0]) / 3.0, (a[1] + b[1] + c[1]) / 3.0)
-        if not in_domain(centroid):
-            return False, None, False
-        shortest_sq = min(dist_sq(a, b), dist_sq(b, c), dist_sq(c, a))
-        if shortest_sq <= min_length_sq:
-            return True, None, False
-        try:
-            cc = circumcenter(a, b, c)
-        except ZeroDivisionError:
-            return True, None, False
-        r_sq = dist_sq(cc, a)
-        h = sizing(cc)
-        if not (r_sq > quality_sq * shortest_sq or r_sq > h * h):
-            return True, None, False
-        return True, cc, owned(cc)
-
-    # tid -> (vertex tuple, *classify(it)).  A triangle's verdict depends
-    # on its vertices alone, but tids are recycled: an entry is current
-    # only while the triangle still holds the very tuple it was made from
-    # (the entry keeps that tuple alive, so ``is`` cannot be fooled).
-    verdicts: dict[int, tuple] = {}
+    def classify(tids: Iterable[int]) -> None:
+        for tid in tids:
+            verts = tri.triangle_vertices(tid)
+            if min(verts) < 3:
+                continue  # a super-triangle vertex
+            a, b, c = tri.coords(verts)
+            centroid = ((a[0] + b[0] + c[0]) / 3.0, (a[1] + b[1] + c[1]) / 3.0)
+            if not in_domain(centroid):
+                continue
+            shortest_sq = min(dist_sq(a, b), dist_sq(b, c), dist_sq(c, a))
+            if shortest_sq <= min_length_sq:
+                continue
+            try:
+                cc = circumcenter(a, b, c)
+            except ZeroDivisionError:
+                continue
+            r_sq = dist_sq(cc, a)
+            h = sizing(cc)
+            if (r_sq > quality_sq * shortest_sq or r_sq > h * h) and owned(cc):
+                heapq.heappush(bad, (tid, verts, cc))
 
     def owned_bad_triangle() -> Optional[tuple[int, Point]]:
-        """Find a bad in-domain triangle whose circumcenter we own."""
-        for tid in tri.alive_triangles():
-            verts = tri.triangle_vertices(tid)
-            verdict = verdicts.get(tid)
-            if verdict is None or verdict[0] is not verts:
-                verdict = verdicts[tid] = (verts, *classify(verts))
-            _, seen, cc, mine = verdict
-            if not seen:
-                continue
-            result.triangles_seen += 1
-            if cc is None or cc in skipped:
-                continue  # fine, or blocked on a split another region owns
-            if not mine:
-                result.deferred += 1
-                continue
-            return tid, cc
+        """The lowest-tid current entry not blocked on a foreign split."""
+        while bad:
+            tid, verts, cc = bad[0]
+            if (tri.is_alive(tid) and tri.triangle_vertices(tid) is verts
+                    and cc not in skipped):
+                return tid, cc
+            heapq.heappop(bad)  # dead, replaced, or skipped for good
         return None
 
     def encroached_owned_segment() -> Optional[tuple[int, int]]:
@@ -243,18 +233,22 @@ def patch_refine(
                         return (u, v)
         return None
 
+    def split(u: int, v: int) -> None:
+        pu, pv = tri.vertex(u), tri.vertex(v)
+        mid_vid = tri.split_segment(u, v)
+        mid = tri.vertex(mid_vid)
+        result.new_points.append(mid)
+        result.boundary_splits.append((pu, pv, mid))
+        classify(tri._triangles_around(mid_vid))
+
+    classify(tri.alive_triangles())
     inserts = 0
     while True:
         if inserts > max_inserts:
             raise RuntimeError("patch refinement exceeded insertion cap")
         seg = encroached_owned_segment()
         if seg is not None:
-            u, v = seg
-            pu, pv = tri.vertex(u), tri.vertex(v)
-            mid_vid = tri.split_segment(u, v)
-            mid = tri.vertex(mid_vid)
-            result.new_points.append(mid)
-            result.boundary_splits.append((pu, pv, mid))
+            split(*seg)
             inserts += 1
             continue
         found = owned_bad_triangle()
@@ -271,8 +265,7 @@ def patch_refine(
                 continue
             pu, pv = tri.vertex(u), tri.vertex(v)
             mid = ((pu[0] + pv[0]) / 2.0, (pu[1] + pv[1]) / 2.0)
-            center = mid
-            if dist_sq(center, cc) < dist_sq(center, pu) * (1.0 - 1e-12):
+            if dist_sq(mid, cc) < dist_sq(mid, pu) * (1.0 - 1e-12):
                 encroached = (u, v, mid)
                 break
         if encroached is not None:
@@ -291,16 +284,14 @@ def patch_refine(
                 skipped.add(cc)
                 result.foreign_splits.append(mid)
                 continue
-            pu, pv = tri.vertex(u), tri.vertex(v)
-            mid_vid = tri.split_segment(u, v)
-            result.new_points.append(tri.vertex(mid_vid))
-            result.boundary_splits.append((pu, pv, tri.vertex(mid_vid)))
+            split(u, v)
             inserts += 1
             continue
         vid = tri.insert_point(cc, hint=tid)
         if vid == len(tri.points) - 1:
             result.new_points.append(cc)
             inserts += 1
+            classify(tri._triangles_around(vid))
         else:
             skipped.add(cc)  # duplicate vertex; cannot make progress here
 

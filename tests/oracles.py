@@ -2,9 +2,11 @@
 
 Slow on purpose and kept apart from ``src/``: the predicates in exact
 rational arithmetic (what ``repro.geometry.predicates`` used as its
-fallback before the integer stage), patch refinement with a full
-rescan per insertion (what ``patch_refine`` did before it memoised
-triangle verdicts), polling from a coroutine that re-arms a
+fallback before the integer stage), the triangulation kernel with a
+two-pass fan stitch and a vertex scan for every segment
+(``ParentTriangulation``), patch refinement over it with a full rescan
+per insertion (what ``patch_refine`` did before it memoised triangle
+verdicts, and later kept them in a heap), polling from a coroutine that re-arms a
 ``Timeout`` per tick (what the runtime's thief did before
 ``Engine.poll``), and the out-of-core planning paths as scans (the lazy
 pressure heap, full-sort swap plans, the prefetch picker's plain loop and
@@ -18,11 +20,13 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from repro.core import computing, control
-from repro.geometry.predicates import Point, circumcenter, dist_sq
+from repro.geometry.predicates import (
+    Point, circumcenter, dist_sq, incircle, orient2d)
 from repro.geometry.pslg import BoundingBox
 from repro.mesh.sizing import SizingFunction
 from repro.mesh.triangulation import NO_TRI, Triangulation
@@ -54,6 +58,149 @@ def incircle_fraction(a: Point, b: Point, c: Point, d: Point) -> int:
     )
 
 
+class ParentTriangulation(Triangulation):
+    """:class:`~repro.mesh.triangulation.Triangulation` with its point
+    location, cavity search, point insertion, neighbour update and segment
+    insertion as they were before the one-pass fan (verbatim): the fan is
+    built, then stitched through a ``by_edge`` dict, and every segment —
+    an existing edge too — scans all live triangles for vertices on it.
+    Everything else is inherited, so the two must hold equal state after
+    every operation.
+    """
+
+    def _set_neighbor(self, tid: int, edge: int, nbr: int) -> None:
+        n = list(self._tri_n[tid])
+        n[edge] = nbr
+        self._tri_n[tid] = (n[0], n[1], n[2])
+
+    def locate(self, p: Point, hint: Optional[int] = None) -> int:
+        tid = hint if hint is not None and self._alive[hint] else self._last_tri
+        if not self._alive[tid]:
+            tid = next(self.alive_triangles())
+        visited = 0
+        limit = 4 * len(self._tri_v) + 16
+        while True:
+            visited += 1
+            if visited > limit:
+                raise RuntimeError("point location walk did not terminate")
+            a, b, c = self._tri_v[tid]
+            pa, pb, pc = self.points[a], self.points[b], self.points[c]
+            moved = False
+            # Edge order randomization is unnecessary: a straight walk in a
+            # Delaunay triangulation cannot cycle.
+            for edge, (p1, p2) in enumerate(((pb, pc), (pc, pa), (pa, pb))):
+                if orient2d(p1, p2, p) < 0:
+                    nbr = self._tri_n[tid][edge]
+                    if nbr == NO_TRI:
+                        raise KeyError(f"point {p} lies outside the mesh")
+                    tid = nbr
+                    moved = True
+                    break
+            if not moved:
+                self._last_tri = tid
+                return tid
+
+    def cavity_of(
+        self, p: Point, hint: Optional[int] = None, start: Optional[int] = None
+    ) -> tuple[set[int], list[tuple[int, int, int]]]:
+        start = self.locate(p, hint) if start is None else start
+        cavity = {start}
+        stack = [start]
+        while stack:
+            tid = stack.pop()
+            a, b, c = self._tri_v[tid]
+            for edge, (u, v) in enumerate(((b, c), (c, a), (a, b))):
+                nbr = self._tri_n[tid][edge]
+                if nbr == NO_TRI or nbr in cavity:
+                    continue
+                if self.is_constrained(u, v):
+                    continue
+                na, nb, nc = self._tri_v[nbr]
+                if incircle(
+                    self.points[na], self.points[nb], self.points[nc], p
+                ) > 0:
+                    cavity.add(nbr)
+                    stack.append(nbr)
+        boundary: list[tuple[int, int, int]] = []
+        for tid in cavity:
+            a, b, c = self._tri_v[tid]
+            for edge, (u, v) in enumerate(((b, c), (c, a), (a, b))):
+                nbr = self._tri_n[tid][edge]
+                if nbr not in cavity:
+                    boundary.append((u, v, nbr))
+        return cavity, boundary
+
+    def insert_point(
+        self,
+        p: Point,
+        hint: Optional[int] = None,
+        _skip_collinear_boundary: Optional[tuple[int, int]] = None,
+        _start: Optional[int] = None,
+    ) -> int:
+        start = self.locate(p, hint) if _start is None else _start
+        for v in self._tri_v[start]:
+            if self.points[v] == p:
+                return v
+
+        cavity, boundary = self.cavity_of(p, start=start)
+        vid = len(self.points)
+        self.points.append(p)
+        self._vertex_tri.append(NO_TRI)  # set by the fan construction below
+        for tid in cavity:
+            self._kill(tid)
+
+        # Fan: one new triangle (vid, u, v) per boundary edge.
+        new_tris: list[int] = []
+        by_edge: dict[tuple[int, int], tuple[int, int]] = {}
+        for u, v, outer in boundary:
+            if (
+                _skip_collinear_boundary is not None
+                and outer == NO_TRI
+                and {u, v} == set(_skip_collinear_boundary)
+            ):
+                continue
+            tid = self._new_triangle((vid, u, v), (NO_TRI, NO_TRI, NO_TRI))
+            new_tris.append(tid)
+            # Edge 0 of (vid,u,v) is (u,v): faces the outside.
+            self._set_neighbor(tid, 0, outer)
+            if outer != NO_TRI:
+                back = self._edge_index(outer, u, v)
+                self._set_neighbor(outer, back, tid)
+            by_edge[(u, v)] = (tid, 0)
+            by_edge[(v, vid)] = (tid, 1)   # edge 1 = (v, vid)
+            by_edge[(vid, u)] = (tid, 2)   # edge 2 = (vid, u)
+        # Stitch the fan: edge (vid,u) of one triangle pairs with (u,vid)
+        # of its neighbor in the fan.
+        for (u, v), (tid, edge) in by_edge.items():
+            if edge == 0:
+                continue
+            mate = by_edge.get((v, u))
+            if mate is not None:
+                self._set_neighbor(tid, edge, mate[0])
+
+        if not new_tris:
+            raise RuntimeError(f"insertion of {p} produced no triangles")
+        self._last_tri = new_tris[0]
+        return vid
+
+    def insert_segment(self, u: int, v: int) -> None:
+        if u == v:
+            raise ValueError("degenerate segment")
+        on_path = self._vertices_on_segment(u, v)
+        chain = [u] + on_path + [v]
+        for a, b in zip(chain, chain[1:]):
+            self._insert_subsegment(a, b)
+
+
+@dataclass
+class RescanResult(PatchResult):
+    """:class:`~repro.pumg.patch.PatchResult` plus what only a full scan
+    can count."""
+
+    deferred: int = 0           # bad triangles owned by someone else
+    triangles_seen: int = 0     # in-domain triangles the scans looked at
+
+
 def patch_refine_rescan(
     points: Sequence[Point],
     boundary_segments: Sequence[tuple[Point, Point]],
@@ -63,10 +210,11 @@ def patch_refine_rescan(
     quality_bound: float = math.sqrt(2.0),
     min_length: float = 0.0,
     max_inserts: int = 200_000,
-) -> PatchResult:
+) -> RescanResult:
     """:func:`repro.pumg.patch.patch_refine` as it was before the verdict
-    memo: ``owned_bad_triangle`` re-derives every live triangle's verdict
-    on every scan.  Same arguments, same :class:`PatchResult`.
+    memo, on :class:`ParentTriangulation`: ``owned_bad_triangle``
+    re-derives every live triangle's verdict on every scan.  Same
+    arguments; the :class:`PatchResult` fields must come out equal.
     """
     boxes = (
         [owner_box] if isinstance(owner_box, BoundingBox) else list(owner_box)
@@ -77,13 +225,13 @@ def patch_refine_rescan(
 
     pts = list(points)
     if len(pts) < 3:
-        return PatchResult(clean=True)
+        return RescanResult(clean=True)
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     bbox = BoundingBox(min(xs), min(ys), max(xs), max(ys))
     if bbox.width == 0 or bbox.height == 0:
-        return PatchResult(clean=True)
-    tri = Triangulation(bbox)
+        return RescanResult(clean=True)
+    tri = ParentTriangulation(bbox)
     for p in pts:
         tri.insert_point(p)
     for pu, pv in boundary_segments:
@@ -96,7 +244,7 @@ def patch_refine_rescan(
         if u != v:
             tri.insert_segment(u, v)
 
-    result = PatchResult()
+    result = RescanResult()
     quality_sq = quality_bound * quality_bound
     min_length_sq = min_length * min_length
 

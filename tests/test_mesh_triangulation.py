@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.geometry import PSLG, BoundingBox, unit_square, pipe_cross_section
 from repro.mesh import Triangulation, triangulate_pslg
 from repro.mesh.quality import triangle_area
+from repro.mesh.triangulation import UnsplittableSegment
+from repro.pumg import run_pcdm
 
 
 def _fresh(points):
@@ -184,6 +186,29 @@ def test_split_segment_requires_constraint():
     tri = _fresh([(0, 0), (1, 0)])
     with pytest.raises(KeyError):
         tri.split_segment(3, 4)
+
+
+def test_split_segment_refuses_a_segment_without_a_midpoint():
+    """One ulp long: the midpoint rounds onto an endpoint.  Splitting used
+    to return that endpoint and mark the degenerate edge (u, u)."""
+    p, q = (0.5, 0.5), (0.5, math.nextafter(0.5, 1.0))
+    tri = _fresh([p, q, (0.9, 0.2)])
+    u, v = tri.find_vertex(p), tri.find_vertex(q)
+    tri.insert_segment(u, v)
+    before = (set(tri.constrained), list(tri.points))
+    with pytest.raises(UnsplittableSegment):
+        tri.split_segment(u, v)
+    assert (tri.constrained, tri.points) == before
+    assert tri.check_delaunay() == []
+
+
+def test_pipe_pcdm_stops_on_the_unsplittable_segment():
+    """Ruppert refinement does not terminate on the small input angles of
+    this decomposition; it reaches a one-ulp subsegment within a second.
+    The run stops there with the named error instead of corrupting the
+    mesh (it raised a KeyError on the edge (u, u) before)."""
+    with pytest.raises(UnsplittableSegment):
+        run_pcdm(pipe_cross_section(), h=0.06, n_parts=4)
 
 
 @settings(max_examples=25, deadline=None)
