@@ -81,7 +81,6 @@ class MRTSConfig:
       mobile objects off hot nodes between phases.
     """
 
-    memory_budget: int = 256 * 1024 * 1024
     hard_threshold_factor: float = 2.0
     soft_threshold_fraction: float = 0.5
     swap_scheme: str = "lru"
@@ -106,8 +105,6 @@ class MRTSConfig:
     VALID_EXECUTORS = ("workstealing", "centralqueue", "serial")
 
     def __post_init__(self) -> None:
-        if self.memory_budget <= 0:
-            raise ConfigError("memory_budget must be positive")
         if self.hard_threshold_factor < 1.0:
             raise ConfigError("hard_threshold_factor must be >= 1")
         if not 0.0 <= self.soft_threshold_fraction <= 1.0:

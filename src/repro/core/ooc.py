@@ -126,11 +126,12 @@ class OOCLayer:
         self,
         config: MRTSConfig,
         scheme: Optional[SwapScheme] = None,
-        budget: Optional[int] = None,
+        *,
+        budget: int,
     ):
         self.config = config
-        self.budget = budget if budget is not None else config.memory_budget
-        if self.budget <= 0:
+        self.budget = budget
+        if budget <= 0:
             raise ValueError("memory budget must be positive")
         self.scheme = scheme or make_scheme(config.swap_scheme)
         self.table: dict[int, Residency] = {}
@@ -170,9 +171,6 @@ class OOCLayer:
     def is_resident(self, oid: int) -> bool:
         rec = self.table.get(oid)
         return rec is not None and rec.resident
-
-    def resident_ids(self) -> list[int]:
-        return [oid for oid, rec in self.table.items() if rec.resident]
 
     def hard_threshold(self) -> int:
         """Free-memory floor: hard_factor x largest object stored on disk."""

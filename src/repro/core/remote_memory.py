@@ -32,19 +32,15 @@ __all__ = ["RemoteMemoryBackend", "MemoryPool", "attach_remote_memory"]
 class MemoryPool:
     """Capacity + eviction accounting for one memory server.
 
-    The pool is the accounting heart of a *peer tier*: a bounded slab of a
-    neighbor's RAM that several clients spill into.  Beyond raw byte
-    accounting it tracks recency (:meth:`touch`) so that, when a put would
-    overflow the capacity, the pool can *evict under pressure*: demote its
-    least-recently-used entries into an ``overflow`` backend (the host's
-    disk, typically) instead of refusing the store.  Without an overflow
-    backend the pool keeps the original hard-capacity behavior and raises
-    :class:`~repro.util.errors.StorageFull`.
-
-    Counters exposed for observability and tests: ``evictions`` /
-    ``demoted_bytes`` (pressure evictions and the bytes they pushed down),
-    ``peak_used`` (high watermark), ``overflow_loads`` (reads served from
-    the demoted tier).
+    A bounded slab of a neighbor's RAM that clients spill into.  When a
+    put would overflow the capacity, the pool demotes its least-recently-
+    used entries into an ``overflow`` backend (the host's disk) instead
+    of refusing the store; without one it raises
+    :class:`~repro.util.errors.StorageFull`.  The LRU is its own, not an
+    :class:`~repro.core.ooc.OOCLayer`: a slab holds opaque bytes, with no
+    in-core instance to pin, no dirty epoch and no thresholds, so the
+    layer would have to branch on its caller.  Counters: ``evictions`` /
+    ``demoted_bytes``, ``peak_used``, ``overflow_loads`` (demoted reads).
     """
 
     def __init__(

@@ -11,8 +11,8 @@ execution — real compute/communication overlap across processes, which
 is the whole point of leaving the DES.
 
 Every effect of a handler travels in its ACK: the packed post-state (the
-coordinator's replica), the handler's outgoing posts, and the worker's
-buffered obs events plus a clock watermark.  The dedupe cache
+coordinator's replica), the handler's outgoing posts, and the node's obs
+events since the last ACK plus a clock watermark.  The dedupe cache
 (``msg_id -> Ack``) makes redelivery free: a duplicate is answered with
 the cached ACK, never re-executed.
 
@@ -26,17 +26,18 @@ from __future__ import annotations
 
 import time
 import traceback
-from typing import Optional
 
-from repro.core.mobile import MobileObject, MobilePointer, revive
-from repro.core.ooc import OOCLayer
+from repro.core import spill
+from repro.core.mobile import MobilePointer
 from repro.core.remote_memory import MemoryPool
-from repro.core.spill import LocalObject, bind_dirty
-from repro.core.storage import CountingBackend, MemoryBackend, build_storage_stack
+from repro.core.runtime import MRTS
+from repro.core.stats import Ledger
+from repro.core.storage import MemoryBackend, StorageBackend, build_storage_stack
 from repro.dist.events import encode_event
 from repro.dist.store import PeerClient, PeerMemoryServer, PeerTier, resolve_class
 from repro.dist.wire import Ack, Create, Post, Shutdown
-from repro.obs.events import EvictEvent, HandlerSpan, LoadEvent
+from repro.sim.cluster import ClusterSpec
+from repro.sim.node import NodeSpec
 from repro.testing.invariants import check_node_residency
 from repro.util.errors import ObjectNotFound, OutOfMemory
 
@@ -66,44 +67,58 @@ class DistHandlerContext:
         """Size-hint no-op: the worker re-measures after every mutation."""
 
 
+class _StoredAlready:
+    """Write-behind with nothing behind: the store already ran in full."""
+
+    def submit(self, oid: int, nbytes: int) -> None:
+        pass
+
+
 class ShardWorker:
     """Serve one shard over a control connection until Shutdown.
 
-    The shard is kept the way an MRTS node keeps its objects: residency
-    in ``ooc``, ``spill.LocalObject`` records with the node's dirty hook,
-    spills through ``storage`` (a ``build_storage_stack``, with ``peer``
-    under it if any).  So a clean eviction skips the pack and the store,
-    and a dirty one stores the bytes its last handler packed for the
-    ACK.  L0 charges an object its packed size: the worker always holds
-    those bytes.
+    The shard lives in a one-node MRTS (``rt``, its node ``nrt``) whose
+    memory is ``l0_bytes`` and whose raw store is ``medium``: records,
+    residency, loads, spills and their accounting are ``core/spill.py``
+    and the ``Ledger``, as on a simulated node.  L0 charges an object its
+    packed size, which the worker always holds.  The node's engine never
+    runs, and three of its parts are swapped for a process:
+
+    * the storage stack, recomposed with ``seed=rank`` and real sleeps
+      for retry backoff (the simulator charges the delay in virtual time);
+    * the ledger's clock, a real one, since the coordinator merges the
+      workers' events by real time;
+    * write-behind, which queues the virtual disk time of a store that
+      already ran: a process has no virtual disk, and every queued
+      charge would be an engine process that never runs.
     """
 
-    def __init__(
-        self,
-        rank: int,
-        conn,
-        storage: CountingBackend,
-        ooc: OOCLayer,
-        peer: Optional[PeerTier] = None,
-        t0: float = 0.0,
-        clock=time.monotonic,
-    ) -> None:
+    def __init__(self, rank: int, conn, config, l0_bytes: int,
+                 medium: StorageBackend, t0: float = 0.0,
+                 clock=time.monotonic) -> None:
         self.rank = rank
         self.conn = conn
-        self.storage = storage
-        self.ooc = ooc
-        self.peer = peer
+        self.peer = medium if isinstance(medium, PeerTier) else None
         self.t0 = t0
         self._clock = clock
-        self.locals: dict[int, LocalObject] = {}
-        self.classes: dict[int, type] = {}
+        self.rt = MRTS(
+            ClusterSpec(n_nodes=1, node=NodeSpec(cores=1, memory_bytes=l0_bytes)),
+            config, storage_factory=lambda _: medium,
+        )
+        self.nrt = nrt = self.rt.nodes[0]
+        nrt.rank = rank  # events and counters name the worker
+        nrt.storage = build_storage_stack(
+            config, medium, seed=rank, sleep=time.sleep)
+        nrt.write_behind = _StoredAlready()
+        self.rt.ledger = Ledger(self.rt.stats, self.rt.bus, self)
+        self._events = self.rt.bus.subscribe()
         self._acked: dict[int, Ack] = {}
-        self._events: list = []
         self.delivered = 0
         self.duplicates = 0
-        self.packs = 0
 
+    @property
     def now(self) -> float:
+        """Seconds since the coordinator's epoch: the ledger's clock."""
         return self._clock() - self.t0
 
     # ------------------------------------------------------------------ loop
@@ -128,12 +143,16 @@ class ShardWorker:
         if isinstance(msg, Shutdown):
             self._send(self._ack_shutdown(msg))
             return False
-        if isinstance(msg, Create):
-            ack = self._do_create(msg)
-        elif isinstance(msg, Post):
-            ack = self._do_post(msg)
-        else:
-            ack = Ack(msg.msg_id, -1, error=f"unknown message {type(msg)}")
+        try:
+            if isinstance(msg, Create):
+                ack = self._do_create(msg)
+            elif isinstance(msg, Post):
+                ack = self._do_post(msg)
+            else:
+                raise TypeError(f"unknown message {type(msg)}")
+        except Exception:
+            ack = Ack(msg.msg_id, getattr(msg, "oid", -1),
+                      error=traceback.format_exc())
         self._acked[msg.msg_id] = ack
         self._send(ack)
         return True
@@ -144,176 +163,100 @@ class ShardWorker:
         except (OSError, BrokenPipeError):  # pragma: no cover - dying link
             pass
 
-    def _drain_events(self) -> tuple:
-        rows = tuple(encode_event(e) for e in self._events)
-        self._events.clear()
-        return rows
-
-    def _emit(self, kind: type, oid: int, nbytes: int, **fields) -> None:
-        self._events.append(kind(
-            time=self.now(), node=self.rank, oid=oid, nbytes=nbytes,
-            memory_used=self.ooc.memory_used, **fields,
-        ))
-
-    # ------------------------------------------------------------- residency
-    def get(self, oid: int) -> MobileObject:
-        """The in-core instance of ``oid``, loaded if it was spilled."""
-        rec = self.locals.get(oid)
-        if rec is None:
-            raise ObjectNotFound(f"object {oid} is not homed on this shard")
-        if rec.obj is not None:
-            self.ooc.touch(oid)
-            return rec.obj
-        try:
-            victims = self.ooc.plan_load(oid)
-        except OutOfMemory:  # larger than L0: back in as the recorded overrun
-            victims = self.ooc.eviction_candidates(protect={oid})
-        self._evict(victims)
-        self._install(oid, self.storage.load(oid))
-        self.ooc.confirm_load(oid)
-        self._emit(LoadEvent, oid, self.ooc.table[oid].nbytes, background=False)
-        return rec.obj
-
-    def _admit(self, oid: int, cls: type, state: bytes) -> None:
-        if oid in self.locals:
-            # A re-home re-admit: the previous life's record and stored
-            # copy describe an older state than the one arriving.
-            del self.locals[oid]
-            self.ooc.forget(oid)
-            self.storage.delete(oid)
-        self.classes[oid] = cls
-        self._install(oid, state)
-        fits = min(len(state), self.ooc.budget)
-        self._evict(self.ooc.admit(oid, fits))
-        self.ooc.confirm_admit(oid)
-        if fits < len(state):  # larger than L0: admitted as a recorded overrun
-            self.ooc.force_resize(oid, len(state))
-
-    def _install(self, oid: int, packed: bytes) -> None:
-        rec = self.locals.setdefault(oid, LocalObject(obj=None))
-        rec.obj = revive(self.classes[oid], MobilePointer(oid, self.rank),
-                         [packed])
-        rec.pack_cache = packed
-        bind_dirty(self, oid, rec.obj)
-
-    def _resize(self, oid: int, nbytes: int) -> None:
-        """Re-account a mutated object, as ``spill.resize_resident`` does."""
-        try:
-            victims = self.ooc.resize(oid, nbytes)
-        except OutOfMemory:  # grew past what eviction can free
-            victims = self.ooc.eviction_candidates(protect={oid})
-            self.ooc.force_resize(oid, nbytes)
-        self._evict(victims)
-
-    def _evict(self, victims: list[int]) -> None:
-        for oid in victims:
-            rec = self.locals[oid]
-            dirty = self.ooc.is_dirty(oid)
-            if dirty:  # else the stored copy is current: no pack, no store
-                self.storage.store(oid, self._pack(rec))
-            rec.obj = rec.pack_cache = None
-            nbytes = self.ooc.confirm_evict(oid)
-            self._emit(EvictEvent, oid, nbytes, clean=not dirty)
-
-    def _pack(self, rec: LocalObject) -> bytes:
-        """The record's packed state: one ``pack()`` per write at most."""
-        if rec.pack_cache is None:
-            rec.pack_cache = rec.obj.pack()
-            self.packs += 1
-        return rec.pack_cache
+    def _ack(self, msg, **fields) -> Ack:
+        rows = tuple(map(encode_event, self._events.events))
+        self._events.events.clear()
+        return Ack(msg.msg_id, getattr(msg, "oid", -1), events=rows,
+                   now=self.now, **fields)
 
     # -------------------------------------------------------------- messages
     def _do_create(self, msg: Create) -> Ack:
-        try:
-            self._admit(msg.oid, resolve_class(msg.cls_path), msg.state)
-        except Exception:
-            return Ack(msg.msg_id, msg.oid, error=traceback.format_exc())
-        return Ack(
-            msg.msg_id, msg.oid, state=None,
-            events=self._drain_events(), now=self.now(),
-        )
+        rt, nrt, oid, state = self.rt, self.nrt, msg.oid, msg.state
+        if oid in nrt.locals:
+            # A re-home re-admit: the previous life's record and stored
+            # copy describe an older state than the one arriving.
+            rt.destroy_object(rt.pointers[oid])
+        rt.register_object(
+            MobilePointer(oid, self.rank), resolve_class(msg.cls_path), 0)
+        budget = nrt.ooc.budget
+        spill.admit(rt, nrt, oid, min(len(state), budget))
+        spill.install(rt, nrt, oid, spill.rehydrate(rt, oid, [state]),
+                      pack_cache=state)
+        if len(state) > budget:  # larger than L0: admitted as an overrun
+            spill.resize_resident(rt, nrt, oid, len(state))
+        return self._ack(msg)
 
     def _do_post(self, msg: Post) -> Ack:
-        try:
-            obj = self.get(msg.oid)
-            fn = getattr(obj, msg.method, None)
-            if fn is None or not getattr(fn, "_mrts_handler", False):
-                raise AttributeError(
-                    f"{type(obj).__name__}.{msg.method} is not a handler"
-                )
-            readonly = getattr(fn, "_mrts_readonly", False)
-            ctx = DistHandlerContext(self.rank)
-            start = self.now()
-            fn(ctx, *msg.args, **msg.kwargs)
-            duration = self.now() - start
-            state = None
-            if not readonly:
-                obj.mark_dirty()  # drops the stale pack cache
-                state = self._pack(self.locals[msg.oid])
-                self._resize(msg.oid, len(state))
-            # Soft-threshold advice, as after every MRTS handler.
-            self._evict(self.ooc.advise_swap(protect={msg.oid}))
-            self.delivered += 1
-            self._events.append(HandlerSpan(
-                time=start, node=self.rank, oid=msg.oid, handler=msg.method,
-                duration=duration, comp_s=duration, queue_len=0,
-            ))
-        except Exception:
-            return Ack(msg.msg_id, msg.oid, error=traceback.format_exc())
-        return Ack(
-            msg.msg_id, msg.oid, state=state, posts=tuple(ctx.outbox),
-            events=self._drain_events(), now=self.now(),
-        )
+        rt, nrt, oid = self.rt, self.nrt, msg.oid
+        rec = nrt.locals.get(oid)
+        if rec is None:
+            raise ObjectNotFound(f"object {oid} is not homed on this shard")
+        if rec.obj is None:
+            try:
+                victims = nrt.ooc.plan_load(oid)
+            except OutOfMemory:  # larger than L0: back in as the overrun
+                victims = nrt.ooc.eviction_candidates(protect={oid})
+            spill.evict_all(rt, nrt, victims)
+            spill.install_loaded(
+                rt, nrt, oid, nrt.storage.load_segments(oid),
+                nrt.ooc.table[oid].nbytes, background=False, repaired=False)
+        else:
+            nrt.ooc.touch(oid)
+        obj = rec.obj
+        fn = getattr(obj, msg.method, None)
+        if fn is None or not getattr(fn, "_mrts_handler", False):
+            raise AttributeError(
+                f"{type(obj).__name__}.{msg.method} is not a handler")
+        ctx = DistHandlerContext(self.rank)
+        start = self.now
+        fn(ctx, *msg.args, **msg.kwargs)
+        rt.ledger.handler(
+            self.rank, oid, msg.method, start, self.now - start, 0)
+        state = None
+        if not getattr(fn, "_mrts_readonly", False):
+            obj.mark_dirty()  # drops the stale pack cache
+            state = spill.pack_local(rt, rec, self.rank)
+            spill.resize_resident(rt, nrt, oid, len(state))
+        # Soft-threshold advice, as after every MRTS handler.
+        spill.evict_all(rt, nrt, nrt.ooc.advise_swap(protect={oid}))
+        self.delivered += 1
+        return self._ack(msg, state=state, posts=tuple(ctx.outbox))
 
     def _ack_shutdown(self, msg: Shutdown) -> Ack:
+        ooc, storage, counters = self.nrt.ooc, self.nrt.storage, self.rt.stats
         stats = dict(
-            evictions=self.ooc.evictions, loads=self.storage.loads,
-            clean_evictions=self.ooc.clean_evictions, packs=self.packs,
-            stores=self.storage.stores, owned=len(self.locals),
+            evictions=ooc.evictions, loads=storage.loads,
+            clean_evictions=ooc.clean_evictions, packs=counters.packs,
+            delta_spills=counters.delta_spills, stores=storage.stores,
+            owned=len(self.nrt.locals),
             delivered=self.delivered, duplicates=self.duplicates,
             residency_violations=check_node_residency(
-                self, f"worker {self.rank}"),
+                self.nrt, f"worker {self.rank}"),
         )
         if self.peer is not None:
             client = self.peer.client
             stats.update(peer_hits=client.gets, peer_puts=client.puts,
                          peer_fallbacks=self.peer.fallbacks)
             client.close()
-        return Ack(
-            msg.msg_id, -1, events=self._drain_events(), now=self.now(),
-            stats=stats,
-        )
+        return self._ack(msg, stats=stats)
 
 
-def worker_main(
-    rank: int,
-    conn,
-    peer_server_conn,
-    peer_client_conn,
-    config,
-    l0_bytes: int,
-    peer_pool_bytes: int,
-    t0: float,
-) -> None:
-    """Process entry point: compose the layers and serve the shard.
+def worker_main(rank: int, conn, peer_server_conn, peer_client_conn, config,
+                l0_bytes: int, peer_pool_bytes: int, t0: float) -> None:
+    """Process entry point: compose the media and serve the shard.
 
-    Residency is an :class:`OOCLayer` budgeted at ``l0_bytes``; storage
-    is the single-process runtime's self-healing stack (with *real*
-    sleeps for retry backoff) over a private in-process disk, with the
-    ring neighbor's RAM under it as a :class:`PeerTier`.  The peer server
-    hosts ``peer_pool_bytes`` of slab for the other neighbor, overflowing
-    under pressure into its own demotion backend — the live deployment
-    of the MemoryPool eviction path.
+    The raw store is a private in-process disk, with the ring neighbor's
+    RAM over it as a :class:`PeerTier`.  The peer server hosts
+    ``peer_pool_bytes`` of slab for the other neighbor, overflowing under
+    pressure into its own demotion backend — the live deployment of the
+    MemoryPool eviction path.
     """
     medium = MemoryBackend()
-    peer = None
     if peer_client_conn is not None:
-        medium = peer = PeerTier(medium, PeerClient(peer_client_conn))
-    storage = build_storage_stack(config, medium, seed=rank, sleep=time.sleep)
+        medium = PeerTier(medium, PeerClient(peer_client_conn))
     if peer_server_conn is not None:
         PeerMemoryServer(
             peer_server_conn,
             MemoryPool(peer_pool_bytes, overflow=MemoryBackend()),
         ).start()
-    ooc = OOCLayer(config, budget=l0_bytes)
-    ShardWorker(rank, conn, storage, ooc, peer=peer, t0=t0).serve_forever()
+    ShardWorker(rank, conn, config, l0_bytes, medium, t0=t0).serve_forever()

@@ -610,6 +610,7 @@ def run_dist_storm(
         "tier_loads": stats.aggregate("loads"),
         "stores": stats.aggregate("stores"),
         "packs": stats.aggregate("packs"),
+        "delta_spills": stats.aggregate("delta_spills"),
         "peer_hits": stats.aggregate("peer_hits"),
         "peer_fallbacks": stats.aggregate("peer_fallbacks"),
         "peer_puts": stats.aggregate("peer_puts"),

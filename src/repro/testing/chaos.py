@@ -531,6 +531,8 @@ class DistChaosSpec:
     grow_bytes: int = 512
     l0_bytes: int = 8 * 1024
     seed: int = 0
+    # Actor class, as in ChaosSpec: DeltaStormActor spills delta frames.
+    actor: type = StormActor
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -562,6 +564,16 @@ DIST_CHAOS_MATRIX: list[DistChaosSpec] = [
         dup_rate=0.15,
         chaos_seed=11,
     ),
+    # Kill a worker whose shard spills delta frames: survivors keep their
+    # append-logs, re-homed objects restart from a full store.
+    DistChaosSpec(
+        name="dist-delta-kill",
+        workers=3,
+        kill_rank=1,
+        kill_after_acks=30,
+        expect_rehome=True,
+        actor=DeltaStormActor,
+    ),
 ]
 
 
@@ -572,7 +584,7 @@ def _dist_reference(spec: DistChaosSpec) -> dict[int, tuple]:
     harness = RuntimeHarness(n_nodes=spec.workers, memory_bytes=1 << 20)
     actors = [
         harness.runtime.create_object(
-            StormActor, spec.payload_bytes, spec.seed, spec.grow_every,
+            spec.actor, spec.payload_bytes, spec.seed, spec.grow_every,
             spec.grow_bytes, node=i % spec.workers,
         )
         for i in range(spec.n_actors)
@@ -617,7 +629,7 @@ def run_dist_chaos_case(spec: DistChaosSpec) -> ChaosReport:
 
         actors = [
             runtime.create_object(
-                StormActor, spec.payload_bytes, spec.seed, spec.grow_every,
+                spec.actor, spec.payload_bytes, spec.seed, spec.grow_every,
                 spec.grow_bytes,
             )
             for _ in range(spec.n_actors)
@@ -664,6 +676,8 @@ def run_dist_chaos_case(spec: DistChaosSpec) -> ChaosReport:
         chaos.dropped_sends or chaos.dropped_acks or chaos.duplicated_sends
     ):
         report.problems.append("wire chaos never fired (dead cell)")
+    if spec.actor is DeltaStormActor and not stats.aggregate("delta_spills"):
+        report.problems.append("no delta frame was stored (dead cell)")
     return report
 
 

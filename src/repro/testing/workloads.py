@@ -150,17 +150,19 @@ class DeltaStormActor(StormActor):
     serializer = get_codec("bytes-append")
 
 
-def run_storm(runtime: "MRTS", spec: WorkloadSpec) -> list["MobilePointer"]:
+def run_storm(
+    runtime: "MRTS", spec: WorkloadSpec, actor: type = StormActor
+) -> list["MobilePointer"]:
     """Run one storm workload to quiescence; returns the actor pointers.
 
-    Actors are placed round-robin across the cluster's nodes, introduced
-    to each other, then ``initial_pulses`` cascades are launched.  The
-    caller inspects final state through ``runtime.get_object``.
+    Actors of class ``actor`` are placed round-robin across the nodes,
+    introduced to each other, then ``initial_pulses`` cascades are
+    launched.  The caller inspects final state through ``runtime.get_object``.
     """
     n_nodes = len(runtime.nodes)
     actors = [
         runtime.create_object(
-            StormActor,
+            actor,
             spec.payload_bytes,
             spec.seed,
             spec.grow_every,

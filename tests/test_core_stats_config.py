@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MRTSConfig, NodeStats, RunStats
+from repro.core import MRTSConfig, NodeStats, OOCLayer, RunStats
 from repro.util.errors import ConfigError
 
 
@@ -16,8 +16,8 @@ def test_default_config_matches_paper():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        MRTSConfig(memory_budget=0)
+    with pytest.raises(ValueError):  # the budget is the node's, not a knob
+        OOCLayer(MRTSConfig(), budget=0)
     with pytest.raises(ConfigError):
         MRTSConfig(hard_threshold_factor=0.5)
     with pytest.raises(ConfigError):

@@ -13,7 +13,9 @@ from repro.dist import DistRuntime, RecoveryFailed, ShardRecoveryPolicy
 from repro.dist.wire import DistError
 from repro.sim.cluster import ClusterSpec
 from repro.sim.node import NodeSpec
-from repro.testing.workloads import StormActor, WorkloadSpec, run_storm
+from repro.testing.workloads import (
+    DeltaStormActor, StormActor, WorkloadSpec, run_storm,
+)
 from repro.util.errors import ObjectNotFound
 
 SPEC = WorkloadSpec(
@@ -30,11 +32,11 @@ def final_state(runtime, actors):
     return out
 
 
-def reference_state(spec):
+def reference_state(spec, actor=StormActor):
     rt = MRTS(ClusterSpec(
         n_nodes=2, node=NodeSpec(cores=1, memory_bytes=1 << 20)
     ))
-    return final_state(rt, run_storm(rt, spec))
+    return final_state(rt, run_storm(rt, spec, actor))
 
 
 def test_storm_matches_single_process_reference():
@@ -56,6 +58,17 @@ def test_storm_matches_reference_under_every_swap_scheme(scheme):
         actors = run_storm(runtime, SPEC)
         assert final_state(runtime, actors) == reference_state(SPEC)
     assert runtime.stats.aggregate("evictions") > 0
+    assert runtime.stats.residency_violations() == []
+
+
+def test_delta_storm_matches_reference_and_stores_delta_frames():
+    """Workers spill through ``spill.store_spill``, so append-mostly
+    payloads re-spill as delta frames on this backend too."""
+    with DistRuntime(2, l0_bytes=4 * 1024) as runtime:
+        actors = run_storm(runtime, SPEC, DeltaStormActor)
+        assert final_state(runtime, actors) == reference_state(
+            SPEC, DeltaStormActor)
+    assert runtime.stats.aggregate("delta_spills") > 0
     assert runtime.stats.residency_violations() == []
 
 

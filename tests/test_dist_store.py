@@ -3,7 +3,7 @@
 Everything under :mod:`repro.dist` below the coordinator is
 transport-agnostic (any object with ``send``/``recv``/``poll`` works), so
 these tests drive the *same* classes the forked workers run — the shard
-worker's residency on the OOC layer, the peer tier under the storage
+worker's one-node MRTS, the peer tier under the storage
 stack, peer memory server/client, the worker's exactly-once control
 loop, the event codec and the watermark merger — entirely in-process,
 where coverage can see them.
@@ -16,10 +16,9 @@ import threading
 import pytest
 
 from repro.core import MobileObject, MRTSConfig, handler
-from repro.core.mobile import MobilePointer
-from repro.core.ooc import OOCLayer
+from repro.core.mobile import MobilePointer, revive
 from repro.core.remote_memory import MemoryPool
-from repro.core.storage import MemoryBackend, build_storage_stack
+from repro.core.storage import MemoryBackend
 from repro.dist import (
     PeerClient,
     PeerMemoryServer,
@@ -35,6 +34,7 @@ from repro.dist.store import class_path, resolve_class
 from repro.dist.wire import Ack, Create, PeerOp, Post, Shutdown
 from repro.obs.events import EvictEvent, EventBus, HandlerSpan, LoadEvent
 from repro.testing.invariants import check_node_residency
+from repro.testing.workloads import DeltaStormActor
 from repro.util.errors import CorruptObject, ObjectNotFound
 
 
@@ -90,16 +90,11 @@ def make_worker(budget=50_000, client=None, config=None, conn=None):
     ~2 KB probes: a 6000 B budget holds two of them, and a third
     admission spills one.
     """
-    config = config or MRTSConfig()
     medium = MemoryBackend()
-    peer = None
     if client is not None:
-        medium = peer = PeerTier(medium, client)
-    return ShardWorker(
-        0, conn if conn is not None else Sink(),
-        build_storage_stack(config, medium), OOCLayer(config, budget=budget),
-        peer=peer,
-    )
+        medium = PeerTier(medium, client)
+    return ShardWorker(0, conn if conn is not None else Sink(),
+                       config or MRTSConfig(), budget, medium)
 
 
 _msg_ids = itertools.count(1)
@@ -119,8 +114,19 @@ def post(worker, oid, method, *args):
     return worker.conn.sent[-1]
 
 
+def get(worker, oid):
+    """``oid``'s in-core instance: a resident one is touched, a spilled
+    one is loaded by a read-only post."""
+    rec = worker.nrt.locals[oid]
+    if rec.obj is None:
+        assert post(worker, oid, "peek").error is None
+    else:
+        worker.nrt.ooc.touch(oid)
+    return rec.obj
+
+
 def spilled(worker):
-    return {oid for oid, rec in worker.locals.items() if rec.obj is None}
+    return {oid for oid, rec in worker.nrt.locals.items() if rec.obj is None}
 
 
 def evict_events(ack):
@@ -143,29 +149,29 @@ def test_resolve_class_rejects_non_mobile_types():
 def test_store_admits_and_serves_live_objects():
     worker = make_worker()
     create(worker, 1)
-    obj = worker.get(1)
+    obj = get(worker, 1)
     assert isinstance(obj, Probe)
-    assert worker.get(1) is obj  # in core: same instance
-    assert set(worker.locals) == {1}
-    assert worker.storage.loads == 0
+    assert get(worker, 1) is obj  # in core: same instance
+    assert set(worker.nrt.locals) == {1}
+    assert worker.nrt.storage.loads == 0
 
 
 def test_store_evicts_lru_and_promotes_from_disk():
     worker = make_worker(budget=6000)
     for oid in (1, 2, 3):  # the third admission spills oid 1
         create(worker, oid)
-    assert worker.ooc.evictions >= 1
-    assert worker.storage.contains(1)
-    obj = worker.get(1)  # promotion: revived from the stored bytes
+    assert worker.nrt.ooc.evictions >= 1
+    assert worker.nrt.storage.contains(1)
+    obj = get(worker, 1)  # promotion: revived from the stored bytes
     assert obj.count == 0
-    assert worker.storage.loads == 1
+    assert worker.nrt.storage.loads == 1
 
 
 def test_store_eviction_prefers_least_recently_used():
     worker = make_worker(budget=6000)
     create(worker, 1)
     create(worker, 2)
-    worker.get(1)  # refresh 1: now 2 is the LRU victim
+    get(worker, 1)  # refresh 1: now 2 is the LRU victim
     create(worker, 3)
     assert spilled(worker) == {2}
 
@@ -177,7 +183,7 @@ def test_worker_victim_order_follows_the_swap_scheme():
                              config=MRTSConfig(swap_scheme=scheme))
         create(worker, 1)
         create(worker, 2)
-        worker.get(1)  # 1 is now the most recently used
+        get(worker, 1)  # 1 is now the most recently used
         create(worker, 3)
         victims[scheme] = spilled(worker)
     assert victims == {"lru": {2}, "mru": {1}}
@@ -186,25 +192,25 @@ def test_worker_victim_order_follows_the_swap_scheme():
 def test_mutating_handler_recharges_residency():
     worker = make_worker(budget=50_000)
     create(worker, 1)
-    before = worker.ooc.memory_used
+    before = worker.nrt.ooc.memory_used
     ack = post(worker, 1, "grow", 4000)
-    assert worker.ooc.memory_used > before
-    assert worker.ooc.table[1].nbytes == len(ack.state)
+    assert worker.nrt.ooc.memory_used > before
+    assert worker.nrt.ooc.table[1].nbytes == len(ack.state)
 
 
 def test_unknown_oid_raises_object_not_found():
-    with pytest.raises(ObjectNotFound):
-        make_worker().get(42)
+    ack = post(make_worker(), 42, "peek")
+    assert ObjectNotFound.__name__ in ack.error
 
 
 def test_admit_overwrites_a_previous_life():
     """Re-homing re-admits an oid the worker may already track."""
     worker = make_worker()
     create(worker, 1)
-    worker.get(1).count = 99
+    get(worker, 1).count = 99
     create(worker, 1, count=7)
-    assert worker.get(1).count == 7
-    assert worker.ooc.memory_used == worker.ooc.table[1].nbytes
+    assert get(worker, 1).count == 7
+    assert worker.nrt.ooc.memory_used == worker.nrt.ooc.table[1].nbytes
 
 
 def test_rehomed_object_is_not_served_from_its_previous_stored_copy():
@@ -212,14 +218,14 @@ def test_rehomed_object_is_not_served_from_its_previous_stored_copy():
     create(worker, 1, count=99)
     create(worker, 2)
     create(worker, 3)  # 1 spills: its previous life is on the medium
-    assert worker.storage.contains(1)
+    assert worker.nrt.storage.contains(1)
     create(worker, 1, count=7)  # re-home re-admit
-    assert not worker.storage.contains(1)
+    assert not worker.nrt.storage.contains(1)
     assert post(worker, 1, "bump").error is None
     create(worker, 4)
     create(worker, 5)
     assert 1 in spilled(worker)
-    assert worker.get(1).count == 8
+    assert get(worker, 1).count == 8
 
 
 def test_store_emits_evict_and_load_events():
@@ -237,11 +243,11 @@ def test_readonly_handler_then_eviction_stores_nothing():
     for oid in (1, 2, 3):
         create(worker, oid)
     post(worker, 1, "peek")  # 1 reloads and serves a read-only epoch
-    stores = worker.storage.stores
+    stores = worker.nrt.storage.stores
     ack = post(worker, 2, "peek")  # room for 2: 1 goes
     assert [e.clean for e in evict_events(ack) if e.oid == 1] == [True]
-    assert worker.storage.stores == stores
-    assert worker.ooc.clean_evictions == 1
+    assert worker.nrt.storage.stores == stores
+    assert worker.nrt.ooc.clean_evictions == 1
 
 
 def test_one_pack_per_mutating_handler_and_eviction(monkeypatch):
@@ -256,21 +262,53 @@ def test_one_pack_per_mutating_handler_and_eviction(monkeypatch):
     create(worker, 3)  # 1 is dirty and least recent: stored, not repacked
     assert 1 in spilled(worker)
     assert packed.count(1) == 1
-    assert worker.packs == 1
-    assert worker.storage.load(1) == ack.state
+    assert worker.rt.stats.packs == 1
+    assert worker.nrt.storage.load(1) == ack.state
 
 
 def test_object_larger_than_l0_is_admitted_as_an_overrun():
     worker = make_worker(budget=1000)
     create(worker, 1, size=3000)
     assert 1 not in spilled(worker)
-    assert worker.ooc.overruns == 1
-    assert check_node_residency(worker, "worker") == []
+    assert worker.nrt.ooc.overruns == 1
+    assert check_node_residency(worker.nrt, "worker") == []
     create(worker, 2, size=100)  # spills the big one
     assert spilled(worker) == {1}
     assert post(worker, 1, "bump").error is None  # and it loads back
-    assert worker.get(1).count == 1
-    assert check_node_residency(worker, "worker") == []
+    assert get(worker, 1).count == 1
+    assert check_node_residency(worker.nrt, "worker") == []
+
+
+def test_delta_actors_spill_append_log_frames():
+    """Grown append-mostly payloads re-spill as delta frames, and a
+    reload reassembles base plus frames into the current state."""
+    worker = make_worker(budget=6000)
+    for oid in (1, 2, 3):
+        actor = DeltaStormActor(MobilePointer(oid, 0), 2000, 0, 1, 256)
+        worker.handle(Create(next(_msg_ids), oid, class_path(DeltaStormActor),
+                             actor.pack()))
+    for _ in range(4):
+        acks = [post(worker, oid, "pulse", 0, 0) for oid in (1, 2, 3)]
+    assert worker.rt.stats.delta_spills > 0
+    for ack in acks:
+        replica = revive(DeltaStormActor, MobilePointer(ack.oid, 0), [ack.state])
+        assert (replica.hits, len(replica.payload)) == (4, 2000 + 4 * 256)
+    worker.handle(Shutdown(next(_msg_ids)))
+    stats = worker.conn.sent[-1].stats
+    assert stats["delta_spills"] == worker.rt.stats.delta_spills
+    assert stats["residency_violations"] == []
+
+
+def test_dirty_evictions_leave_nothing_on_the_node_engine():
+    """The node's engine never runs in a worker, so a dirty spill must
+    not queue its disk charge there (write-behind is swapped out)."""
+    worker = make_worker(budget=6000)
+    for oid in range(1, 6):
+        create(worker, oid)
+        post(worker, oid, "bump")
+    ooc = worker.nrt.ooc
+    assert ooc.evictions - ooc.clean_evictions >= 3
+    assert worker.rt.engine.peek() == float("inf")
 
 
 # ------------------------------------------------------- peer memory tiers
@@ -340,8 +378,8 @@ def test_peer_tier_survives_peer_death_via_write_through():
                          client=PeerClient(client_end, timeout_s=0.05))
     for oid in (1, 2, 3):
         create(worker, oid)
-    assert worker.ooc.evictions >= 1
-    assert isinstance(worker.get(1), Probe)  # peer miss -> disk fallback
+    assert worker.nrt.ooc.evictions >= 1
+    assert isinstance(get(worker, 1), Probe)  # peer miss -> disk fallback
     assert worker.peer.fallbacks >= 1
     assert worker.peer.client.gets == 0
 
@@ -351,7 +389,7 @@ def test_peer_tier_reads_prefer_the_peer():
     worker = make_worker(budget=6000, client=client)
     for oid in (1, 2, 3):
         create(worker, oid)
-    worker.get(1)
+    get(worker, 1)
     assert worker.peer.client.gets >= 1
     assert worker.peer.client.puts >= 1
     client.close()
@@ -372,7 +410,7 @@ def test_peer_death_mid_run_falls_back_to_disk():
     serving.join(timeout=5)
     assert not serving.is_alive()
     server_end.close()
-    assert worker.get(1).count == 0
+    assert get(worker, 1).count == 0
     assert client.dead
     assert worker.peer.fallbacks == 1
 
@@ -385,8 +423,7 @@ def test_flipped_byte_in_a_peer_copy_raises_corrupt_object():
     framed = bytearray(pool.get(1))  # the peer holds the framed bytes
     framed[-1] ^= 0xFF
     pool.store.store(1, bytes(framed))
-    with pytest.raises(CorruptObject):
-        worker.get(1)
+    assert CorruptObject.__name__ in post(worker, 1, "peek").error
     client.close()
 
 
@@ -400,7 +437,7 @@ def test_refused_peer_put_drops_the_stale_copy():
     create(worker, 2)  # 1 spills: version 0 on the peer and on disk
     post(worker, 1, "grow", 2000)  # reloaded and grown to 4000 B
     post(worker, 2, "peek")  # 1 spills again; the peer refuses it
-    assert len(worker.get(1).data) == 4000
+    assert len(get(worker, 1).data) == 4000
     assert worker.peer.fallbacks >= 1
     client.close()
 
@@ -430,7 +467,7 @@ def test_worker_dedupes_via_cached_ack():
     worker.handle(Post(2, 10, "bump", (), {}))
     worker.handle(Post(2, 10, "bump", (), {}))  # exact redelivery
     assert worker.duplicates == 1
-    assert worker.get(10).count == 1  # executed once
+    assert get(worker, 10).count == 1  # executed once
     assert sink.sent[1] is sink.sent[2]  # the very same cached ACK
 
 
@@ -475,8 +512,8 @@ def test_worker_shutdown_reports_a_corrupted_layer():
     worker = make_worker(budget=6000)
     for oid in (1, 2, 3):
         create(worker, oid)
-    worker.ooc.memory_used += 7  # accounting drift
-    worker.storage.delete(1)  # a spilled object's bytes vanish
+    worker.nrt.ooc.memory_used += 7  # accounting drift
+    worker.nrt.storage.delete(1)  # a spilled object's bytes vanish
     worker.handle(Shutdown(next(_msg_ids)))
     violations = worker.conn.sent[-1].stats["residency_violations"]
     assert any("memory_used" in v for v in violations)

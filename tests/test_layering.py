@@ -125,6 +125,42 @@ def test_one_rebuild_from_bytes():
     assert len(sites) == 1 and sites[0].startswith("repro/core/mobile.py:")
 
 
+_OOC_MUTATORS = {"admit", "confirm_admit", "confirm_load", "confirm_evict",
+                 "resize", "force_resize", "forget"}
+
+
+def _residency_calls(tree: ast.Module) -> list[str]:
+    """Calls that mutate residency by hand: an ``OOCLayer`` mutator on
+    anything named ``ooc``, a ``LocalObject(`` or a ``bind_dirty(``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "attr", getattr(func, "id", None))
+        receiver = getattr(func, "value", None)
+        on_ooc = getattr(receiver, "attr", getattr(receiver, "id", None))
+        if name in ("LocalObject", "bind_dirty") or (
+                name in _OOC_MUTATORS and on_ooc == "ooc"):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_one_residency_implementation():
+    """Residency changes only through ``core``: outside it, a node's
+    objects are admitted, loaded, resized and spilled by ``spill``
+    functions, never by driving the ``OOCLayer`` or the records by hand
+    (``repro.dist`` workers included)."""
+    stray = {
+        str(path.relative_to(SRC)): calls
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if path.parent != CORE
+        for calls in [_residency_calls(_tree(path))] if calls
+    }
+    assert stray == {}
+    assert _residency_calls(_tree(CORE / "spill.py"))  # the check still bites
+
+
 # ------------------------------------- no hook closes over what it hangs on
 def _bound_names(fn) -> set[str]:
     """Names a function binds itself: parameters, assignment targets,

@@ -171,7 +171,7 @@ def test_prefetch_depth_zero_alone_turns_prefetching_off(cluster_spec):
     and spent on ready-queue hints (166 issued on this run)."""
     mem = 8 * 1024 * 1024
     cluster = cluster_spec(n_nodes=2, cores=2, memory_bytes=mem)
-    config = MRTSConfig(memory_budget=mem, prefetch_depth=0)
+    config = MRTSConfig(prefetch_depth=0)
     assert config.neighborhood_warm == 1
     stats = run_pcdm_model(300_000, cluster, config=config).stats
     assert stats.objects_loaded > 0  # starved: there was reason to warm
