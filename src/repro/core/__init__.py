@@ -6,7 +6,7 @@ Public API:
 * :class:`MobileObject` / :class:`MobilePointer` — the data model;
 * :func:`handler` — decorator marking message-handler methods;
 * :class:`MRTSConfig` — tunables (swap scheme, thresholds, directory
-  policy, computing backend);
+  policy, prefetch depth, speculation, work stealing);
 * :class:`CostModel` — pluggable compute-cost provider for paper-scale
   simulated runs;
 * storage backends, swap schemes, and the stats container.
@@ -37,10 +37,7 @@ from repro.core.computing import (
     SerialExecutor,
     Task,
     TaskScheduler,
-    ProcessPoolExecutorBackend,
-    ThreadPoolExecutorBackend,
     WorkStealingExecutor,
-    make_executor,
 )
 from repro.core.stats import NodeStats, RunStats
 from repro.core.runtime import (
@@ -57,12 +54,7 @@ from repro.core.remote_memory import (
     RemoteMemoryBackend,
     attach_remote_memory,
 )
-from repro.core.balancer import (
-    DiffusionBalancer,
-    GreedyBalancer,
-    NodeLoad,
-    measure_load,
-)
+from repro.core.balancer import GreedyBalancer, NodeLoad, measure_load
 
 __all__ = [
     "MRTS",
@@ -108,9 +100,6 @@ __all__ = [
     "SerialExecutor",
     "WorkStealingExecutor",
     "CentralQueueExecutor",
-    "ProcessPoolExecutorBackend",
-    "ThreadPoolExecutorBackend",
-    "make_executor",
     "NodeStats",
     "RunStats",
     "Checkpoint",
@@ -125,5 +114,4 @@ __all__ = [
     "NodeLoad",
     "measure_load",
     "GreedyBalancer",
-    "DiffusionBalancer",
 ]

@@ -6,7 +6,7 @@ multi-threading technologies.  The authors support two industrial backends
 thread pool) — and Table VII compares them on the ONUPDR.
 
 We implement the two *scheduling disciplines* faithfully as deterministic
-policies plus a real-thread executor:
+policies:
 
 * :class:`WorkStealingExecutor` — per-worker deques; a worker pushes/pops
   its own tasks LIFO (depth-first, cache-friendly, TBB-style) and steals
@@ -15,19 +15,12 @@ policies plus a real-thread executor:
   (GCD-style); enqueue/dequeue contention is modeled as a small per-task
   cost that grows with worker count.
 * :class:`SerialExecutor` — everything inline; baseline and T1 runs.
-* :class:`ThreadPoolExecutorBackend` — actual ``concurrent.futures``
-  threads for the threaded driver (real parallelism for I/O-bound work;
-  CPython's GIL limits compute overlap, see DESIGN.md).
-* :class:`ProcessPoolExecutorBackend` — actual ``concurrent.futures``
-  processes: the third sibling, where tasks burn real cores with no GIL
-  in the way.  This is the computing-layer face of the distributed
-  backend (:mod:`repro.dist` scales the same idea up to a sharded object
-  store with its own control plane).
 
-The deterministic policies expose :meth:`schedule_trace`: given a DAG of
-task durations they compute per-worker timelines, which is how the
-simulated driver turns handler task trees into virtual time (and what the
-Table VII benchmark measures).
+The policies expose :meth:`TaskScheduler.schedule`: given a tree of task
+durations they compute per-worker timelines, which is how
+``ctx.run_tasks`` turns a handler's task tree into virtual time (on
+:class:`WorkStealingExecutor`, the TBB-style policy) and what the
+Table VII benchmark measures for all three.
 
 The layer's other half is what runs a message handler on the
 discrete-event substrate: :func:`handler` marks one, :class:`HandlerContext`
@@ -41,7 +34,6 @@ between nodes.  These take the runtime ``rt`` (and per-node state
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import time as _time
 from collections import deque
@@ -75,9 +67,6 @@ __all__ = [
     "WorkStealingExecutor",
     "CentralQueueExecutor",
     "SerialExecutor",
-    "ThreadPoolExecutorBackend",
-    "ProcessPoolExecutorBackend",
-    "make_executor",
     "select_victim",
     "node_thief",
 ]
@@ -416,10 +405,11 @@ class HandlerContext:
     def run_tasks(self, roots: Sequence[Task]) -> float:
         """Run a task tree through the computing layer; returns makespan.
 
-        The makespan (under the configured executor policy, using all the
+        The makespan (under the work-stealing policy, using all the
         node's cores) is charged as this handler's parallel-region time.
         """
-        result = self.runtime.executors[self.node].schedule(roots)
+        cores = self.runtime.spec.node.cores
+        result = WorkStealingExecutor(cores).schedule(roots)
         self.extra_charge += result.makespan
         return result.makespan
 
@@ -788,94 +778,3 @@ class CentralQueueExecutor(TaskScheduler):
             busy[w] += cost
             queue.extend((clock[w], c) for c in task.children)
         return ScheduleResult(makespan=max(clock), busy=busy, queue_ops=ops)
-
-
-class ThreadPoolExecutorBackend:
-    """Real threads for the threaded driver.
-
-    Submits callables; ``map_tasks`` fans a list of thunks out over the
-    pool and waits.  Used where real I/O overlap matters (spill/load while
-    other handlers run); compute-bound Python code will serialize on the
-    GIL, which DESIGN.md documents as the key substitution driver.
-    """
-
-    name = "threads"
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("need at least one worker")
-        self.workers = workers
-        self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-
-    def submit(self, fn: Callable, *args, **kwargs) -> concurrent.futures.Future:
-        return self._pool.submit(fn, *args, **kwargs)
-
-    def map_tasks(self, thunks: Sequence[Callable[[], object]]) -> list:
-        futures = [self._pool.submit(t) for t in thunks]
-        return [f.result() for f in futures]
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-class ProcessPoolExecutorBackend:
-    """Real processes: compute-parallel execution without the GIL.
-
-    Same surface as :class:`ThreadPoolExecutorBackend`, but tasks must be
-    picklable top-level callables (the ``multiprocessing`` contract).
-    Workers are forked lazily on first submit, so constructing the
-    backend is cheap and a never-used pool costs nothing.
-    """
-
-    name = "processes"
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("need at least one worker")
-        self.workers = workers
-        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-
-    def _ensure(self) -> concurrent.futures.ProcessPoolExecutor:
-        if self._pool is None:
-            import multiprocessing
-
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-        return self._pool
-
-    def submit(self, fn: Callable, *args, **kwargs) -> concurrent.futures.Future:
-        return self._ensure().submit(fn, *args, **kwargs)
-
-    def map_tasks(self, thunks: Sequence[Callable[[], object]]) -> list:
-        if not thunks:
-            return []
-        pool = self._ensure()
-        futures = [pool.submit(t) for t in thunks]
-        return [f.result() for f in futures]
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-def make_executor(
-    name: str, workers: int, overhead: Optional[float] = None
-) -> TaskScheduler:
-    """Instantiate a deterministic scheduling policy by config name."""
-    classes = {
-        "serial": SerialExecutor,
-        "workstealing": WorkStealingExecutor,
-        "centralqueue": CentralQueueExecutor,
-    }
-    try:
-        cls = classes[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor {name!r}; choose from {sorted(classes)}"
-        ) from None
-    if overhead is None:
-        return cls(workers)
-    return cls(workers, overhead=overhead)

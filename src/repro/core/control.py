@@ -104,13 +104,12 @@ class TerminationDetector:
 class ReadyQueue:
     """Per-node ordering of mobile objects with deliverable messages.
 
-    Default discipline is FIFO by first-message arrival.  ``busiest`` mode
-    serves the object with the most queued messages first — the paper's
-    control layer "decides the order in which message queues of local
-    mobile objects are processed" using queue lengths; ONUPDR's §III
-    optimization additionally reorders by in-core buffer availability,
-    which the application expresses through priorities (see the runtime's
-    ``boost`` parameter).
+    Objects are served FIFO by first-message arrival, after priority
+    boosts and the in-core preference — the paper's control layer
+    "decides the order in which message queues of local mobile objects
+    are processed"; ONUPDR's §III optimization reorders by in-core buffer
+    availability, which the application expresses through priorities
+    (see the runtime's ``boost`` parameter).
 
     The queue is indexed: each member carries a cached scheduling key in a
     lazy min-heap, and mutations (push, boost, residency change) only
@@ -127,10 +126,7 @@ class ReadyQueue:
     FIFO arrival order, which is what ``snapshot`` returns without a sort.
     """
 
-    def __init__(self, discipline: str = "fifo"):
-        if discipline not in ("fifo", "busiest"):
-            raise ValueError(f"unknown ready-queue discipline {discipline!r}")
-        self.discipline = discipline
+    def __init__(self) -> None:
         # oid -> [seq, stamp, cached_key]; seq is FIFO arrival order,
         # stamp matches the entry's current heap node (stale nodes skip).
         self._entries: dict[int, list] = {}
@@ -155,7 +151,7 @@ class ReadyQueue:
             self._seq += 1
             self._entries[oid] = [self._seq, -1, None]
         # Even for an existing member the queue length just grew, which
-        # can change a "busiest" key.
+        # can change a speculation-mode key.
         self._touched.add(oid)
 
     def boost(self, oid: int, amount: float) -> None:
@@ -196,16 +192,13 @@ class ReadyQueue:
         spec_only: Optional[Callable[[int], bool]] = None,
     ) -> tuple:
         in_core = resident is not None and resident(oid)
-        if spec_only is not None and not in_core:
-            # Speculation mode (PR 9): a non-resident object costs a
-            # demand load to serve, so prefer the one with the deepest
-            # queue — the load amortizes over more messages, and objects
-            # with thin queues wait for their batch to build up while
-            # resident/busier peers run.  Deferral only; nothing is ever
-            # refused, so termination is unaffected.
-            batch = -queue_len(oid)
-        else:
-            batch = -(queue_len(oid) if self.discipline == "busiest" else 0)
+        # Speculation mode (PR 9): a non-resident object costs a demand
+        # load to serve, so prefer the one with the deepest queue — the
+        # load amortizes over more messages, and objects with thin queues
+        # wait for their batch to build up while resident/busier peers
+        # run.  Deferral only; nothing is ever refused, so termination is
+        # unaffected.
+        batch = -queue_len(oid) if spec_only is not None and not in_core else 0
         return (
             -self._boost.get(oid, 0.0),
             1 if (spec_only is not None and spec_only(oid)) else 0,

@@ -243,9 +243,10 @@ def attach_remote_memory(
     Must be called on a fresh runtime (before objects exist).  Each node
     gets a dedicated pool of ``pool_bytes_per_node`` hosted by its ring
     neighbor.  The backend is composed through the runtime's self-healing
-    stack (retry + checksummed frames + counting), exactly like a disk
-    backend; pass a :class:`~repro.testing.faults.FaultPlan` to exercise
-    it under injected faults (each node's plan reseeded by rank).
+    stack (retry, checksummed frames, compression, counting), exactly
+    like a disk backend; pass a :class:`~repro.testing.faults.FaultPlan`
+    to exercise it under injected faults (each node's plan reseeded by
+    rank).
     Returns the pools for inspection.
     """
     if runtime.pointers:

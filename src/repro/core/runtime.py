@@ -38,13 +38,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.core.config import MRTSConfig
-from repro.core.computing import (
-    HandlerContext,
-    handler,
-    make_executor,
-    node_thief,
-    worker,
-)
+from repro.core.computing import HandlerContext, handler, node_thief, worker
 from repro.core.control import (
     ReadyQueue,
     TerminationDetector,
@@ -69,10 +63,8 @@ from repro.core.spill import (
 )
 from repro.core.stats import Ledger, RunStats
 from repro.core.storage import (
-    ChecksummedBackend,
     CompressingBackend,
     CountingBackend,
-    MemoryBackend,
     StorageBackend,
     build_storage_stack,
 )
@@ -118,7 +110,7 @@ class _NodeRuntime:
     def __init__(self, runtime: "MRTS", rank: int) -> None:
         self.rank = rank
         self.locals: dict[int, LocalObject] = {}
-        self.ready = ReadyQueue(runtime.ready_discipline)
+        self.ready = ReadyQueue()
         # Memory budget comes from the node hardware spec, not the config
         # default — the whole point of out-of-core is respecting node RAM.
         self.ooc = OOCLayer(
@@ -180,14 +172,9 @@ class _NodeRuntime:
         return None
 
     @property
-    def compressor(self) -> Optional[CompressingBackend]:
-        """The node's compression tier, or None when disabled."""
+    def compressor(self) -> CompressingBackend:
+        """The node's compression tier."""
         return self._find_layer(CompressingBackend)
-
-    @property
-    def frame_layer(self) -> Optional[ChecksummedBackend]:
-        """The node's frame (checksum) tier, or None when disabled."""
-        return self._find_layer(ChecksummedBackend)
 
     @property
     def packfile(self) -> Optional[PackFileBackend]:
@@ -207,8 +194,8 @@ class MRTS:
         Runtime tunables (thresholds, swap scheme, directory policy, ...).
     storage_factory:
         ``rank -> StorageBackend`` for each node's out-of-core store;
-        defaults to in-memory backends (tests); pass FileBackend factories
-        for true disk spill.
+        defaults to an in-memory :class:`PackFileBackend` per node; pass
+        FileBackend factories for true disk spill.
     cost_model:
         Compute-cost provider; default measures real handler wall time.
     io_depth:
@@ -229,7 +216,6 @@ class MRTS:
         storage_factory: Optional[Callable[[int], StorageBackend]] = None,
         cost_model: Optional[CostModel] = None,
         io_depth: int = 2,
-        ready_discipline: str = "fifo",
         bus: Optional[EventBus] = None,
     ) -> None:
         if isinstance(cluster, int):
@@ -239,24 +225,18 @@ class MRTS:
         self.engine = Engine()
         self.cluster = SimCluster(self.engine, cluster)
         self.cost_model = cost_model or MeasuredCostModel()
-        if storage_factory is not None:
-            self.storage_factory = storage_factory
-        elif self.config.packfile_spills:
+        if storage_factory is None:
             # Default raw store: locality-ordered pack segments, so
             # curve-adjacent objects cohabit and neighborhood warms are
             # one sequential read.  Custom factories (file spill, fault
             # injection, dist shards) are never wrapped.
-            self.storage_factory = lambda rank: PackFileBackend()
-        else:
-            self.storage_factory = lambda rank: MemoryBackend()
+            storage_factory = lambda rank: PackFileBackend()
+        self.storage_factory = storage_factory
         # Learned prefetch: a Markov model over the demand-load stream,
         # fed directly by the load path (not via a bus subscription, so
         # instrumentation stays pay-for-use).
-        self.predictor: Optional[PrefetchPredictor] = (
-            PrefetchPredictor() if self.config.learned_prefetch else None
-        )
+        self.predictor = PrefetchPredictor()
         self.io_depth = io_depth
-        self.ready_discipline = ready_discipline
         self.directory: Directory = make_directory(
             self.config.directory_policy, cluster.n_nodes
         )
@@ -288,24 +268,10 @@ class MRTS:
         # one object to an older cut than the rest of the world.
         self.stored_since_snapshot: set[int] = set()
         self.nodes = [_NodeRuntime(self, r) for r in range(cluster.n_nodes)]
-        # Elastic balancing (PR 9): a live bus subscriber that migrates
-        # mobile objects off hot nodes as queue-depth imbalance develops.
-        self.balancer = None
-        if self.config.elastic_balance:
-            # Local import: balancer.py imports this module at top level.
-            from repro.core.balancer import ElasticBalancer
-
-            self.balancer = ElasticBalancer(self)
-            self.balancer.attach(self.bus)
         self._id_alloc = IdAllocator()
         # oid -> the canonical pointer / the class of every live object.
         self.pointers: dict[int, MobilePointer] = {}
         self._classes: dict[int, type] = {}
-        # rank -> the node's intra-handler task scheduler (ctx.run_tasks).
-        self.executors = {
-            r: make_executor(self.config.executor, cluster.node.cores)
-            for r in range(cluster.n_nodes)
-        }
         self._started = False
         for rank in range(cluster.n_nodes):
             self.cluster.network.attach_sink(rank, make_sink(self, rank))
@@ -376,9 +342,7 @@ class MRTS:
         def on_retry(op: str, oid: int, attempt: int, delay: float) -> None:
             self.ledger.retry(rank, op, oid, attempt, delay)
 
-        return build_storage_stack(
-            self.config, backend, seed=rank, on_retry=on_retry
-        )
+        return build_storage_stack(backend, seed=rank, on_retry=on_retry)
 
     @property
     def degraded(self) -> bool:

@@ -32,6 +32,12 @@ from repro.util.errors import CorruptObject, MRTSError, OutOfMemory
 DELTA_LOG_FRAMES_MAX = 8
 DELTA_COMPACT_FACTOR = 2.0
 
+#: Pack-file curve neighbors warmed per hinted object on each prefetch.
+#: Deliberately conservative: on memory-starved runs every speculative
+#: warm displaces a resident, so wide warms cost more reload churn than
+#: they hide.
+NEIGHBORHOOD_WARM = 1
+
 __all__ = [
     "LocalObject",
     "WriteBehind",
@@ -247,14 +253,6 @@ def rebaseline(rec: LocalObject, nbytes: int) -> None:
     rec.log_payload_bytes = 0
 
 
-def _delta_capable(rt, nrt, obj: MobileObject) -> bool:
-    return (
-        rt.config.delta_spills
-        and obj.serializer.supports_delta
-        and nrt.frame_layer is not None
-    )
-
-
 # ==================================================================== spill
 def evict_now(rt, nrt, oid: int) -> None:
     """Synchronously spill an object; its disk-store time drains behind.
@@ -328,10 +326,9 @@ def store_spill(rt, nrt, rec: LocalObject, oid: int, modeled: int) -> int:
         # Push the object's curve position down to the pack layout so
         # this spill lands in its neighborhood's segment.
         pf.note_locality(oid, obj.locality_key())
-    delta_capable = _delta_capable(rt, nrt, obj)
     payload = None
     if (
-        delta_capable
+        ser.supports_delta
         and rec.stored_token is not None
         and rec.log_frames < DELTA_LOG_FRAMES_MAX
     ):
@@ -354,7 +351,7 @@ def store_spill(rt, nrt, rec: LocalObject, oid: int, modeled: int) -> int:
         rec.log_frames += 1
         rec.log_payload_bytes += len(payload)
         rec.stored_token = ser.delta_token(obj.get_state())
-        stored = _last_stored_len(nrt, len(payload))
+        stored = nrt.compressor.last_stored_len
         if is_modeled:
             charge = max(modeled - rec.stored_modeled, 1)
         else:
@@ -364,25 +361,14 @@ def store_spill(rt, nrt, rec: LocalObject, oid: int, modeled: int) -> int:
         data = pack_local(rt, rec, nrt.rank)
         nrt.storage.store(oid, data)
         rebaseline(rec, len(data))
-        if delta_capable:
+        if ser.supports_delta:
             rec.stored_token = ser.delta_token(obj.get_state())
-        stored = _last_stored_len(nrt, len(data))
+        stored = nrt.compressor.last_stored_len
         charge = modeled
         rt.ledger.spill(nrt.rank, oid, "full", len(data), stored)
     rec.stored_modeled = modeled
     rt.stored_since_snapshot.add(oid)
     return charge
-
-
-def _last_stored_len(nrt, fallback: int) -> int:
-    """Payload bytes the last store/append actually put on the medium."""
-    comp = nrt.compressor
-    if comp is not None:
-        return comp.last_stored_len
-    frame = nrt.frame_layer
-    if frame is not None:
-        return frame.last_payload_len
-    return fallback
 
 
 def disk_xfer(rt, rank: int, nbytes: int, is_store: bool, blocking: bool):
@@ -574,14 +560,14 @@ def install_loaded(
         # bookkeeping no longer describes the medium.  Force the next
         # dirty spill to re-baseline with a full store.
         rebaseline(rec, len(segments[0]))
-    elif _delta_capable(rt, nrt, obj):
+    elif obj.serializer.supports_delta:
         # The stored copy equals the loaded state: refresh the token
         # so the next dirty spill appends only post-load growth.
         rec.stored_token = obj.serializer.delta_token(obj.get_state())
     nrt.ready.note_resident(oid, True)
     rt.ledger.load(
         nrt.rank, oid, modeled, background, nrt.ooc.memory_used)
-    if rt.predictor is not None and not background:
+    if not background:
         # The predictor learns from demand loads only — the same stream
         # the bus carries, fed directly so that learning does not need a
         # subscription (instrumentation stays pay-for-use).
@@ -619,18 +605,17 @@ def issue_prefetch(rt, nrt, current: Optional[int] = None) -> None:
     cfg = rt.config
     if cfg.prefetch_depth == 0:
         return
-    warm = cfg.neighborhood_warm if nrt.packfile is not None else 0
+    warm = NEIGHBORHOOD_WARM if nrt.packfile is not None else 0
 
     def hints():
         ready = nrt.ready.snapshot()
         yield from ready
         seeds = ([] if current is None else [current]) + ready[:1]
-        if rt.predictor is not None:
-            predicted = rt.predictor.predict(
-                nrt.rank, after=current, k=max(cfg.prefetch_depth, 2))
-            yield from predicted
-            if not ready:
-                seeds += predicted[:1]
+        predicted = rt.predictor.predict(
+            nrt.rank, after=current, k=max(cfg.prefetch_depth, 2))
+        yield from predicted
+        if not ready:
+            seeds += predicted[:1]
         if warm:
             for seed in seeds:
                 yield from nrt.packfile.neighborhood(seed, warm)

@@ -436,23 +436,18 @@ class ChecksummedBackend(StorageBackend):
     This layer is also where append-logs become frames: ``append`` writes
     one ``FLAG_DELTA`` frame per segment onto the inner blob, and
     ``load_segments`` parses the concatenation back into validated
-    payloads.  ``last_payload_len`` exposes the framed payload size of
-    the most recent store/append, which is how the runtime charges true
-    post-compression bytes per spill.
+    payloads.
     """
 
     def __init__(self, inner: StorageBackend) -> None:
         self.inner = inner
         self.corrupt_loads = 0
-        self.last_payload_len = 0
 
     # -- frame-aware surface (used by CompressingBackend) ------------------
     def store_frame(self, oid: int, data: bytes, flags: int = 0) -> None:
-        self.last_payload_len = len(data)
         self.inner.store(oid, encode_frame(data, flags))
 
     def append_frame(self, oid: int, data: bytes, flags: int = 0) -> None:
-        self.last_payload_len = len(data)
         self.inner.append(oid, encode_frame(data, flags | FLAG_DELTA))
 
     def load_segments_ex(self, oid: int) -> list[tuple[bytes, int]]:
@@ -577,7 +572,9 @@ class CompressingBackend(StorageBackend):
         self.bytes_out = 0         # payload bytes actually framed
         self.compressed_frames = 0
         self.raw_frames = 0
-        self.last_stored_len = 0   # framed payload size of the last write
+        # Framed payload size of the last write: how the runtime charges
+        # true post-compression bytes per spill.
+        self.last_stored_len = 0
 
     def _transform(self, data: bytes) -> tuple[bytes, int]:
         out, flags = self.policy.transform(data)
@@ -653,8 +650,8 @@ class CompressingBackend(StorageBackend):
 
 # ========================================================== stack composition
 def build_storage_stack(
-    config,
     backend: StorageBackend,
+    *,
     seed: int = 0,
     on_retry: Optional[Callable[[str, int, int, float], None]] = None,
     sleep: Optional[Callable[[float], None]] = None,
@@ -665,28 +662,19 @@ def build_storage_stack(
     innermost so transient faults are absorbed before the frame layer ever
     sees them; frames outside retry so a :class:`CorruptObject` (permanent
     by definition) is never retried; the compression tier rides on the
-    frame layer (the flags byte records what was deflated) and is only
-    composed when both ``compress_spills`` and ``checksum_frames`` are on;
-    counting outermost so byte accounting sees raw unframed payload sizes.
+    frame layer (the flags byte records what was deflated); counting
+    outermost so byte accounting sees raw unframed payload sizes.
 
-    ``config`` is an :class:`~repro.core.config.MRTSConfig` (duck-typed:
-    only the storage knobs are read).  ``seed`` keys the retry jitter PRNG
-    (callers pass a node rank so nodes never back off in lockstep) and
-    ``sleep`` is how a retry waits — ``None`` for virtual-time runtimes
-    that charge the delay themselves, ``time.sleep`` for real processes.
-    Shared by the single-process MRTS and the ``repro.dist`` workers, so
-    both worlds spill through literally the same code.
+    ``seed`` keys the retry jitter PRNG (callers pass a node rank so
+    nodes never back off in lockstep) and ``sleep`` is how a retry
+    waits — ``None`` for virtual-time runtimes that charge the delay
+    themselves, ``time.sleep`` for real processes.  Shared by the
+    single-process MRTS and the ``repro.dist`` workers, so both worlds
+    spill through literally the same code.
     """
-    if config.storage_retries > 0:
-        policy = RetryPolicy(
-            max_attempts=config.storage_retries + 1, seed=seed
-        )
-        backend = RetryingBackend(backend, policy, on_retry=on_retry, sleep=sleep)
-    if config.checksum_frames:
-        backend = ChecksummedBackend(backend)
-        if config.compress_spills:
-            backend = CompressingBackend(backend)
-    return CountingBackend(backend)
+    backend = RetryingBackend(
+        backend, RetryPolicy(seed=seed), on_retry=on_retry, sleep=sleep)
+    return CountingBackend(CompressingBackend(ChecksummedBackend(backend)))
 
 
 # ================================================================= retrying

@@ -107,8 +107,7 @@ class ShardWorker:
         )
         self.nrt = nrt = self.rt.nodes[0]
         nrt.rank = rank  # events and counters name the worker
-        nrt.storage = build_storage_stack(
-            config, medium, seed=rank, sleep=time.sleep)
+        nrt.storage = build_storage_stack(medium, seed=rank, sleep=time.sleep)
         nrt.write_behind = _StoredAlready()
         self.rt.ledger = Ledger(self.rt.stats, self.rt.bus, self)
         self._events = self.rt.bus.subscribe()

@@ -495,11 +495,9 @@ def run_mesh_neighborhood_sweep(
             n_nodes=1,
             node=NodeSpec(cores=1, memory_bytes=memory_bytes),
         ),
-        # Modest warm depth: the chain consumes one patch at a time, so a
-        # wide warm on an 8-patch core just evicts its own prefetches.
-        config=MRTSConfig(
-            swap_scheme="lru", prefetch_depth=2, neighborhood_warm=1
-        ),
+        # Modest prefetch depth: the chain consumes one patch at a time,
+        # so a wide warm on an 8-patch core just evicts its own prefetches.
+        config=MRTSConfig(swap_scheme="lru", prefetch_depth=2),
         cost_model=_fixed_cost_model(3e-3),
         io_depth=4,
     )

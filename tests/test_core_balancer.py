@@ -2,23 +2,20 @@
 
 ``tests/test_core_extensions.py`` covers the headline behaviors (spread,
 makespan win, locked objects); these tests pin the decision mechanics:
-the load scalar, migration budgets, the no-flip guard, slack and ring
-topology in the diffusion policy, and the report arithmetic.
+the load scalar, migration budgets, the no-flip guard, and the report
+arithmetic.
 """
 
 import pytest
 
 from repro.core import MobileObject, MRTS, handler
 from repro.core.balancer import (
-    DiffusionBalancer,
-    ElasticBalancer,
     GreedyBalancer,
     NodeLoad,
     _movable_objects,
     measure_load,
 )
 from repro.core.config import MRTSConfig
-from repro.obs.events import LoadEvent, QueueDepthEvent
 from repro.sim.cluster import ClusterSpec
 from repro.sim.node import NodeSpec
 
@@ -129,112 +126,7 @@ def test_greedy_work_is_conserved_across_migrations():
     assert all(rt.get_object(p).done == 5 for p in ptrs)
 
 
-# ----------------------------------------------------------------- diffusion
-def test_diffusion_respects_per_node_budget():
-    rt, _ = skewed(n_objects=12, messages_each=5)
-    report = DiffusionBalancer(slack=0.5, max_per_node=2).rebalance(rt)
-    per_src = {}
-    for _, src, _ in report.migrations:
-        per_src[src] = per_src.get(src, 0) + 1
-    assert all(n <= 2 for n in per_src.values())
-    assert report.n_migrations >= 1
-
-
-def test_diffusion_slack_tolerates_small_imbalance():
-    rt, _ = skewed(n_objects=1, messages_each=2)  # load gap ~= 2
-    report = DiffusionBalancer(slack=5.0).rebalance(rt)
-    assert report.n_migrations == 0
-
-
-def test_diffusion_ring_wraps_around():
-    """The hot node's ring neighbors include the last node; excess from
-    node 0 may flow to n-1 as well as 1, never farther."""
-    rt, _ = skewed(n_nodes=5, n_objects=10, messages_each=5)
-    report = DiffusionBalancer(slack=1.0, max_per_node=8).rebalance(rt)
-    assert report.n_migrations > 0
-    for _, src, dst in report.migrations:
-        assert src == 0
-        assert dst in (1, 4)
-
-
-def test_diffusion_work_is_conserved_across_migrations():
-    rt, ptrs = skewed(n_objects=10, messages_each=4)
-    DiffusionBalancer(slack=1.0).rebalance(rt)
-    rt.run()
-    assert all(rt.get_object(p).done == 4 for p in ptrs)
-
-
-def test_diffusion_on_balanced_cluster_is_noop():
-    rt = MRTS(cluster(n=2))
-    for node in (0, 1):
-        p = rt.create_object(Worker, node=node)
-        rt.post(p, "work")
-    report = DiffusionBalancer(slack=0.5).rebalance(rt)
-    assert report.n_migrations == 0
-
-
-# ------------------------------------------------------------------- elastic
-def test_elastic_parameter_validation():
-    rt = MRTS(cluster(n=2))
-    for kwargs in (
-        dict(threshold=0.0),
-        dict(alpha=0.0),
-        dict(alpha=1.5),
-        dict(cooldown_s=-1.0),
-    ):
-        with pytest.raises(ValueError):
-            ElasticBalancer(rt, **kwargs)
-
-
-def test_elastic_ewma_and_residency_tracking():
-    rt = MRTS(cluster(n=2), config=MRTSConfig(elastic_balance=True))
-    bal = rt.balancer
-    assert bal is not None
-    bal._on_event(QueueDepthEvent(0.0, 0, 1, 10))
-    assert bal.depth_ewma[0] == pytest.approx(2.0)   # 0 + 0.2 * 10
-    bal._on_event(QueueDepthEvent(0.0, 0, 1, 10))
-    assert bal.depth_ewma[0] == pytest.approx(3.6)   # 2 + 0.2 * 8
-    bal._on_event(LoadEvent(0.0, 1, 5, 100, False, 4096))
-    assert bal.residency[1] == 4096
-    assert bal.depth_ewma[1] == 0.0  # load events never move the EWMA
-
-
-def test_elastic_migrates_off_hot_node_and_conserves_work():
-    rt = MRTS(cluster(n=2), config=MRTSConfig(elastic_balance=True))
-    ptrs = [rt.create_object(Worker, node=0) for _ in range(8)]
-    for p in ptrs:
-        for _ in range(6):
-            rt.post(p, "work")
-    rt.run()
-    assert rt.balancer.migrations >= 1
-    assert all(rt.get_object(p).done == 6 for p in ptrs)
-
-
-def test_elastic_threshold_prevents_migration():
-    rt = MRTS(
-        cluster(n=2), config=MRTSConfig(elastic_balance=True),
-    )
-    rt.balancer.threshold = 1e9
-    ptrs = [rt.create_object(Worker, node=0) for _ in range(6)]
-    for p in ptrs:
-        for _ in range(4):
-            rt.post(p, "work")
-    rt.run()
-    assert rt.balancer.migrations == 0
-
-
-def test_elastic_migration_budget_is_respected():
-    rt = MRTS(cluster(n=2), config=MRTSConfig(elastic_balance=True))
-    rt.balancer.max_migrations = 1
-    rt.balancer.cooldown_s = 0.0
-    ptrs = [rt.create_object(Worker, node=0) for _ in range(10)]
-    for p in ptrs:
-        for _ in range(8):
-            rt.post(p, "work")
-    rt.run()
-    assert rt.balancer.migrations <= 1
-
-
+# ------------------------------------------------------------- speculation
 def test_movable_objects_skip_pending_speculation():
     rt = MRTS(cluster(n=2), config=MRTSConfig(speculation=True))
     p = rt.create_object(Worker, node=0)
@@ -260,5 +152,3 @@ def test_rebalance_after_run_is_stable():
 def test_parameter_validation():
     with pytest.raises(ValueError):
         GreedyBalancer(threshold=0.99)
-    with pytest.raises(ValueError):
-        DiffusionBalancer(slack=-0.1)

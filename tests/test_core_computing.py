@@ -5,12 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     CentralQueueExecutor,
-    ProcessPoolExecutorBackend,
     SerialExecutor,
     Task,
-    ThreadPoolExecutorBackend,
     WorkStealingExecutor,
-    make_executor,
 )
 from repro.core.computing import select_victim
 
@@ -120,35 +117,11 @@ def test_workstealing_beats_central_queue_on_fine_grain():
     assert ws.makespan <= cq.makespan
 
 
-def test_make_executor():
-    assert isinstance(make_executor("serial", 1), SerialExecutor)
-    assert isinstance(make_executor("workstealing", 4), WorkStealingExecutor)
-    assert isinstance(make_executor("centralqueue", 4), CentralQueueExecutor)
-    with pytest.raises(ValueError):
-        make_executor("openmp", 4)
-
-
 def test_invalid_workers_rejected():
     with pytest.raises(ValueError):
         WorkStealingExecutor(workers=0)
     with pytest.raises(ValueError):
         CentralQueueExecutor(workers=2, overhead=-1.0)
-
-
-def test_thread_pool_backend_runs_real_code():
-    pool = ThreadPoolExecutorBackend(workers=4)
-    try:
-        results = pool.map_tasks([lambda k=k: k * k for k in range(8)])
-        assert results == [k * k for k in range(8)]
-        future = pool.submit(sum, [1, 2, 3])
-        assert future.result() == 6
-    finally:
-        pool.shutdown()
-
-
-def test_thread_pool_worker_validation():
-    with pytest.raises(ValueError):
-        ThreadPoolExecutorBackend(workers=0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -183,25 +156,3 @@ def test_more_workers_never_hurt_without_overheads(workers):
     one = WorkStealingExecutor(1, overhead=0.0, steal_cost=0.0).schedule(tasks)
     many = WorkStealingExecutor(workers, overhead=0.0, steal_cost=0.0).schedule(tasks)
     assert many.makespan <= one.makespan + 1e-9
-
-
-def test_process_pool_backend_runs_real_processes():
-    import os
-
-    pool = ProcessPoolExecutorBackend(workers=2)
-    try:
-        assert pool._pool is None  # lazy: nothing forked yet
-        results = pool.map_tasks([])
-        assert results == []
-        assert pool._pool is None  # an empty map still forks nothing
-        future = pool.submit(os.getpid)
-        assert future.result() != os.getpid()  # truly another process
-        assert pool.submit(sum, [1, 2, 3]).result() == 6
-    finally:
-        pool.shutdown()
-        pool.shutdown()  # idempotent
-
-
-def test_process_pool_worker_validation():
-    with pytest.raises(ValueError):
-        ProcessPoolExecutorBackend(workers=0)

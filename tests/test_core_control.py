@@ -96,13 +96,6 @@ def test_ready_pop_empty_raises():
         rq.pop(_lens({}))  # ready but queue empty
 
 
-def test_busiest_discipline():
-    rq = ReadyQueue("busiest")
-    for oid in (1, 2, 3):
-        rq.push(oid)
-    assert rq.pop(_lens({1: 1, 2: 5, 3: 2})) == 2
-
-
 def test_boost_overrides_fifo():
     rq = ReadyQueue()
     for oid in (1, 2, 3):
@@ -119,11 +112,6 @@ def test_membership():
     assert 5 in rq
     rq.pop(_lens({5: 1}))
     assert 5 not in rq
-
-
-def test_unknown_discipline_rejected():
-    with pytest.raises(ValueError):
-        ReadyQueue("random")
 
 
 @given(

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.core import (
-    DiffusionBalancer,
     GreedyBalancer,
     MemoryPool,
     MobileObject,
@@ -132,17 +131,6 @@ def test_greedy_balancer_improves_makespan():
     assert balanced_time < skewed_time
 
 
-def test_diffusion_balancer_moves_toward_neighbors():
-    rt, ptrs = _lopsided_app()
-    report = DiffusionBalancer(slack=2.0).rebalance(rt)
-    assert report.n_migrations > 0
-    for oid, src, dst in report.migrations:
-        assert src == 0
-        assert dst in (1, 3)  # ring neighbors of node 0
-    rt.run()
-    assert all(rt.get_object(p).done == 5 for p in ptrs)
-
-
 def test_balancer_never_moves_locked_objects():
     rt, ptrs = _lopsided_app()
     for p in ptrs:
@@ -154,8 +142,6 @@ def test_balancer_never_moves_locked_objects():
 def test_balancer_parameter_validation():
     with pytest.raises(ValueError):
         GreedyBalancer(threshold=0.5)
-    with pytest.raises(ValueError):
-        DiffusionBalancer(slack=-1.0)
 
 
 def test_balanced_run_on_idle_system_is_noop():

@@ -6,8 +6,8 @@ from repro.core import (
     CostModel,
     MobileObject,
     MRTS,
-    MRTSConfig,
     Task,
+    WorkStealingExecutor,
     handler,
 )
 from repro.sim.cluster import ClusterSpec
@@ -92,12 +92,13 @@ def test_ctx_run_tasks_uses_all_cores():
     assert stats.comp_time >= makespan
 
 
-def test_ctx_run_tasks_respects_executor_config():
-    rt = rt_with(cores=4, config=MRTSConfig(executor="serial"))
+def test_ctx_run_tasks_schedules_on_work_stealing():
+    rt = rt_with(cores=3)
     p = rt.create_object(Probe)
-    rt.post(p, "parallel_region", 8, 1.0)
+    rt.post(p, "parallel_region", 7, 1.0)
     rt.run()
-    assert rt.get_object(p).observations["makespan"] >= 8.0
+    want = WorkStealingExecutor(3).schedule([Task(1.0) for _ in range(7)])
+    assert rt.get_object(p).observations["makespan"] == want.makespan
 
 
 def test_ctx_lock_priority_unlock():

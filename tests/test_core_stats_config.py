@@ -27,8 +27,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         MRTSConfig(directory_policy="magic")
     with pytest.raises(ConfigError):
-        MRTSConfig(executor="gpu")
-    with pytest.raises(ConfigError):
         MRTSConfig(prefetch_depth=-1)
     with pytest.raises(ConfigError):
         MRTSConfig(message_aggregation=0)

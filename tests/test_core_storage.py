@@ -133,10 +133,9 @@ def test_load_many_counting_accounts_found_only():
 
 
 def test_load_many_through_full_stack():
-    from repro.core.config import MRTSConfig
     from repro.core.storage import build_storage_stack
 
-    stack = build_storage_stack(MRTSConfig(), MemoryBackend())
+    stack = build_storage_stack(MemoryBackend())
     blobs = {oid: bytes([oid]) * 200 for oid in range(5)}
     for oid, blob in blobs.items():
         stack.store(oid, blob)

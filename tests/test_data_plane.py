@@ -39,6 +39,12 @@ class GrowActor(MobileObject):
         self.hits += 1
 
 
+class FullGrowActor(GrowActor):
+    """GrowActor through a codec without deltas: every spill is full."""
+
+    serializer = get_codec("pickle")
+
+
 class PickleGrow(MobileObject):
     """Same workload, default pickle codec, growth reported via ctx.grew."""
 
@@ -52,21 +58,21 @@ class PickleGrow(MobileObject):
         ctx.grew(nbytes)
 
 
-def make_runtime(memory_bytes=48 * 1024, n_nodes=2, **cfg):
+def make_runtime(memory_bytes=48 * 1024, n_nodes=2):
     return MRTS(
         ClusterSpec(
             n_nodes=n_nodes,
             node=NodeSpec(cores=1, memory_bytes=memory_bytes),
         ),
-        config=MRTSConfig(swap_scheme="lru", **cfg),
+        config=MRTSConfig(swap_scheme="lru"),
         cost_model=FixedCostModel(1e-4),
     )
 
 
 def run_grow_workload(rt, n_actors=6, payload=8 * 1024, rounds=5,
-                      grow_bytes=512):
+                      grow_bytes=512, cls=GrowActor):
     actors = [
-        rt.create_object(GrowActor, payload, node=i % len(rt.nodes))
+        rt.create_object(cls, payload, node=i % len(rt.nodes))
         for i in range(n_actors)
     ]
     for _ in range(rounds):
@@ -78,10 +84,10 @@ def run_grow_workload(rt, n_actors=6, payload=8 * 1024, rounds=5,
 
 # ----------------------------------------------------------- delta spills
 def test_delta_spills_cut_backend_traffic_without_changing_state():
-    rt_delta = make_runtime(delta_spills=True)
-    rt_full = make_runtime(delta_spills=False)
+    rt_delta = make_runtime()
+    rt_full = make_runtime()
     a_delta = run_grow_workload(rt_delta)
-    a_full = run_grow_workload(rt_full)
+    a_full = run_grow_workload(rt_full, cls=FullGrowActor)
 
     def final(rt, actors):
         return [(rt.get_object(p).hits, len(rt.get_object(p).payload))
@@ -100,7 +106,7 @@ def test_delta_spills_cut_backend_traffic_without_changing_state():
 
 def test_delta_log_respects_frame_bound(monkeypatch):
     monkeypatch.setattr(spill, "DELTA_LOG_FRAMES_MAX", 3)
-    rt = make_runtime(delta_spills=True)
+    rt = make_runtime()
     run_grow_workload(rt, rounds=10)
     for nrt in rt.nodes:
         for rec in nrt.locals.values():
@@ -113,7 +119,7 @@ def test_delta_log_compacts_when_it_outgrows_the_base(monkeypatch):
     # A tiny base with large appends trips the bytes-factor compaction.
     monkeypatch.setattr(spill, "DELTA_COMPACT_FACTOR", 1.5)
     monkeypatch.setattr(spill, "DELTA_LOG_FRAMES_MAX", 64)
-    rt = make_runtime(delta_spills=True)
+    rt = make_runtime()
     run_grow_workload(rt, n_actors=6, payload=512, rounds=8,
                       grow_bytes=2048)
     assert rt.stats.full_spills > len(rt.nodes)
@@ -124,18 +130,9 @@ def test_delta_log_compacts_when_it_outgrows_the_base(monkeypatch):
                         <= 1.5 * rec.base_payload_bytes + 2048 + 1024)
 
 
-def test_delta_requires_checksummed_frames():
-    # Without the frame layer there are no segment boundaries: the
-    # runtime must fall back to full spills, and still run correctly.
-    rt = make_runtime(delta_spills=True, checksum_frames=False)
-    actors = run_grow_workload(rt)
-    assert rt.stats.delta_spills == 0
-    assert all(rt.get_object(p).hits == 5 for p in actors)
-
-
 # ------------------------------------------------------- compression tier
 def test_compression_tier_shrinks_stored_bytes():
-    rt = make_runtime(compress_spills=True)
+    rt = make_runtime()
     run_grow_workload(rt)  # zero-filled payloads: highly compressible
     comp = [nrt.compressor for nrt in rt.nodes]
     assert all(c is not None for c in comp)
@@ -143,15 +140,8 @@ def test_compression_tier_shrinks_stored_bytes():
     assert sum(c.bytes_out for c in comp) < sum(c.bytes_in for c in comp)
 
 
-def test_compression_disabled_leaves_stack_uncomposed():
-    rt = make_runtime(compress_spills=False)
-    assert all(nrt.compressor is None for nrt in rt.nodes)
-    rt2 = make_runtime(checksum_frames=False)  # no frames -> no flags byte
-    assert all(nrt.compressor is None for nrt in rt2.nodes)
-
-
 def test_compressed_spills_round_trip_through_eviction():
-    rt = make_runtime(compress_spills=True, delta_spills=True)
+    rt = make_runtime()
     actors = run_grow_workload(rt, rounds=4)
     got = [(rt.get_object(p).hits, len(rt.get_object(p).payload))
            for p in actors]
@@ -186,7 +176,7 @@ def test_ctx_grew_avoids_reprobe_packs_for_pickle_objects():
 
 # ------------------------------------------------------------ run stats
 def test_run_stats_expose_data_plane_counters():
-    rt = make_runtime(delta_spills=True, compress_spills=True)
+    rt = make_runtime()
     run_grow_workload(rt)
     stats = rt.stats
     assert stats.packs > 0 and stats.unpacks > 0

@@ -11,6 +11,7 @@ where coverage can see them.
 
 import itertools
 import multiprocessing as mp
+import random
 import threading
 
 import pytest
@@ -53,6 +54,11 @@ class Probe(MobileObject):
     @handler
     def grow(self, ctx, nbytes):
         self.data += bytes(nbytes)
+
+    @handler
+    def grow_noise(self, ctx, nbytes, seed):
+        """Grow by seeded random bytes, which compression cannot shrink."""
+        self.data += random.Random(seed).randbytes(nbytes)
 
     @handler(readonly=True)
     def peek(self, ctx):
@@ -428,16 +434,17 @@ def test_flipped_byte_in_a_peer_copy_raises_corrupt_object():
 
 
 def test_refused_peer_put_drops_the_stale_copy():
-    """A 4 KB re-spill the 3 KB peer slab refuses must not leave the
-    peer's older copy (demoted to its overflow) to win the next load."""
+    """A re-spill the 3 KB peer slab refuses (3.2 KB of noise still
+    frames above 3 KB after compression) must not leave the peer's older
+    copy (demoted to its overflow) to win the next load."""
     client, server, pool = served_pool(capacity=3000)
-    worker = make_worker(budget=2500, client=client,
-                         config=MRTSConfig(compress_spills=False))
+    worker = make_worker(budget=2500, client=client)
     create(worker, 1)
     create(worker, 2)  # 1 spills: version 0 on the peer and on disk
-    post(worker, 1, "grow", 2000)  # reloaded and grown to 4000 B
+    post(worker, 1, "grow_noise", 3200, 7)  # reloaded and grown
     post(worker, 2, "peek")  # 1 spills again; the peer refuses it
-    assert len(get(worker, 1).data) == 4000
+    noise = random.Random(7).randbytes(3200)
+    assert get(worker, 1).data == bytes(2000) + noise
     assert worker.peer.fallbacks >= 1
     client.close()
 

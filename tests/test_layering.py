@@ -364,6 +364,62 @@ def test_bench_span_bindings_still_resolve():
     assert checked >= 30  # the walk found the bindings it is meant to check
 
 
+# ------------------------------------------------------------ the knob census
+# The paper's §II.E swapping thresholds stay tunable even while every
+# caller runs them at the paper's values.
+CENSUS_ALLOWLIST = {"hard_threshold_factor", "soft_threshold_fraction"}
+CENSUS_TREES = ("src", "bench", "benchmarks", "examples")
+
+
+def _config_defaults() -> dict[str, object]:
+    cls = next(n for n in _tree(CORE / "config.py").body
+               if isinstance(n, ast.ClassDef) and n.name == "MRTSConfig")
+    return {n.target.id: ast.literal_eval(n.value) for n in cls.body
+            if isinstance(n, ast.AnnAssign)}
+
+
+def _knob_setters(defaults: dict[str, object]) -> dict[str, list[str]]:
+    """field -> ``path:line`` of every ``MRTSConfig(...)`` / ``replace(...)``
+    keyword outside the tests that may set it away from its default (a
+    literal equal to the default does not count; anything else does)."""
+    setters: dict[str, list[str]] = {name: [] for name in defaults}
+    for tree in CENSUS_TREES:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            for call in ast.walk(_tree(path)):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name not in ("MRTSConfig", "replace"):
+                    continue
+                for kw in call.keywords:
+                    if kw.arg not in defaults:
+                        continue
+                    try:
+                        if ast.literal_eval(kw.value) == defaults[kw.arg]:
+                            continue
+                    except ValueError:
+                        pass  # not a literal: may be anything
+                    rel = path.relative_to(ROOT)
+                    setters[kw.arg].append(f"{rel}:{kw.value.lineno}")
+    return setters
+
+
+def test_every_config_knob_is_set_by_a_workload(capsys):
+    """An ``MRTSConfig`` field no caller outside the tests sets away from
+    its default is a second code path only the tests run: delete it."""
+    defaults = _config_defaults()
+    setters = _knob_setters(defaults)
+    with capsys.disabled():
+        print()
+        for name, where in setters.items():
+            shown = ", ".join(where[:3]) + (" ..." if len(where) > 3 else "")
+            print(f"  {name:<24} {len(where):>3}  {shown or '-'}")
+    unset = sorted(n for n, where in setters.items()
+                   if not where and n not in CENSUS_ALLOWLIST)
+    assert unset == [], f"MRTSConfig fields no workload sets: {unset}"
+
+
 # ------------------------------------------------------------- the numbers
 def test_shape_report(capsys):
     mrts = next(n for n in _tree(CORE / "runtime.py").body

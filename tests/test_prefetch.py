@@ -14,6 +14,7 @@ Three layers of coverage:
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import spill
 from repro.core.config import MRTSConfig
 from repro.core.prefetch import PrefetchPredictor
 from repro.evalsim.apps import run_pcdm_model
@@ -166,13 +167,14 @@ def test_prefetch_lane_in_chrome_trace():
 
 
 def test_prefetch_depth_zero_alone_turns_prefetching_off(cluster_spec):
-    """``neighborhood_warm`` (default 1) is an allowance *on* a prefetch,
-    not a prefetcher of its own: before PR 16 it was added to a zero depth
-    and spent on ready-queue hints (166 issued on this run)."""
+    """The neighborhood warm (``spill.NEIGHBORHOOD_WARM``, 1) is an
+    allowance *on* a prefetch, not a prefetcher of its own: before PR 16 it
+    was added to a zero depth and spent on ready-queue hints (166 issued on
+    this run)."""
     mem = 8 * 1024 * 1024
     cluster = cluster_spec(n_nodes=2, cores=2, memory_bytes=mem)
     config = MRTSConfig(prefetch_depth=0)
-    assert config.neighborhood_warm == 1
+    assert spill.NEIGHBORHOOD_WARM == 1
     stats = run_pcdm_model(300_000, cluster, config=config).stats
     assert stats.objects_loaded > 0  # starved: there was reason to warm
     assert [(n.prefetch_issued, n.prefetch_hits, n.prefetch_wasted)
@@ -182,11 +184,7 @@ def test_prefetch_depth_zero_alone_turns_prefetching_off(cluster_spec):
 # ----------------------------------------------------- advisory-only property
 def _storm_state(seed: int, scheme: str, prefetch: bool):
     config = MRTSConfig(
-        swap_scheme=scheme,
-        prefetch_depth=2 if prefetch else 0,
-        learned_prefetch=prefetch,
-        packfile_spills=prefetch,
-        neighborhood_warm=2 if prefetch else 0,
+        swap_scheme=scheme, prefetch_depth=2 if prefetch else 0
     )
     harness = RuntimeHarness(
         n_nodes=2, memory_bytes=24 * 1024, config=config
@@ -209,7 +207,7 @@ def _storm_state(seed: int, scheme: str, prefetch: bool):
     scheme=st.sampled_from(["lru", "mru", "lfu"]),
 )
 def test_prefetch_is_advisory_only(seed, scheme):
-    """Prefetch + pack layout may reorder I/O, never application state."""
+    """Prefetch may reorder I/O, never application state."""
     assert _storm_state(seed, scheme, True) == _storm_state(
         seed, scheme, False
     )

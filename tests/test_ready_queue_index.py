@@ -33,12 +33,10 @@ from repro.core.control import ReadyQueue
 
 
 class OracleReadyQueue:
-    """The seed's linear-scan ReadyQueue, kept verbatim as the oracle."""
+    """The seed's linear-scan ReadyQueue, kept as the oracle (minus the
+    ``busiest`` discipline, which the queue no longer has)."""
 
-    def __init__(self, discipline: str = "fifo"):
-        if discipline not in ("fifo", "busiest"):
-            raise ValueError(f"unknown ready-queue discipline {discipline!r}")
-        self.discipline = discipline
+    def __init__(self) -> None:
         self._fifo: deque[int] = deque()
         self._member: set[int] = set()
         self._boost: dict[int, float] = {}
@@ -67,8 +65,7 @@ class OracleReadyQueue:
         spec_only: Optional[Callable[[int], bool]] = None,
     ) -> int:
         while self._fifo:
-            if (self.discipline == "fifo" and not self._boost
-                    and resident is None and spec_only is None):
+            if not self._boost and resident is None and spec_only is None:
                 oid = self._fifo.popleft()
             else:
                 best_idx = 0
@@ -81,10 +78,7 @@ class OracleReadyQueue:
                         # amortize over more messages).
                         batch = queue_len(cand)
                     else:
-                        batch = (
-                            queue_len(cand)
-                            if self.discipline == "busiest" else 0
-                        )
+                        batch = 0
                     key = (
                         self._boost.get(cand, 0.0),
                         0 if (spec_only is not None and spec_only(cand))
@@ -122,10 +116,10 @@ OPS = st.lists(
 )
 
 
-def _drive(discipline: str, use_resident: bool, use_spec: bool, ops) -> list:
+def _drive(use_resident: bool, use_spec: bool, ops) -> list:
     """Run the same op sequence through both queues; return pop results."""
-    indexed = ReadyQueue(discipline)
-    oracle = OracleReadyQueue(discipline)
+    indexed = ReadyQueue()
+    oracle = OracleReadyQueue()
     # Per-object message mix, mirroring the node's queue contents: the
     # spec_only predicate is "speculative messages and nothing else".
     real: dict[int, int] = {}
@@ -210,20 +204,13 @@ def _pop_both(indexed, oracle, qlen, res_fn, spec_fn, real, spec,
 @settings(max_examples=150, deadline=None)
 @given(ops=OPS, use_resident=st.booleans(), use_spec=st.booleans())
 def test_fifo_matches_oracle(ops, use_resident, use_spec):
-    for got, want in _drive("fifo", use_resident, use_spec, ops):
-        assert got == want
-
-
-@settings(max_examples=150, deadline=None)
-@given(ops=OPS, use_resident=st.booleans(), use_spec=st.booleans())
-def test_busiest_matches_oracle(ops, use_resident, use_spec):
-    for got, want in _drive("busiest", use_resident, use_spec, ops):
+    for got, want in _drive(use_resident, use_spec, ops):
         assert got == want
 
 
 def test_spec_only_objects_serve_after_real_work():
     """Speculation is stall filler: all-speculative queues rank last."""
-    q = ReadyQueue("fifo")
+    q = ReadyQueue()
     q.push(1)  # arrives first, but holds only speculative messages
     q.push(2)
     spec = {1: True, 2: False}
@@ -234,7 +221,7 @@ def test_spec_only_objects_serve_after_real_work():
 def test_spec_mode_prefers_deepest_nonresident_queue():
     """Non-resident objects pay a demand load: deepest queue amortizes
     it best, so thin queues defer while speculation mode is on."""
-    q = ReadyQueue("fifo")
+    q = ReadyQueue()
     q.push(1)
     q.push(2)
     depth = {1: 1, 2: 5}
@@ -243,7 +230,7 @@ def test_spec_mode_prefers_deepest_nonresident_queue():
 
 
 def test_membership_and_len_track_entries():
-    q = ReadyQueue("fifo")
+    q = ReadyQueue()
     q.push(3)
     q.push(3)  # idempotent
     q.push(7)
@@ -254,7 +241,7 @@ def test_membership_and_len_track_entries():
 
 
 def test_snapshot_is_fifo_arrival_order():
-    q = ReadyQueue("busiest")
+    q = ReadyQueue()
     for oid in (9, 2, 5):
         q.push(oid)
     q.boost(5, 10.0)  # scheduling hints must not reorder the snapshot
@@ -264,7 +251,7 @@ def test_snapshot_is_fifo_arrival_order():
 
 
 def test_snapshot_is_read_only_view():
-    q = ReadyQueue("fifo")
+    q = ReadyQueue()
     q.push(1)
     snap = q.snapshot()
     snap.append(99)
