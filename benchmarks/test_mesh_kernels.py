@@ -50,6 +50,8 @@ def patches():
 
 
 def _report(benchmark, unit: str, per: int) -> None:
+    if benchmark.stats is None:  # --benchmark-disable: ran once, untimed
+        return
     us = benchmark.stats.stats.median / per * 1e6
     benchmark.extra_info.update({unit: round(us, 2), "per": per})
     print(f"\n{benchmark.name}: {us:.2f} {unit} ({per} per round)")

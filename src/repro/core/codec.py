@@ -7,9 +7,6 @@ codecs so each object class can pick the cheapest representation of its
 bytes:
 
 * :class:`PickleCodec` — the existing default, registered as ``"pickle"``;
-* :class:`Pickle5Codec` — pickle protocol 5 with out-of-band buffers, so
-  large contiguous payloads (``bytes``, ``bytearray``, arrays) are framed
-  raw instead of being copied through the pickle stream;
 * :class:`AppendStateCodec` — base class for *append-mostly* states: one
   field accumulates items, the rest ("residue") is small bookkeeping.
   Packs as ``residue + items`` and can emit **delta segments** carrying
@@ -53,9 +50,7 @@ from repro.util.errors import SerializationError
 __all__ = [
     "register_codec",
     "get_codec",
-    "registered_codecs",
     "PickleCodec",
-    "Pickle5Codec",
     "AppendStateCodec",
     "PointColumn",
     "MeshPatchCodec",
@@ -85,62 +80,10 @@ def get_codec(name: str) -> Serializer:
         ) from None
 
 
-def registered_codecs() -> dict[str, Serializer]:
-    """Snapshot of the registry (name -> codec instance)."""
-    return dict(_REGISTRY)
-
-
 class PickleCodec(PickleSerializer):
     """The default serializer as a registry entry (``"pickle"``)."""
 
     name = "pickle"
-
-
-class Pickle5Codec(Serializer):
-    """Pickle protocol 5 with out-of-band buffers.
-
-    Layout: ``<I n_buffers>`` then per buffer ``<Q length>`` + raw bytes,
-    then the pickle body.  Buffer-providing objects (``bytes`` stay
-    in-band, but ``bytearray``, ``memoryview``, arrays and anything
-    implementing ``__reduce_ex__(5)`` with :class:`pickle.PickleBuffer`)
-    travel as raw spans with no pickle-stream copy.
-    """
-
-    name = "pickle5"
-
-    _COUNT = struct.Struct("<I")
-    _LEN = struct.Struct("<Q")
-
-    def pack(self, payload: Any) -> bytes:
-        buffers: list[pickle.PickleBuffer] = []
-        try:
-            body = pickle.dumps(payload, protocol=5,
-                                buffer_callback=buffers.append)
-        except Exception as exc:
-            raise SerializationError(f"pack failed: {exc}") from exc
-        parts = [self._COUNT.pack(len(buffers))]
-        for buf in buffers:
-            raw = buf.raw()
-            parts.append(self._LEN.pack(raw.nbytes))
-            parts.append(bytes(raw))
-        parts.append(body)
-        return b"".join(parts)
-
-    def unpack(self, data: bytes) -> Any:
-        try:
-            (count,) = self._COUNT.unpack_from(data, 0)
-            offset = self._COUNT.size
-            buffers = []
-            for _ in range(count):
-                (length,) = self._LEN.unpack_from(data, offset)
-                offset += self._LEN.size
-                buffers.append(data[offset:offset + length])
-                offset += length
-            return pickle.loads(data[offset:], buffers=buffers)
-        except SerializationError:
-            raise
-        except Exception as exc:
-            raise SerializationError(f"unpack failed: {exc}") from exc
 
 
 class AppendStateCodec(Serializer):
@@ -449,7 +392,6 @@ class SnapshotDeltaCodec(Serializer):
 
 
 register_codec("pickle", PickleCodec())
-register_codec("pickle5", Pickle5Codec())
 register_codec("mesh-patch", MeshPatchCodec())
 register_codec("bytes-append", BytesAppendCodec())
 register_codec("snapshot-delta", SnapshotDeltaCodec())

@@ -32,9 +32,11 @@ class MRTSConfig:
       queue (plus the pack-file neighborhood); 0 turns prefetching off.
     * ``message_aggregation`` — a handler's messages bound for one node
       travel as one wire transfer of up to this many; 1 sends each alone.
-    * ``degraded`` — start in degraded mode (normally entered at runtime
-      when the medium reports full): hard-threshold headroom drops to its
-      floor and proactive soft-threshold spills are suppressed.
+    * ``degraded`` — run in degraded mode: hard-threshold headroom drops
+      to its floor and proactive soft-threshold spills are suppressed.
+      Recovery rebuilds a runtime with it set after the medium reports
+      full (:class:`~repro.core.recovery.RecoveryPolicy`); no running
+      runtime switches into it.
     * ``speculation`` — allow handlers posted with
       ``ctx.post_speculative`` to run past the current phase boundary;
       their effects buffer until commit-time validation against the

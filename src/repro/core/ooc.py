@@ -159,7 +159,7 @@ class OOCLayer:
         # to its 1.0 floor (minimum forced unloading) and advise_swap
         # stops proposing proactive spills — backpressure that keeps all
         # but strictly necessary stores off the full medium.
-        self.degraded = bool(getattr(config, "degraded", False))
+        self.degraded = config.degraded
         if self.degraded:
             self._hard_threshold = self._largest_stored
 
@@ -341,15 +341,6 @@ class OOCLayer:
                 self._pressure.set(
                     oid, self._effective(rec), self.scheme._score(oid)
                 )
-
-    def _eviction_rank(self, rec: Residency) -> tuple:
-        """Sort key: lower = evict sooner.
-
-        Priority (user hints + queued-message pressure) dominates; the swap
-        scheme's score breaks ties among equal-priority objects.  This is
-        the reference definition; the incremental iteration reproduces it.
-        """
-        return (self._effective(rec), self.scheme._score(rec.oid), rec.oid)
 
     def iter_eviction_candidates(
         self, protect: Iterable[int] = ()
@@ -536,17 +527,6 @@ class OOCLayer:
             if freed >= want or not left:
                 break
         return victims
-
-    def enter_degraded(self) -> None:
-        """Medium reported full: tighten to the floor, stop proactive spills.
-
-        The hard swapping threshold is recomputed with factor 1.0 — the
-        minimum headroom that still guarantees the largest stored object
-        can be reloaded — so forced unloading (which *stores* bytes)
-        happens as rarely as correctness allows.
-        """
-        self.degraded = True
-        self._hard_threshold = self._largest_stored
 
     def prefetch_candidates(
         self,

@@ -8,12 +8,12 @@ highly repetitive: a refinement wave visits patches in the same
 neighbor-to-neighbor order every round, so the demand-load sequence
 itself is a strong predictor of the next load.
 
-:class:`PrefetchPredictor` consumes the typed
-:class:`~repro.obs.events.LoadEvent` stream (fed directly by the runtime,
-or via :meth:`attach` to any :class:`~repro.obs.events.EventBus`) and
-maintains a per-node first-order Markov successor table over *demand*
-loads (background prefetch loads are excluded — learning from our own
-predictions would self-reinforce).  :meth:`predict` returns the
+:class:`PrefetchPredictor` is fed one :meth:`~PrefetchPredictor.observe`
+call per *demand* load by the runtime's load path
+(:func:`repro.core.spill.install_loaded`) and maintains a per-node
+first-order Markov successor table over them; background prefetch loads
+are never observed — learning from our own predictions would
+self-reinforce.  :meth:`predict` returns the
 confidence-ranked successors of the object a worker is about to process,
 which the runtime merges with ready-queue hints and pack-file
 neighborhoods into one batched prefetch.
@@ -22,10 +22,7 @@ neighborhoods into one batched prefetch.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.events import EventBus, Subscription
+from typing import Optional
 
 __all__ = ["PrefetchPredictor"]
 
@@ -44,16 +41,6 @@ class PrefetchPredictor:
 
     # ------------------------------------------------------------------
     # learning
-
-    def attach(self, bus: "EventBus") -> "Subscription":
-        """Subscribe to a bus; only ``load`` events are delivered."""
-        return bus.subscribe(callback=self, kinds=("load",))
-
-    def __call__(self, event) -> None:
-        """Event-bus callback; ignores everything but demand LoadEvents."""
-        if getattr(event, "kind", None) != "load" or event.background:
-            return
-        self.observe(event.node, event.oid)
 
     def observe(self, node: int, oid: int) -> None:
         self.observed += 1
@@ -106,10 +93,3 @@ class PrefetchPredictor:
             for oid, n in counter.most_common(k)
             if n / total >= min_confidence
         ]
-
-    def confidence(self, node: int, after: int, oid: int) -> float:
-        counter = self._succ.get(node, {}).get(after)
-        if not counter:
-            return 0.0
-        total = sum(counter.values())
-        return counter.get(oid, 0) / total if total else 0.0

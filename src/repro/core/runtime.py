@@ -349,12 +349,6 @@ class MRTS:
         """True once any node's OOC layer entered degraded mode."""
         return any(n.ooc.degraded for n in self.nodes)
 
-    def enter_degraded_mode(self) -> None:
-        """Tighten every node for a full medium: headroom to the floor,
-        proactive spills suppressed (see :meth:`OOCLayer.enter_degraded`)."""
-        for node in self.nodes:
-            node.ooc.enter_degraded()
-
     # ====================================================== object lifecycle
     def create_object(
         self, cls: type, *args: Any, node: int = 0, **kwargs: Any

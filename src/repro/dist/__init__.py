@@ -11,7 +11,7 @@ across the process boundary.  See docs/distributed.md.
 from repro.dist.events import EventMerger, decode_event, encode_event
 from repro.dist.recovery import RecoveryFailed, ShardRecoveryPolicy
 from repro.dist.runtime import DistRunStats, DistRuntime
-from repro.dist.shard import HashRing, moved_keys, shard_hash
+from repro.dist.shard import HashRing, shard_hash
 from repro.dist.store import PeerClient, PeerMemoryServer, PeerTier
 from repro.dist.wire import DistError, WireChaos
 from repro.dist.worker import ShardWorker
@@ -21,7 +21,6 @@ __all__ = [
     "DistRunStats",
     "HashRing",
     "shard_hash",
-    "moved_keys",
     "ShardRecoveryPolicy",
     "RecoveryFailed",
     "PeerTier",

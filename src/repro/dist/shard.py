@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterable, Optional
+from typing import Iterable
 
-__all__ = ["shard_hash", "HashRing", "moved_keys"]
+__all__ = ["shard_hash", "HashRing"]
 
 # Virtual nodes per member.  More vnodes = smoother load at the cost of a
 # bigger sorted table; 192 keeps max/ideal load under 2x for the member
@@ -42,9 +42,7 @@ class HashRing:
     """Consistent-hash ring mapping keys (oids) to member ids (ranks).
 
     ``assign`` walks clockwise from the key's hash to the first virtual
-    node; ``replicas`` keeps walking to collect the next *distinct*
-    members, which is how the directory chooses where replicated entries
-    live.  Membership changes are O(vnodes log n) and move only the keys
+    node.  Membership changes are O(vnodes log n) and move only the keys
     whose owning arc changed.
     """
 
@@ -101,45 +99,9 @@ class HashRing:
             idx = 0
         return self._owner[self._points[idx]]
 
-    def replicas(self, key: object, n: int) -> list[int]:
-        """Up to ``n`` distinct members for ``key``: owner first, then the
-        next distinct members clockwise (the replica placement rule)."""
-        if not self._points:
-            raise LookupError("hash ring has no members")
-        found: list[int] = []
-        idx = bisect.bisect_right(self._points, shard_hash(key))
-        for step in range(len(self._points)):
-            pos = self._points[(idx + step) % len(self._points)]
-            member = self._owner[pos]
-            if member not in found:
-                found.append(member)
-                if len(found) >= n:
-                    break
-        return found
-
-    def assignment(self, keys: Iterable[object]) -> dict[object, int]:
-        """Bulk ``assign`` (convenience for shard-map snapshots)."""
-        return {key: self.assign(key) for key in keys}
-
     def __contains__(self, member: int) -> bool:
         return member in self.members
 
     def __len__(self) -> int:
         return len(self.members)
 
-
-def moved_keys(
-    before: HashRing, after: HashRing, keys: Iterable[object]
-) -> dict[object, tuple[int, int]]:
-    """Keys whose owner differs between two rings: ``key -> (old, new)``.
-
-    The minimal-disruption property says: for a pure join, every moved key
-    moves *to* the new member; for a pure leave, every moved key moves
-    *from* the departed member.
-    """
-    out: dict[object, tuple[int, int]] = {}
-    for key in keys:
-        old, new = before.assign(key), after.assign(key)
-        if old != new:
-            out[key] = (old, new)
-    return out

@@ -45,7 +45,7 @@ Point = Tuple[float, float]
 
 # Forward error coefficients of the A-stage filter (Shewchuk, "Adaptive
 # Precision Floating-Point Arithmetic and Fast Robust Geometric
-# Predicates", 1997), epsilon = 2**-53; repro.geometry.batch imports them.
+# Predicates", 1997), epsilon = 2**-53.
 _EPS = 1.1102230246251565e-16
 _CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 _ICC_BOUND = (10.0 + 96.0 * _EPS) * _EPS

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.geometry.predicates import Point, dist_sq, segments_intersect
 
@@ -98,10 +98,6 @@ class PSLG:
         xs = [p[0] for p in self.vertices]
         ys = [p[1] for p in self.vertices]
         return BoundingBox(min(xs), min(ys), max(xs), max(ys))
-
-    def segment_points(self) -> Iterable[tuple[Point, Point]]:
-        for i, j in self.segments:
-            yield self.vertices[i], self.vertices[j]
 
     def validate(self) -> None:
         """Check basic well-formedness; raises ValueError on problems.

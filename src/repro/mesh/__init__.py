@@ -8,7 +8,7 @@ metrics (:mod:`repro.mesh.quality`).
 """
 
 from repro.mesh.triangulation import Triangulation, triangulate_pslg
-from repro.mesh.refine import RefinementResult, refine, find_bad_triangles
+from repro.mesh.refine import RefinementResult, refine
 from repro.mesh.sizing import (
     SizingFunction,
     uniform_sizing,
@@ -37,7 +37,6 @@ __all__ = [
     "triangulate_pslg",
     "RefinementResult",
     "refine",
-    "find_bad_triangles",
     "SizingFunction",
     "uniform_sizing",
     "point_source_sizing",

@@ -39,7 +39,7 @@ from repro.geometry.predicates import (
 from repro.mesh.sizing import SizingFunction
 from repro.mesh.triangulation import NO_TRI, Triangulation
 
-__all__ = ["RefinementResult", "refine", "find_bad_triangles"]
+__all__ = ["RefinementResult", "refine"]
 
 DEFAULT_QUALITY_BOUND = math.sqrt(2.0)
 
@@ -131,6 +131,33 @@ def _triangle_badness(
     return False
 
 
+def circumcenter_batch(a, b, c):
+    """Circumcenters of n triangles given as (n, 2) float64 arrays.
+
+    Degenerate rows (zero doubled area in float) come back as NaN.
+    """
+    import numpy as np
+
+    acx, acy = a[:, 0] - c[:, 0], a[:, 1] - c[:, 1]
+    bcx, bcy = b[:, 0] - c[:, 0], b[:, 1] - c[:, 1]
+    d = 2.0 * (acx * bcy - acy * bcx)
+    a2, b2 = acx ** 2 + acy ** 2, bcx ** 2 + bcy ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.stack([c[:, 0] + (a2 * bcy - b2 * acy) / d,
+                        c[:, 1] + (b2 * acx - a2 * bcx) / d], axis=1)
+    out[d == 0.0] = np.nan
+    return out
+
+
+def shortest_edge_sq_batch(a, b, c):
+    """Squared shortest edge of n triangles given as (n, 2) arrays."""
+    import numpy as np
+
+    ab, bc, ca = ((p - q) ** 2 for p, q in ((a, b), (b, c), (c, a)))
+    return np.minimum(np.minimum(ab.sum(axis=1), bc.sum(axis=1)),
+                      ca.sum(axis=1))
+
+
 def _bad_mask_batch(
     pts_idx,
     pts,
@@ -146,11 +173,6 @@ def _bad_mask_batch(
     mirroring the filter/exact split of the scalar predicates.
     """
     import numpy as np
-
-    from repro.geometry.batch import (
-        circumcenter_batch,
-        shortest_edge_sq_batch,
-    )
 
     a = pts[pts_idx[:, 0]]
     b = pts[pts_idx[:, 1]]
@@ -198,10 +220,9 @@ def _scan_bad_triangles(
     """(tid, verts) of every alive non-super triangle violating the criteria.
 
     The full-mesh scan is the hot loop of every sweep; above
-    :data:`_BATCH_MIN` triangles it runs through the numpy kernels of
-    :mod:`repro.geometry.batch` and only falls back to the scalar test for
-    rows the float filter cannot decide — the scalar and batch paths are
-    property-tested equal.
+    :data:`_BATCH_MIN` triangles it runs through :func:`_bad_mask_batch`
+    and only falls back to the scalar test for rows the float filter
+    cannot decide — the scalar and batch paths are property-tested equal.
     """
     entries = [
         (tid, verts)
@@ -229,23 +250,6 @@ def _scan_bad_triangles(
         ):
             out.append(entry)
     return out
-
-
-def find_bad_triangles(
-    tri: Triangulation,
-    quality_bound: float = DEFAULT_QUALITY_BOUND,
-    sizing: Optional[SizingFunction] = None,
-    min_length: float = 0.0,
-) -> list[tuple[int, int, int]]:
-    """All triangles currently violating the quality/size criteria."""
-    quality_sq = quality_bound * quality_bound
-    min_length_sq = min_length * min_length
-    return [
-        verts
-        for _, verts in _scan_bad_triangles(
-            tri, quality_sq, sizing, min_length_sq
-        )
-    ]
 
 
 def refine(

@@ -4,9 +4,9 @@ A cell is a triangle footprint in the xy-plane swept along z — the
 classic semi-structured element for boundary-layer and extruded domains
 (and the simplest honest 3D element whose refinement still produces the
 skewed, cascading workloads the run-time system must absorb).  All
-predicates come in scalar form and, where the refinement scan is hot, a
-numpy batch form over packed arrays (mirroring
-:mod:`repro.geometry.batch` for the 2D kernels).
+predicates come in scalar form, which is what the refinement scan runs;
+the numpy batch forms over packed arrays (:func:`pack_prisms`) serve no
+workload yet.
 """
 
 from __future__ import annotations

@@ -198,13 +198,5 @@ class SubdomainObject(MobileObject):
         return 270 * max(n, 8) + 2048
 
     # -- post-run inspection ----------------------------------------------
-    def interface_vertices(self) -> set[Point]:
-        """All mesh vertices lying on current interface subsegments."""
-        out: set[Point] = set()
-        for (p, q), _neighbor in self.interface.items():
-            out.add(p)
-            out.add(q)
-        return out
-
     def n_triangles(self) -> int:
         return self.tri.n_triangles if self.tri is not None else 0

@@ -26,7 +26,6 @@ uninterrupted run's, which the ``serve-kill-midjob`` chaos cell pins.
 from __future__ import annotations
 
 import hashlib
-import pickle
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional
 
@@ -215,16 +214,6 @@ class JobCheckpoint:
     converged: bool
     manifest: dict  # role -> oid; roles: "master", "registry", "region:<id>"
     snapshot: bytes = field(repr=False)
-
-    def to_bytes(self) -> bytes:
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "JobCheckpoint":
-        obj = pickle.loads(data)
-        if not isinstance(obj, cls):
-            raise JobSpecError("data is not a JobCheckpoint")
-        return obj
 
 
 class MeshJobRunner:

@@ -8,7 +8,7 @@ resources (:mod:`repro.sim.resources`), node/disk/NIC models
 paper's Figure 1 (:mod:`repro.sim.scheduler`).
 """
 
-from repro.sim.engine import Engine, SimEvent, Timeout, Poll, Process, Interrupt, all_of, any_of
+from repro.sim.engine import Engine, SimEvent, Timeout, Poll, Process
 from repro.sim.resources import Resource, Store, Server
 from repro.sim.node import NodeSpec, SimNode
 from repro.sim.network import NetworkSpec, SimNetwork
@@ -19,7 +19,7 @@ from repro.sim.cluster import (
     stems_spec,
     xeon_smp_spec,
 )
-from repro.sim.scheduler import Job, SchedulerSim, synthetic_job_mix, wait_time_by_width
+from repro.sim.scheduler import Job, SchedulerSim, synthetic_job_mix
 
 __all__ = [
     "Engine",
@@ -27,9 +27,6 @@ __all__ = [
     "Timeout",
     "Poll",
     "Process",
-    "Interrupt",
-    "all_of",
-    "any_of",
     "Resource",
     "Store",
     "Server",
@@ -45,5 +42,4 @@ __all__ = [
     "Job",
     "SchedulerSim",
     "synthetic_job_mix",
-    "wait_time_by_width",
 ]

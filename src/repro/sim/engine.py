@@ -8,8 +8,10 @@ numpy.  It provides exactly what the cluster model needs:
 * *processes*: Python generators that ``yield`` events to wait on,
 * one-shot :class:`SimEvent` objects that carry a value when triggered,
 * :class:`Timeout` events for modeling service/latency times,
-* :class:`Poll` events that re-arm in place until a predicate holds,
-* :func:`all_of` / :func:`any_of` combinators.
+* :class:`Poll` events that re-arm in place until a predicate holds.
+
+Events only ever succeed: nothing in the cluster model fails an event or
+interrupts a process, so the engine has no failure path to carry.
 
 Determinism: events scheduled for the same virtual time fire in FIFO order
 of scheduling (a monotonically increasing sequence number breaks ties), so a
@@ -20,7 +22,7 @@ benchmark tables.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator
 
 __all__ = [
     "Engine",
@@ -28,9 +30,6 @@ __all__ = [
     "Timeout",
     "Poll",
     "Process",
-    "Interrupt",
-    "all_of",
-    "any_of",
 ]
 
 # A process body is a generator that yields SimEvents.
@@ -39,29 +38,20 @@ ProcessBody = Generator["SimEvent", Any, Any]
 PENDING = object()
 
 
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class SimEvent:
     """A one-shot event that processes can wait on.
 
-    An event starts *pending*; calling :meth:`succeed` (or :meth:`fail`)
-    schedules it for processing, at which point all registered callbacks run
-    and any waiting processes resume.  Events may only be triggered once.
+    An event starts *pending*; calling :meth:`succeed` schedules it for
+    processing, at which point all registered callbacks run and any
+    waiting processes resume.  Events may only be triggered once.
     """
 
-    __slots__ = ("engine", "callbacks", "_value", "_ok", "_scheduled")
+    __slots__ = ("engine", "callbacks", "_value", "_scheduled")
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
         self.callbacks: list[Callable[["SimEvent"], None]] = []
         self._value: Any = PENDING
-        self._ok = True
         self._scheduled = False
 
     # -- state ------------------------------------------------------------
@@ -76,10 +66,6 @@ class SimEvent:
         return self.callbacks is None  # type: ignore[return-value]
 
     @property
-    def ok(self) -> bool:
-        return self._ok
-
-    @property
     def value(self) -> Any:
         if self._value is PENDING:
             raise RuntimeError("event value not yet available")
@@ -92,16 +78,6 @@ class SimEvent:
             raise RuntimeError("event already triggered")
         self._scheduled = True
         self._value = value
-        self.engine._schedule(self, delay)
-        return self
-
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "SimEvent":
-        """Trigger the event with an exception; waiters will see it raised."""
-        if self._scheduled:
-            raise RuntimeError("event already triggered")
-        self._scheduled = True
-        self._ok = False
-        self._value = exception
         self.engine._schedule(self, delay)
         return self
 
@@ -199,7 +175,7 @@ class Process(SimEvent):
     (fork/join parallelism).
     """
 
-    __slots__ = ("body", "name", "_waiting_on")
+    __slots__ = ("body", "name")
 
     def __init__(self, engine: "Engine", body: ProcessBody, name: str = "") -> None:
         super().__init__(engine)
@@ -207,57 +183,22 @@ class Process(SimEvent):
             raise TypeError("process body must be a generator")
         self.body = body
         self.name = name or getattr(body, "__name__", "process")
-        self._waiting_on: Optional[SimEvent] = None
         # Bootstrap: resume on the next pass of the event loop.
         init = SimEvent(engine)
         init.succeed()
         init.add_callback(self._resume)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current wait."""
-        if self.triggered:
-            return
-        event = SimEvent(self.engine)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._scheduled = True
-        # Detach from whatever we were waiting on so the original event's
-        # callback becomes a no-op when it eventually fires.
-        waiting = self._waiting_on
-        if waiting is not None and waiting.callbacks is not None:
-            try:
-                waiting.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        self.engine._schedule(event, 0.0)
-        event.add_callback(self._resume)
-
     def _resume(self, event: SimEvent) -> None:
-        self._waiting_on = None
         try:
-            if event.ok:
-                target = self.body.send(event._value)
-            else:
-                target = self.body.throw(event._value)
+            target = self.body.send(event._value)
         except StopIteration as stop:
             if not self._scheduled:
                 self.succeed(stop.value)
-            return
-        except Interrupt:
-            # Unhandled interrupt terminates the process quietly.
-            if not self._scheduled:
-                self.succeed(None)
             return
         if not isinstance(target, SimEvent):
             raise TypeError(
                 f"process {self.name!r} yielded {target!r}; expected a SimEvent"
             )
-        self._waiting_on = target
         target.add_callback(self._resume)
 
 
@@ -328,8 +269,6 @@ class Engine:
                         "awaited event never fired"
                     )
                 self.step()
-            if not stop.ok:
-                raise stop.value
             return stop.value
         limit = float("inf") if until is None else float(until)
         while self._heap and self._heap[0][0] <= limit:
@@ -346,53 +285,3 @@ class Engine:
         """Virtual time of the next scheduled event (inf if none)."""
         return self._heap[0][0] if self._heap else float("inf")
 
-
-def all_of(engine: Engine, events: Iterable[SimEvent]) -> SimEvent:
-    """An event that fires (with a list of values) when all ``events`` have."""
-    events = list(events)
-    result = engine.event()
-    remaining = len(events)
-    if remaining == 0:
-        return result.succeed([])
-    values: list[Any] = [None] * remaining
-
-    def make_cb(i: int):
-        def cb(ev: SimEvent) -> None:
-            nonlocal remaining
-            if not ev.ok:
-                if not result.triggered:
-                    result.fail(ev._value)
-                return
-            values[i] = ev._value
-            remaining -= 1
-            if remaining == 0 and not result.triggered:
-                result.succeed(list(values))
-
-        return cb
-
-    for i, ev in enumerate(events):
-        ev.add_callback(make_cb(i))
-    return result
-
-
-def any_of(engine: Engine, events: Iterable[SimEvent]) -> SimEvent:
-    """An event that fires with ``(index, value)`` of the first to trigger."""
-    events = list(events)
-    result = engine.event()
-    if not events:
-        raise ValueError("any_of requires at least one event")
-
-    def make_cb(i: int):
-        def cb(ev: SimEvent) -> None:
-            if result.triggered:
-                return
-            if ev.ok:
-                result.succeed((i, ev._value))
-            else:
-                result.fail(ev._value)
-
-        return cb
-
-    for i, ev in enumerate(events):
-        ev.add_callback(make_cb(i))
-    return result

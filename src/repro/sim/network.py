@@ -105,9 +105,6 @@ class SimNetwork:
         event.add_callback(on_arrival)
         event.succeed(delay=delay)
 
-    def egress_utilization(self, rank: int) -> float:
-        return self._egress[rank].utilization()
-
     def send_overhead(self, nbytes: int) -> float:
         """Sender-side serialization time for an ``nbytes`` message."""
         return self._egress[0].service_time(nbytes)

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource, Server
-from repro.util.errors import OutOfMemory
 
 __all__ = ["NodeSpec", "SimNode"]
 
@@ -20,8 +19,8 @@ class NodeSpec:
     cores:
         Number of processing elements (PEs).
     memory_bytes:
-        RAM available to the application (the runtime treats this as the
-        budget the out-of-core layer must respect).
+        RAM available to the application: the budget the node's
+        out-of-core layer (:class:`repro.core.ooc.OOCLayer`) keeps.
     disk_latency / disk_bandwidth:
         Per-operation seek+setup latency (s) and streaming rate (bytes/s).
     disk_channels:
@@ -63,35 +62,6 @@ class SimNode:
             spec.disk_channels,
             name=f"disk[{rank}]",
         )
-        self.memory_used = 0
-        self.memory_high_water = 0
-
-    # -- memory accounting ---------------------------------------------------
-    @property
-    def memory_free(self) -> int:
-        return self.spec.memory_bytes - self.memory_used
-
-    def allocate(self, nbytes: int) -> None:
-        """Account an allocation; raises :class:`OutOfMemory` if over budget."""
-        if nbytes < 0:
-            raise ValueError(f"negative allocation: {nbytes}")
-        if self.memory_used + nbytes > self.spec.memory_bytes:
-            raise OutOfMemory(
-                f"node {self.rank}: allocating {nbytes} B exceeds budget "
-                f"({self.memory_used}/{self.spec.memory_bytes} B in use)"
-            )
-        self.memory_used += nbytes
-        self.memory_high_water = max(self.memory_high_water, self.memory_used)
-
-    def free(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError(f"negative free: {nbytes}")
-        if nbytes > self.memory_used:
-            raise RuntimeError(
-                f"node {self.rank}: freeing {nbytes} B but only "
-                f"{self.memory_used} B accounted"
-            )
-        self.memory_used -= nbytes
 
     def compute_time(self, cost_seconds: float) -> float:
         """Wall time on one core for ``cost_seconds`` of reference work."""
@@ -100,5 +70,5 @@ class SimNode:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"SimNode(rank={self.rank}, cores={self.spec.cores}, "
-            f"mem={self.memory_used}/{self.spec.memory_bytes})"
+            f"mem={self.spec.memory_bytes})"
         )

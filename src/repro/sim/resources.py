@@ -42,20 +42,11 @@ class Resource:
         self.capacity = capacity
         self.in_use = 0
         self._waiters: deque[SimEvent] = deque()
-        # cumulative statistics for utilization reporting
-        self._busy_time = 0.0
-        self._last_change = 0.0
-
-    def _account(self) -> None:
-        now = self.engine.now
-        self._busy_time += self.in_use * (now - self._last_change)
-        self._last_change = now
 
     def acquire(self) -> SimEvent:
         """Return an event that fires when a unit is granted."""
         event = self.engine.event()
         if self.in_use < self.capacity and not self._waiters:
-            self._account()
             self.in_use += 1
             event.succeed()
         else:
@@ -70,22 +61,7 @@ class Resource:
             # Ownership transfers directly; in_use stays constant.
             self._waiters.popleft().succeed()
         else:
-            self._account()
             self.in_use -= 1
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-    def busy_time(self) -> float:
-        """Integral of units-in-use over time, up to now (unit-seconds)."""
-        return self._busy_time + self.in_use * (self.engine.now - self._last_change)
-
-    def utilization(self) -> float:
-        """Mean fraction of capacity in use since t=0."""
-        if self.engine.now <= 0:
-            return 0.0
-        return self.busy_time() / (self.capacity * self.engine.now)
 
 
 class Store:
@@ -160,10 +136,3 @@ class Server:
             self.ops_served += 1
         finally:
             self._channels.release()
-
-    def utilization(self) -> float:
-        return self._channels.utilization()
-
-    @property
-    def queue_length(self) -> int:
-        return self._channels.queue_length

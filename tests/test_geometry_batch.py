@@ -1,4 +1,8 @@
-"""Tests for vectorized geometric kernels vs the scalar exact predicates."""
+"""The vectorised kernels of the refinement scan vs the scalar predicates.
+
+``circumcenter_batch``, ``shortest_edge_sq_batch`` and ``_bad_mask_batch``
+live in :mod:`repro.mesh.refine` beside the scan that calls them.
+"""
 
 import math
 
@@ -6,17 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import find_bad_triangles
 from repro.geometry import (
     circumcenter,
     circumradius_sq,
     dist_sq,
-    orient2d_exact,
 )
-from repro.geometry.batch import (
-    bad_triangle_mask,
+from repro.mesh.refine import (
+    _bad_mask_batch,
     circumcenter_batch,
-    circumradius_sq_batch,
-    orient2d_batch,
     shortest_edge_sq_batch,
 )
 
@@ -25,36 +27,22 @@ pt = st.tuples(finite, finite)
 
 
 def _tri_arrays(tris):
-    a = np.array([t[0] for t in tris])
-    b = np.array([t[1] for t in tris])
-    c = np.array([t[2] for t in tris])
+    a = np.array([t[0] for t in tris], dtype=np.float64)
+    b = np.array([t[1] for t in tris], dtype=np.float64)
+    c = np.array([t[2] for t in tris], dtype=np.float64)
     return a, b, c
 
 
-def test_orient2d_batch_signs():
-    tris = [
-        ((0, 0), (1, 0), (0, 1)),   # ccw
-        ((0, 0), (0, 1), (1, 0)),   # cw
-        ((0, 0), (1, 1), (2, 2)),   # collinear
-    ]
-    det, uncertain = orient2d_batch(*_tri_arrays(tris))
-    assert det[0] > 0 and det[1] < 0
-    assert uncertain[2]  # collinear: filter cannot certify
+def _circumradius_sq_batch(a, b, c):
+    cc = circumcenter_batch(a, b, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (cc[:, 0] - a[:, 0]) ** 2 + (cc[:, 1] - a[:, 1]) ** 2
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(pt, pt, pt), min_size=1, max_size=20))
-def test_orient2d_batch_certified_signs_match_exact(tris):
-    """Where the filter is certain, the sign equals the exact predicate."""
-    det, uncertain = orient2d_batch(*_tri_arrays(tris))
-    for k, (a, b, c) in enumerate(tris):
-        if not uncertain[k]:
-            assert np.sign(det[k]) == orient2d_exact(a, b, c)
-
-
-def test_batch_shape_validation():
-    with pytest.raises(ValueError):
-        orient2d_batch(np.zeros((3,)), np.zeros((3, 2)), np.zeros((3, 2)))
+def _indexed(tris):
+    """``(pts_idx, pts)`` for :func:`_bad_mask_batch`: row k is ``tris[k]``."""
+    pts = np.array([p for t in tris for p in t], dtype=np.float64)
+    return np.arange(len(pts)).reshape(-1, 3), pts
 
 
 def test_circumcenter_batch_matches_scalar():
@@ -80,7 +68,7 @@ def test_circumcenter_batch_degenerate_nan():
 @given(st.lists(st.tuples(pt, pt, pt), min_size=1, max_size=15))
 def test_circumradius_batch_matches_scalar(tris):
     a, b, c = _tri_arrays(tris)
-    r_sq = circumradius_sq_batch(a, b, c)
+    r_sq = _circumradius_sq_batch(a, b, c)
     for k, (pa, pb, pc) in enumerate(tris):
         longest = max(dist_sq(pa, pb), dist_sq(pb, pc), dist_sq(pc, pa))
         try:
@@ -123,48 +111,45 @@ def test_bad_triangle_mask_quality():
         ((0.0, 0.0), (1.0, 0.0), (0.5, 0.01)),
         ((0.0, 0.0), (1.0, 0.0), (0.5, h)),
     ]
-    mask = bad_triangle_mask(*_tri_arrays(tris))
-    assert mask.tolist() == [True, False]
+    bad, recheck = _bad_mask_batch(*_indexed(tris), 2.0, None, 0.0)
+    assert bad.tolist() == [True, False]
+    assert not recheck.any()
 
 
 def test_bad_triangle_mask_sizing():
     h = math.sqrt(3) / 2
-    tris = [((0.0, 0.0), (1.0, 0.0), (0.5, h))]  # circumradius ~0.577
-    a, b, c = _tri_arrays(tris)
-    centers = circumcenter_batch(a, b, c)
-    small_h = np.full(1, 0.1)
-    big_h = np.full(1, 10.0)
-    assert bad_triangle_mask(a, b, c, h_at_center=small_h).tolist() == [True]
-    assert bad_triangle_mask(a, b, c, h_at_center=big_h).tolist() == [False]
-    assert centers.shape == (1, 2)
+    idx, pts = _indexed([((0.0, 0.0), (1.0, 0.0), (0.5, h))])  # R ~0.577
+    bad, _ = _bad_mask_batch(idx, pts, 2.0, lambda p: 0.1, 0.0)
+    assert bad.tolist() == [True]
+    bad, _ = _bad_mask_batch(idx, pts, 2.0, lambda p: 10.0, 0.0)
+    assert bad.tolist() == [False]
 
 
 def test_bad_triangle_mask_min_length_protects():
-    tris = [((0.0, 0.0), (1.0, 0.0), (0.5, 0.01))]  # bad but tiny edges? no:
-    a, b, c = _tri_arrays(tris)
-    assert bad_triangle_mask(a, b, c, min_length=2.0).tolist() == [False]
+    tris = [((0.0, 0.0), (1.0, 0.0), (0.5, 0.01))]  # skinny, edges < 2
+    bad, _ = _bad_mask_batch(*_indexed(tris), 2.0, None, 2.0 ** 2)
+    assert bad.tolist() == [False]
 
 
 def test_bad_triangle_mask_degenerate_never_bad():
     tris = [((0.0, 0.0), (1.0, 1.0), (2.0, 2.0))]
-    assert bad_triangle_mask(*_tri_arrays(tris)).tolist() == [False]
+    bad, _ = _bad_mask_batch(*_indexed(tris), 2.0, None, 0.0)
+    assert bad.tolist() == [False]
 
 
 def test_batch_agrees_with_mesh_scan():
     """The vectorized mask finds the same bad set as the scalar refiner."""
     from repro.geometry import unit_square
-    from repro.mesh import find_bad_triangles, triangulate_pslg, refine
+    from repro.mesh import triangulate_pslg, refine
     from repro.mesh.sizing import uniform_sizing
 
     tri = triangulate_pslg(unit_square())
     refine(tri, sizing=uniform_sizing(0.3))
     tris = list(tri.triangles())
-    coords = [tri.coords(t) for t in tris]
-    a, b, c = _tri_arrays(coords)
-    centers = circumcenter_batch(a, b, c)
     sizing = uniform_sizing(0.15)  # tighter than the mesh satisfies
-    h = np.array([sizing((x, y)) for x, y in centers])
-    mask = bad_triangle_mask(a, b, c, h_at_center=h)
+    bad, recheck = _bad_mask_batch(
+        *_indexed([tri.coords(t) for t in tris]), 2.0, sizing, 0.0)
+    assert not recheck.any()
     scalar_bad = set(find_bad_triangles(tri, sizing=sizing))
-    batch_bad = {tris[k] for k in range(len(tris)) if mask[k]}
+    batch_bad = {tris[k] for k in range(len(tris)) if bad[k]}
     assert batch_bad == scalar_bad

@@ -11,13 +11,11 @@ quadruples) — exactly what block decompositions feed the mesher.
 import contextlib
 import fractions
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import incircle_fraction, orient2d_fraction, sign
 from repro.geometry import predicates, unit_square
-from repro.geometry.batch import incircle_batch, orient2d_batch
 from repro.geometry.predicates import (
     incircle,
     incircle_exact,
@@ -171,38 +169,6 @@ def test_true_degeneracies_reach_stage_two():
         assert orient2d((0.1, 0.1), (0.3, 0.3), (0.2, 0.2)) == 0.0
         assert incircle((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)) == 0.0
     assert calls == ["orient2d_exact", "incircle_exact"]
-
-
-# ------------------------------------------------- scalar filter == batch
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(
-        st.one_of(
-            st.tuples(any_point, any_point, any_point, any_point),
-            st.tuples(lattice_point, lattice_point, lattice_point, lattice_point),
-            cocircular_quadruples(),
-            collinear_triples().map(lambda t: t + (t[0],)),
-        ),
-        min_size=1, max_size=12,
-    )
-)
-def test_batch_uncertain_mask_is_the_scalar_filters_verdict(rows):
-    """One filter, two spellings: a row is ``uncertain`` in the batch
-    kernels exactly when the scalar predicate goes to its exact stage."""
-    cols = [np.array([row[k] for row in rows]) for k in range(4)]
-    det_o, uncertain_o = orient2d_batch(*cols[:3])
-    det_i, uncertain_i = incircle_batch(*cols)
-    with exact_stage_calls() as calls:
-        for k, (a, b, c, d) in enumerate(rows):
-            calls.clear()
-            scalar_o = orient2d(a, b, c)
-            scalar_i = incircle(a, b, c, d)
-            assert bool(uncertain_o[k]) == ("orient2d_exact" in calls)
-            assert bool(uncertain_i[k]) == ("incircle_exact" in calls)
-            if not uncertain_o[k]:
-                assert sign(float(det_o[k])) == sign(scalar_o)
-            if not uncertain_i[k]:
-                assert sign(float(det_i[k])) == sign(scalar_i)
 
 
 # ------------------------------------------------------------- no Fraction

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import pipe_cross_section, plate_with_holes, unit_square
+from oracles import find_bad_triangles
 from repro.mesh import (
     MeshQuality,
-    find_bad_triangles,
     refine,
     triangulate_pslg,
     uniform_sizing,

@@ -18,16 +18,8 @@ from repro.core import spill
 from repro.core.config import MRTSConfig
 from repro.core.prefetch import PrefetchPredictor
 from repro.evalsim.apps import run_pcdm_model
-from repro.obs.events import EventBus, LoadEvent
 from repro.testing.harness import RuntimeHarness
 from repro.testing.workloads import WorkloadSpec, run_storm
-
-
-def _load(node, oid, background=False):
-    return LoadEvent(
-        time=0.0, node=node, oid=oid, nbytes=64,
-        background=background, memory_used=0,
-    )
 
 
 # ---------------------------------------------------------------- predictor
@@ -38,7 +30,6 @@ def test_markov_table_learns_the_sweep_order():
             p.observe(0, oid)
     assert p.predict(0, after=1) == [2]
     assert p.predict(0, after=2) == [3]
-    assert p.confidence(0, 1, 2) > 0.9
     # ``after`` defaults to the most recent demand load (3 -> 1).
     assert p.predict(0) == [1]
 
@@ -64,23 +55,18 @@ def test_nodes_learn_independently():
 
 
 def test_background_loads_never_train_the_table():
-    p = PrefetchPredictor()
-    p(_load(0, 1))
-    p(_load(0, 7, background=True))  # our own prefetch: excluded
-    p(_load(0, 2))
-    assert p.predict(0, after=1) == [2]
-    assert p.predict(0, after=7) == []
+    """The load path observes demand loads only: learning from our own
+    prefetches would self-reinforce."""
+    from repro.perf import run_mesh_neighborhood_sweep
 
-
-def test_attach_subscribes_for_load_events_only():
-    bus = EventBus()
-    p = PrefetchPredictor()
-    sub = p.attach(bus)
-    bus.publish(_load(0, 1))
-    bus.publish(_load(0, 2))
-    assert p.predict(0, after=1) == [2]
-    sub.close()
-    assert bus.active is False
+    subs = []
+    result = run_mesh_neighborhood_sweep(
+        on_runtime=lambda rt: subs.append(rt.bus.subscribe(kinds=("load",)))
+    )
+    loads = list(subs[0].events)
+    demand = sum(1 for event in loads if not event.background)
+    assert demand < len(loads)  # background loads happened
+    assert result.runtime.predictor.observed == demand
 
 
 def test_state_cap_bounds_the_table():

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import MRTSConfig, FileBackend
 from repro.geometry import unit_square, pipe_cross_section
-from repro.mesh import find_bad_triangles
+from oracles import find_bad_triangles
 from repro.mesh.sizing import sizing_from_spec
 from repro.pumg import (
     ONUPDROptions,

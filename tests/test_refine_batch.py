@@ -1,10 +1,9 @@
 """Batch (numpy) geometry kernels and anisotropic metric sizing.
 
 The central property: the vectorized paths are *semantically invisible*
-— batch predicates agree with the exact scalar predicates wherever the
-float filter is certain, and the batched bad-triangle scan returns
-exactly the triangles the scalar scan returns, for isotropic and metric
-sizing alike.
+— the batch kernels agree with the scalar predicates, and the batched
+bad-triangle scan returns exactly the triangles the scalar scan returns,
+for isotropic and metric sizing alike.
 """
 
 import math
@@ -12,31 +11,23 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from oracles import find_bad_triangles
 from repro.geometry import BoundingBox, unit_square
-from repro.geometry.batch import (
-    bad_triangle_mask,
-    circumcenter_batch,
-    circumradius_sq_batch,
-    incircle_batch,
-    orient2d_batch,
-    shortest_edge_sq_batch,
-)
 from repro.geometry.predicates import (
     circumcenter,
     circumradius_sq,
     dist_sq,
-    incircle,
     orient2d,
 )
 from repro.mesh import Triangulation, triangulate_pslg
 from repro.mesh.refine import (
     _BATCH_MIN,
+    _bad_mask_batch,
     _scan_bad_triangles,
-    _triangle_badness,
-    find_bad_triangles,
+    circumcenter_batch,
     refine,
+    shortest_edge_sq_batch,
 )
 from repro.mesh.quality import metric_triangle_quality, triangle_quality
 from repro.mesh.sizing import (
@@ -46,12 +37,6 @@ from repro.mesh.sizing import (
     sizing_from_spec,
 )
 
-coord = st.floats(
-    min_value=-10.0, max_value=10.0,
-    allow_nan=False, allow_infinity=False,
-)
-point = st.tuples(coord, coord)
-
 
 def _random_points(n, seed):
     rng = random.Random(seed)
@@ -59,55 +44,13 @@ def _random_points(n, seed):
 
 
 # -------------------------------------------------- batch == scalar kernels
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(point, point, point, point),
-                min_size=1, max_size=20))
-def test_incircle_batch_matches_scalar_when_certain(quads):
-    a, b, c, d = (np.array([q[i] for q in quads]) for i in range(4))
-    det, uncertain = incircle_batch(a, b, c, d)
-    for k, (pa, pb, pc, pd) in enumerate(quads):
-        if not uncertain[k]:
-            exact = incircle(pa, pb, pc, pd)
-            if exact != 0.0:
-                # Compare signs directly: the product underflows to 0.0
-                # for subnormal-range determinants.
-                assert math.copysign(1.0, det[k]) == math.copysign(1.0, exact)
-                assert det[k] != 0.0
-            assert det[k] == pytest.approx(exact, rel=1e-9, abs=1e-30)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(point, point, point), min_size=1, max_size=20))
-def test_orient2d_batch_matches_scalar_when_certain(tris):
-    a, b, c = (np.array([t[i] for t in tris]) for i in range(3))
-    det, uncertain = orient2d_batch(a, b, c)
-    for k, (pa, pb, pc) in enumerate(tris):
-        if not uncertain[k]:
-            exact = orient2d(pa, pb, pc)
-            if exact != 0.0:
-                assert math.copysign(1.0, det[k]) == math.copysign(1.0, exact)
-                assert det[k] != 0.0
-
-
-def test_batch_flags_near_degenerate_as_uncertain():
-    # Four near-cocircular points: the float filter must not pretend
-    # certainty (the scalar path then settles it exactly).
-    eps = 1e-16
-    a = np.array([(0.0, 0.0)])
-    b = np.array([(1.0, 0.0)])
-    c = np.array([(1.0, 1.0)])
-    d = np.array([(0.0, 1.0 + eps)])
-    det, uncertain = incircle_batch(a, b, c, d)
-    assert uncertain[0] or det[0] == pytest.approx(0.0, abs=1e-12)
-
-
 def test_circumcenter_and_radius_batch_match_scalar():
     pts = _random_points(300, seed=11)
     tris = [tuple(pts[i:i + 3]) for i in range(0, 297, 3)
             if abs(orient2d(*pts[i:i + 3])) > 1e-12]
     a, b, c = (np.array([t[i] for t in tris]) for i in range(3))
     cc = circumcenter_batch(a, b, c)
-    rr = circumradius_sq_batch(a, b, c)
+    rr = (cc[:, 0] - a[:, 0]) ** 2 + (cc[:, 1] - a[:, 1]) ** 2
     ss = shortest_edge_sq_batch(a, b, c)
     for k, (pa, pb, pc) in enumerate(tris):
         want = circumcenter(pa, pb, pc)
@@ -125,9 +68,11 @@ def test_circumcenter_and_radius_batch_match_scalar():
 def test_bad_triangle_mask_flags_skinny_not_equilateral():
     skinny = ((0.0, 0.0), (1.0, 0.0), (0.5, 0.01))
     good = ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2))
-    a, b, c = (np.array([skinny[i], good[i]]) for i in range(3))
-    bad = bad_triangle_mask(a, b, c, quality_bound=2.0)
+    pts = np.array([*skinny, *good])
+    idx = np.array([[0, 1, 2], [3, 4, 5]])
+    bad, recheck = _bad_mask_batch(idx, pts, 2.0 ** 2, None, 0.0)
     assert bad[0] and not bad[1]
+    assert not recheck.any()
 
 
 # ---------------------------------------------- batch == scalar full scan
@@ -138,14 +83,10 @@ def _triangulation_of(points):
     return tri
 
 
-def _scalar_scan(tri, quality_sq, sizing, min_length_sq):
-    return [
-        (tid, verts)
-        for tid in tri.alive_triangles()
-        for verts in (tri.triangle_vertices(tid),)
-        if not any(tri.is_super_vertex(v) for v in verts)
-        and _triangle_badness(tri, verts, quality_sq, sizing, min_length_sq)
-    ]
+def _batch_scan(tri, sizing):
+    """Vertex triples the full scan flags, bound 2 and min length 1e-6."""
+    return sorted(v for _, v in _scan_bad_triangles(tri, 2.0 ** 2, sizing,
+                                                    1e-12))
 
 
 @pytest.mark.parametrize(
@@ -164,16 +105,14 @@ def test_scan_batch_equals_scalar(sizing, seed):
     # Enough triangles to cross _BATCH_MIN so the numpy path runs.
     tri = _triangulation_of(_random_points(80, seed=seed))
     assert sum(1 for _ in tri.alive_triangles()) >= _BATCH_MIN
-    got = _scan_bad_triangles(tri, 2.0 ** 2, sizing, 1e-12)
-    want = _scalar_scan(tri, 2.0 ** 2, sizing, 1e-12)
-    assert sorted(got) == sorted(want)
+    want = find_bad_triangles(tri, 2.0, sizing, 1e-6)
+    assert _batch_scan(tri, sizing) == sorted(want)
 
 
 def test_scan_small_mesh_takes_scalar_path():
     tri = _triangulation_of(_random_points(5, seed=3))
-    got = _scan_bad_triangles(tri, 2.0 ** 2, None, 1e-12)
-    want = _scalar_scan(tri, 2.0 ** 2, None, 1e-12)
-    assert sorted(got) == sorted(want)
+    want = find_bad_triangles(tri, 2.0, None, 1e-6)
+    assert _batch_scan(tri, None) == sorted(want)
 
 
 # ------------------------------------------------------- metric sizing

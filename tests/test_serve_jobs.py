@@ -15,6 +15,8 @@ The load-bearing facts proven here:
   Prometheus rendering all behave as the server ops assume.
 """
 
+import pickle
+
 import pytest
 
 from repro.mesh3d.driver import run_mesh3d
@@ -25,7 +27,6 @@ from repro.serve.admission import AdmissionPolicy
 from repro.serve.jobs import JobManager
 from repro.serve.meshjob import (
     GEOMETRIES,
-    JobCheckpoint,
     JobKilled,
     JobSpec,
     JobSpecError,
@@ -92,7 +93,7 @@ def test_checkpoint_resume_matches_uninterrupted_run():
     runner.start()
     runner.step()
     assert not runner.converged
-    ckpt = JobCheckpoint.from_bytes(runner.snapshot().to_bytes())
+    ckpt = pickle.loads(pickle.dumps(runner.snapshot()))
     resumed = MeshJobRunner.resume(ckpt)
     resumed.run_to_completion()
     assert resumed.violations == []
@@ -147,10 +148,10 @@ def test_golden_digest_solo_and_killed_then_resumed(case):
     first.start()
     if spec.method != "pcdm":  # PCDM's only phase is the one to kill
         first.step()
-    ckpt = first.snapshot().to_bytes()
+    ckpt = pickle.dumps(first.snapshot())
     with pytest.raises(JobKilled):
         first.run_to_completion(kill_phase=first.phase)
-    resumed = MeshJobRunner.resume(JobCheckpoint.from_bytes(ckpt))
+    resumed = MeshJobRunner.resume(pickle.loads(ckpt))
     resumed.run_to_completion()
     assert resumed.violations == []
     assert resumed.state_digest() == golden

@@ -1,10 +1,10 @@
-"""Tests for the discrete-event kernel: ordering, processes, combinators."""
+"""Tests for the discrete-event kernel: ordering, processes, polls."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import poll_with_timeouts
-from repro.sim import Engine, Interrupt, all_of, any_of
+from repro.sim import Engine
 
 
 def test_clock_starts_at_zero():
@@ -102,23 +102,6 @@ def test_event_succeed_wakes_waiter():
     assert log == [(9.0, "open")]
 
 
-def test_event_fail_raises_in_waiter():
-    eng = Engine()
-    gate = eng.event()
-    caught = []
-
-    def waiter():
-        try:
-            yield gate
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    eng.process(waiter())
-    gate.fail(ValueError("boom"))
-    eng.run()
-    assert caught == ["boom"]
-
-
 def test_double_trigger_rejected():
     eng = Engine()
     ev = eng.event()
@@ -147,68 +130,6 @@ def test_run_until_unfired_event_deadlocks():
     gate = eng.event()
     with pytest.raises(RuntimeError, match="deadlock"):
         eng.run(until=gate)
-
-
-def test_interrupt_process():
-    eng = Engine()
-    log = []
-
-    def sleeper():
-        try:
-            yield eng.timeout(100.0)
-            log.append("completed")
-        except Interrupt as intr:
-            log.append(("interrupted", eng.now, intr.cause))
-
-    def interrupter(target):
-        yield eng.timeout(5.0)
-        target.interrupt("wakeup")
-
-    proc = eng.process(sleeper())
-    eng.process(interrupter(proc))
-    eng.run()
-    assert log == [("interrupted", 5.0, "wakeup")]
-
-
-def test_interrupt_after_completion_is_noop():
-    eng = Engine()
-
-    def quick():
-        yield eng.timeout(1.0)
-
-    proc = eng.process(quick())
-    eng.run()
-    proc.interrupt()  # must not raise
-    eng.run()
-
-
-def test_all_of_collects_values():
-    eng = Engine()
-    events = [eng.timeout(d, value=d) for d in (3.0, 1.0, 2.0)]
-    combo = all_of(eng, events)
-    assert eng.run(until=combo) == [3.0, 1.0, 2.0]
-    assert eng.now == 3.0
-
-
-def test_all_of_empty_fires_immediately():
-    eng = Engine()
-    combo = all_of(eng, [])
-    assert eng.run(until=combo) == []
-
-
-def test_any_of_returns_first():
-    eng = Engine()
-    events = [eng.timeout(d, value=d) for d in (3.0, 1.0, 2.0)]
-    combo = any_of(eng, events)
-    index, value = eng.run(until=combo)
-    assert (index, value) == (1, 1.0)
-    assert eng.now == 1.0
-
-
-def test_any_of_empty_rejected():
-    eng = Engine()
-    with pytest.raises(ValueError):
-        any_of(eng, [])
 
 
 def test_yield_non_event_is_type_error():

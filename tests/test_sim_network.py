@@ -14,45 +14,9 @@ from repro.sim import (
     stems_spec,
     xeon_smp_spec,
 )
-from repro.util.errors import OutOfMemory
 
 
 # ----------------------------------------------------------------- SimNode
-def test_node_memory_accounting():
-    eng = Engine()
-    node = SimNode(eng, 0, NodeSpec(memory_bytes=100))
-    node.allocate(60)
-    assert node.memory_free == 40
-    node.free(10)
-    assert node.memory_used == 50
-    assert node.memory_high_water == 60
-
-
-def test_node_out_of_memory():
-    eng = Engine()
-    node = SimNode(eng, 0, NodeSpec(memory_bytes=100))
-    node.allocate(90)
-    with pytest.raises(OutOfMemory):
-        node.allocate(20)
-
-
-def test_node_free_more_than_used_raises():
-    eng = Engine()
-    node = SimNode(eng, 0, NodeSpec(memory_bytes=100))
-    node.allocate(10)
-    with pytest.raises(RuntimeError):
-        node.free(20)
-
-
-def test_node_negative_alloc_rejected():
-    eng = Engine()
-    node = SimNode(eng, 0, NodeSpec(memory_bytes=100))
-    with pytest.raises(ValueError):
-        node.allocate(-1)
-    with pytest.raises(ValueError):
-        node.free(-1)
-
-
 def test_node_compute_time_scales_with_core_speed():
     eng = Engine()
     fast = SimNode(eng, 0, NodeSpec(core_speed=2.0))

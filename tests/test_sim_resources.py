@@ -50,36 +50,6 @@ def test_resource_capacity_validation():
         Resource(eng, capacity=0)
 
 
-def test_resource_utilization_accounting():
-    eng = Engine()
-    res = Resource(eng, capacity=2)
-
-    def user(hold):
-        yield res.acquire()
-        yield eng.timeout(hold)
-        res.release()
-
-    eng.process(user(10.0))
-    eng.process(user(10.0))
-    eng.run()
-    # 2 units busy for 10 s out of 2 units * 10 s => 100%
-    assert res.utilization() == pytest.approx(1.0)
-
-
-def test_resource_utilization_half():
-    eng = Engine()
-    res = Resource(eng, capacity=2)
-
-    def user():
-        yield res.acquire()
-        yield eng.timeout(10.0)
-        res.release()
-
-    eng.process(user())
-    eng.run()
-    assert res.utilization() == pytest.approx(0.5)
-
-
 # ------------------------------------------------------------------- Store
 def test_store_put_then_get():
     eng = Engine()

@@ -1,9 +1,10 @@
 """Tests for the batch scheduler simulator (Figure 1 substrate)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Job, SchedulerSim, synthetic_job_mix, wait_time_by_width
+from repro.sim import Job, SchedulerSim, synthetic_job_mix
 
 
 def test_empty_cluster_starts_job_immediately():
@@ -94,18 +95,6 @@ def test_synthetic_mix_respects_cluster_width():
     assert max(j.nodes for j in jobs) <= 16
 
 
-def test_wait_time_by_width_groups():
-    jobs = [
-        Job(0, 0.0, 1, 10.0),
-        Job(1, 0.0, 2, 10.0),
-        Job(2, 0.0, 1, 10.0),
-    ]
-    for j in jobs:
-        j.start = j.arrival + j.nodes  # fake
-    waits = wait_time_by_width(jobs)
-    assert waits == {1: 1.0, 2: 2.0}
-
-
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=1000))
 def test_schedule_invariants(seed):
@@ -128,7 +117,10 @@ def test_wide_jobs_wait_longer_on_busy_cluster():
     """The Figure 1 phenomenon: mean wait grows with requested width."""
     jobs = synthetic_job_mix(n_jobs=1500, n_nodes=128, load=0.9, seed=7)
     SchedulerSim(n_nodes=128, discipline="backfill").run(jobs)
-    waits = wait_time_by_width(jobs)
+    by_width = {}
+    for job in jobs:
+        by_width.setdefault(job.nodes, []).append(job.wait)
+    waits = {w: float(np.mean(v)) for w, v in by_width.items()}
     narrow = waits[1]
     wide = waits[max(waits)]
     assert wide > narrow

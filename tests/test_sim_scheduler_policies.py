@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Job, SchedulerSim, synthetic_job_mix
-from repro.sim.scheduler import median_wait_by_width, wait_time_by_width
+from repro.sim.scheduler import median_wait_by_width
 
 
 def test_median_wait_by_width_groups():
