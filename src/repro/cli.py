@@ -359,7 +359,8 @@ def _perf_dist(
         f"peer_hits={metrics['peer_hits']} "
         f"wall={metrics['wall_s']:.2f}s"
     )
-    report = perf.load_baseline(path) or {"version": 2, "workloads": {}}
+    report = perf.load_baseline(path) or {
+        "version": perf.BENCH_VERSION, "workloads": {}}
     report.setdefault("workloads", {})["dist_storm"] = metrics
     perf.write_report(report, path)
     if trace_out:
@@ -372,47 +373,48 @@ def _perf_dist(
     return 0 if ok else 1
 
 
-def _chaos_dist(seed: int) -> int:
-    from dataclasses import replace as _replace
-
-    from repro.testing.chaos import DIST_CHAOS_MATRIX, run_dist_chaos_matrix
-
-    specs = [_replace(s, seed=s.seed + seed) for s in DIST_CHAOS_MATRIX]
-    start = time.perf_counter()
-    reports = run_dist_chaos_matrix(specs)
+def _verdict(label: str, reports: list, start: float) -> int:
+    """Print each report and the PASS/FAIL line; the exit code."""
     elapsed = time.perf_counter() - start
     for report in reports:
         print(report.render())
     failed = sum(1 for r in reports if not r.ok)
     verdict = "PASS" if failed == 0 else f"FAIL ({failed}/{len(reports)})"
-    print(f"[chaos --backend dist {verdict} in {elapsed:.1f}s]")
+    print(f"[{label} {verdict} in {elapsed:.1f}s]")
     return 0 if failed == 0 else 1
 
 
-def _chaos(seed: int) -> int:
-    from dataclasses import replace as _replace
+def _reseeded(specs: list, seed: int) -> list:
+    """The matrix with every storm's seed shifted by ``seed``."""
+    from dataclasses import replace
 
+    return [replace(s, storm=replace(s.storm, seed=s.storm.seed + seed))
+            for s in specs]
+
+
+def _chaos_dist(seed: int) -> int:
+    from repro.testing.chaos import DIST_CHAOS_MATRIX, run_dist_chaos_matrix
+
+    start = time.perf_counter()
+    reports = run_dist_chaos_matrix(_reseeded(DIST_CHAOS_MATRIX, seed))
+    return _verdict("chaos --backend dist", reports, start)
+
+
+def _chaos(seed: int) -> int:
     from repro.testing.chaos import (
         CHAOS_MATRIX, run_chaos_matrix, run_serve_chaos_matrix,
         run_spec_chaos_matrix,
     )
 
-    specs = [_replace(s, seed=s.seed + seed) for s in CHAOS_MATRIX]
     start = time.perf_counter()
-    reports = run_chaos_matrix(specs)
+    reports = run_chaos_matrix(_reseeded(CHAOS_MATRIX, seed))
     # The service cell (kill a mesh job mid-phase, resume from its last
     # boundary checkpoint) rides the same matrix and the same verdict,
     # as does the speculation cell (force every PR 9 speculation to roll
     # back and demand witness equality with the speculation-off run).
     reports.extend(run_serve_chaos_matrix())
     reports.extend(run_spec_chaos_matrix())
-    elapsed = time.perf_counter() - start
-    for report in reports:
-        print(report.render())
-    failed = sum(1 for r in reports if not r.ok)
-    verdict = "PASS" if failed == 0 else f"FAIL ({failed}/{len(reports)})"
-    print(f"[chaos {verdict} in {elapsed:.1f}s]")
-    return 0 if failed == 0 else 1
+    return _verdict("chaos", reports, start)
 
 
 def _serve(host: str, port: int, workers: int) -> int:
@@ -481,7 +483,8 @@ def _serve_storm(
         print(f"[serve --storm --check {verdict} vs {path} "
               f"in {elapsed:.1f}s]")
         return 0 if ok else 1
-    report = perf.load_baseline(path) or {"version": 4, "workloads": {}}
+    report = perf.load_baseline(path) or {
+        "version": perf.BENCH_VERSION, "workloads": {}}
     report.setdefault("workloads", {})["service_storm"] = metrics
     perf.write_report(report, path)
     verdict = "PASS" if hard_ok else "FAIL (jobs failed)"
@@ -506,14 +509,7 @@ def _selftest(seed: int) -> int:
     from repro.testing import selftest
 
     start = time.perf_counter()
-    reports = selftest(seed=seed)
-    elapsed = time.perf_counter() - start
-    for report in reports:
-        print(report.render())
-    failed = sum(1 for r in reports if not r.ok)
-    verdict = "PASS" if failed == 0 else f"FAIL ({failed}/{len(reports)})"
-    print(f"[selftest {verdict} in {elapsed:.1f}s]")
-    return 0 if failed == 0 else 1
+    return _verdict("selftest", selftest(seed=seed), start)
 
 
 if __name__ == "__main__":

@@ -75,12 +75,7 @@ class Checkpoint:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Checkpoint":
-        try:
-            payload = decode_frame(data, context="checkpoint")
-        except CorruptObject:
-            # Pre-frame snapshots (or raw pickles in old tests) may still
-            # be valid pickles; accept them for backward compatibility.
-            payload = data
+        payload = decode_frame(data, context="checkpoint")
         try:
             snapshot = pickle.loads(payload)
         except Exception as exc:

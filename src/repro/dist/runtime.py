@@ -135,16 +135,11 @@ class DistRuntime:
         bus: Optional[EventBus] = None,
         recovery: Optional[ShardRecoveryPolicy] = None,
         rto_s: float = 0.25,
-        vnodes: Optional[int] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
         self.config = config or MRTSConfig()
-        self.ring = (
-            HashRing(range(n_workers), vnodes)
-            if vnodes is not None
-            else HashRing(range(n_workers))
-        )
+        self.ring = HashRing(range(n_workers))
         self.chaos = chaos
         self.recovery = recovery or ShardRecoveryPolicy()
         self.rto_s = rto_s

@@ -46,12 +46,7 @@ class HashRing:
     whose owning arc changed.
     """
 
-    def __init__(
-        self, members: Iterable[int] = (), vnodes: int = DEFAULT_VNODES
-    ) -> None:
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        self.vnodes = vnodes
+    def __init__(self, members: Iterable[int] = ()) -> None:
         self._points: list[int] = []        # sorted vnode positions
         self._owner: dict[int, int] = {}    # vnode position -> member
         self.members: set[int] = set()
@@ -61,7 +56,7 @@ class HashRing:
     # ------------------------------------------------------------ membership
     def _positions(self, member: int) -> list[int]:
         return [
-            shard_hash((member, i)) for i in range(self.vnodes)
+            shard_hash((member, i)) for i in range(DEFAULT_VNODES)
         ]
 
     def add(self, member: int) -> None:

@@ -72,6 +72,7 @@ from repro.sim.node import NodeSpec
 
 __all__ = [
     "BENCH_FILENAME",
+    "BENCH_VERSION",
     "ReadOnlyActor",
     "PatchStreamActor",
     "run_clean_read_storm",
@@ -89,6 +90,8 @@ __all__ = [
 ]
 
 BENCH_FILENAME = "BENCH_ooc.json"
+# Format version of that report, whichever command writes it first.
+BENCH_VERSION = 6
 
 # Metrics that are pure functions of the seed (virtual time, byte counts)
 # and therefore eligible for exact regression gating.  Wall-clock is
@@ -106,8 +109,8 @@ _GATE_TOLERANCE = 0.10
 # catch order-of-magnitude collapses (a serialized worker pool, a stuck
 # admission queue), not percent-level drift: throughput may not fall
 # below 25 % of baseline, wall p99 may not exceed 4x baseline.
-_FLOOR_GATES = {"jobs_per_sec": 0.25}
-_CEILING_GATES = {"p99_latency_s": 4.0}
+_THROUGHPUT_FLOOR = 0.25
+_LATENCY_CEILING = 4.0
 
 
 class ReadOnlyActor(MobileObject):
@@ -314,6 +317,22 @@ def run_clean_read_storm(
     return _WorkloadResult(wall_s=wall, runtime=runtime)
 
 
+def _updr_model(total_elements: int, n_nodes: int, cores: int,
+                memory_bytes: int, on_runtime) -> _WorkloadResult:
+    """The modeled UPDR run both UPDR benches time: speculation and work
+    stealing on, prefetch depth 3."""
+    from repro.evalsim.apps import run_updr_model
+
+    cluster = ClusterSpec(n_nodes=n_nodes, node=NodeSpec(
+        cores=cores, memory_bytes=memory_bytes))
+    config = MRTSConfig(prefetch_depth=3, speculation=True, work_stealing=True)
+    wall0 = time.perf_counter()
+    result = run_updr_model(total_elements, cluster, mrts=True, config=config,
+                            on_runtime=on_runtime)
+    wall = time.perf_counter() - wall0
+    return _WorkloadResult(wall_s=wall, runtime=result.runtime)
+
+
 def run_oupdr_model_bench(
     seed: int = 0,
     total_elements: int = 400_000,
@@ -321,7 +340,6 @@ def run_oupdr_model_bench(
     cores: int = 2,
     memory_bytes: int = 8 * 1024 * 1024,
     scale: float = 1.0,
-    speculation: bool = True,
     on_runtime: Optional[Callable[[MRTS], None]] = None,
 ) -> _WorkloadResult:
     """OUPDR-style modeled run on a memory-starved cluster (write-heavy).
@@ -330,28 +348,10 @@ def run_oupdr_model_bench(
     blocks self-post their next refinement speculatively the moment the
     boundary strips it reads have all been integrated, so the refine
     drains in the same residency window as the buffer messages instead
-    of paying its own demand load.  ``speculation=False`` reproduces the
-    pre-PR-9 barrier configuration exactly.
+    of paying its own demand load.
     """
-    from repro.evalsim.apps import run_updr_model
-
-    total_elements = max(50_000, int(total_elements * scale))
-    cluster = ClusterSpec(
-        n_nodes=n_nodes,
-        node=NodeSpec(cores=cores, memory_bytes=memory_bytes),
-    )
-    config = MRTSConfig(
-        prefetch_depth=3,
-        speculation=speculation,
-        work_stealing=speculation,
-    )
-    wall0 = time.perf_counter()
-    result = run_updr_model(
-        total_elements, cluster, mrts=True, config=config,
-        on_runtime=on_runtime,
-    )
-    wall = time.perf_counter() - wall0
-    return _WorkloadResult(wall_s=wall, runtime=result.runtime)
+    return _updr_model(max(50_000, int(total_elements * scale)), n_nodes,
+                       cores, memory_bytes, on_runtime)
 
 
 def run_spec_overlap_storm(
@@ -372,29 +372,11 @@ def run_spec_overlap_storm(
     punishes a regression in it.  Three nodes keep the boundary-exchange
     fabric busy (more remote strips than the 2-node bench) and 5 MB of
     memory forces mid-wavefront spills, exercising snapshot/rollback
-    against spilled state.  Speculation and work stealing are always on;
-    the ``speculation=off`` reference lives in the chaos/property tests,
-    not here.
+    against spilled state.  The ``speculation=off`` reference lives in
+    the chaos/property tests, not here.
     """
-    from repro.evalsim.apps import run_updr_model
-
-    total_elements = max(40_000, int(total_elements * scale))
-    cluster = ClusterSpec(
-        n_nodes=n_nodes,
-        node=NodeSpec(cores=cores, memory_bytes=memory_bytes),
-    )
-    config = MRTSConfig(
-        prefetch_depth=3,
-        speculation=True,
-        work_stealing=True,
-    )
-    wall0 = time.perf_counter()
-    result = run_updr_model(
-        total_elements, cluster, mrts=True, config=config,
-        on_runtime=on_runtime,
-    )
-    wall = time.perf_counter() - wall0
-    return _WorkloadResult(wall_s=wall, runtime=result.runtime)
+    return _updr_model(max(40_000, int(total_elements * scale)), n_nodes,
+                       cores, memory_bytes, on_runtime)
 
 
 def run_mesh_patch_stream(
@@ -560,7 +542,7 @@ def run_dist_storm(
     """
     from repro.dist import DistRuntime
     from repro.testing.harness import RuntimeHarness
-    from repro.testing.workloads import WorkloadSpec, run_storm
+    from repro.testing.workloads import WorkloadSpec, run_storm, storm_state
 
     pulses = max(1, int(pulses * scale))
     spec = WorkloadSpec(
@@ -570,22 +552,12 @@ def run_dist_storm(
     )
 
     harness = RuntimeHarness(n_nodes=workers, memory_bytes=1 << 20)
-    ref_ptrs = harness.run_storm(spec)
-    reference = {
-        p.oid: (o.hits, o.forwarded, len(o.payload))
-        for p in ref_ptrs
-        for o in [harness.runtime.get_object(p)]
-    }
+    reference = storm_state(harness.runtime, harness.run_storm(spec))
 
     wall0 = time.perf_counter()
     with DistRuntime(workers, l0_bytes=l0_bytes) as runtime:
         sub = runtime.bus.subscribe() if trace_out else None
-        ptrs = run_storm(runtime, spec)
-        final = {
-            p.oid: (o.hits, o.forwarded, len(o.payload))
-            for p in ptrs
-            for o in [runtime.get_object(p)]
-        }
+        final = storm_state(runtime, run_storm(runtime, spec))
         stats = runtime.close()
         if trace_out and sub is not None:
             from repro.obs import write_chrome_trace
@@ -638,8 +610,8 @@ def run_service_storm(
       ``bytes_loaded``) and the p99 of per-job virtual makespans
       (``p99_latency_virtual_s``) — thread scheduling cannot move these;
     * **wall-clock** (smoke-gated): ``jobs_per_sec`` (floor gate) and
-      ``p99_latency_s`` (ceiling gate) — see ``_FLOOR_GATES`` /
-      ``_CEILING_GATES``;
+      ``p99_latency_s`` (ceiling gate) — see ``_THROUGHPUT_FLOOR`` /
+      ``_LATENCY_CEILING``;
     * **hard**: ``all_finished`` and ``invariant_violations == 0`` — the
       CLI turns either into a non-zero exit, like dist_storm's
       ``state_equal``.
@@ -649,37 +621,16 @@ def run_service_storm(
     """
     from repro.obs.events import EventBus
     from repro.serve.admission import AdmissionPolicy
-    from repro.testing.service import ServiceFixture
-
-    import threading
+    from repro.testing.service import (
+        _TEMPLATES, ServiceFixture, closed_loop, percentile, soak_jobs,
+    )
 
     small_jobs = max(1, int(small_jobs * scale))
-    templates = (
-        dict(method="updr", geometry="unit_square", h=0.18, nx=2, ny=2,
-             memory_bytes=256 * 1024),
-        dict(method="updr", geometry="circle", h=0.25, nx=2, ny=2,
-             memory_bytes=64 * 1024),
-        dict(method="nupdr", geometry="unit_square", h=0.22,
-             granularity=4.0, memory_bytes=256 * 1024),
-        dict(method="pcdm", geometry="unit_square", h=0.18, n_parts=2,
-             memory_bytes=256 * 1024),
-        dict(method="pcdm", geometry="circle", h=0.3, n_parts=2,
-             memory_bytes=256 * 1024),
-    )
-    elephant = dict(method="updr", geometry="unit_square", h=0.06,
-                    nx=3, ny=3, n_nodes=2, memory_bytes=48 * 1024)
-    rng = random.Random(seed)
-    script: list[dict] = []
-    for i in range(small_jobs):
-        body = dict(rng.choice(templates))
-        body["tenant"] = f"tenant-{i % n_tenants}"
-        body["seed"] = seed
-        script.append(body)
-    for i in range(elephants):
-        body = dict(elephant)
-        body["tenant"] = f"tenant-{i % n_tenants}"
-        body["seed"] = seed
-        script.append(body)
+    script = soak_jobs(n_tenants, small_jobs, seed, templates=_TEMPLATES[:5])
+    script += [dict(method="updr", geometry="unit_square", h=0.06, nx=3,
+                    ny=3, n_nodes=2, memory_bytes=48 * 1024,
+                    tenant=f"tenant-{i % n_tenants}", seed=seed)
+               for i in range(elephants)]
 
     policy = AdmissionPolicy(
         soft_residency_bytes=4 * (1 << 20),
@@ -688,46 +639,10 @@ def run_service_storm(
     )
     bus = EventBus()
     sub = bus.subscribe() if trace_out else None
-    results: list[dict] = []
-    failures: list[str] = []
-    lock = threading.Lock()
 
     wall0 = time.perf_counter()
     with ServiceFixture(policy=policy, workers=workers, bus=bus) as svc:
-        def tenant_thread(tenant_idx: int) -> None:
-            mine = [b for b in script
-                    if b["tenant"] == f"tenant-{tenant_idx}"]
-            try:
-                with svc.client(timeout=300.0) as client:
-                    submitted = [
-                        (client.submit(body)["job_id"], body)
-                        for body in mine
-                    ]
-                    for job_id, body in submitted:
-                        status = client.wait(job_id, timeout=300.0)
-                        if status["state"] != "finished":
-                            with lock:
-                                failures.append(
-                                    f"{job_id} ended {status['state']!r}")
-                            continue
-                        result = client.result(job_id)
-                        result["latency_s"] = status["latency_s"]
-                        with lock:
-                            results.append(result)
-            except Exception as exc:  # noqa: BLE001 - surface, don't hang
-                with lock:
-                    failures.append(
-                        f"tenant {tenant_idx}: {type(exc).__name__}: {exc}")
-
-        threads = [
-            threading.Thread(target=tenant_thread, args=(i,),
-                             name=f"storm-tenant-{i}")
-            for i in range(n_tenants)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=300.0)
+        records, failures = closed_loop(svc, script, timeout_s=300.0)
     wall = time.perf_counter() - wall0
 
     if trace_out and sub is not None:
@@ -735,15 +650,13 @@ def run_service_storm(
 
         write_chrome_trace(list(sub.events), trace_out)
 
-    def pct(values: list, q: float) -> float:
-        if not values:
-            return 0.0
-        ordered = sorted(values)
-        idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-        return ordered[idx]
-
-    virtual = sorted(r["virtual_makespan_s"] for r in results)
-    latencies = sorted(r["latency_s"] for r in results)
+    failures = [f"{job_id} ended {status['state']!r}"
+                for job_id, _, status, result in records
+                if result is None] + failures
+    results = [dict(result, latency_s=status["latency_s"])
+               for _, _, status, result in records if result is not None]
+    virtual = [r["virtual_makespan_s"] for r in results]
+    latencies = [r["latency_s"] for r in results]
     return {
         "wall_s": round(wall, 3),
         "n_tenants": n_tenants,
@@ -756,11 +669,11 @@ def run_service_storm(
             r["invariant_violations"] for r in results),
         # Wall-clock axis (smoke-gated).
         "jobs_per_sec": round(len(results) / max(wall, 1e-9), 3),
-        "p50_latency_s": round(pct(latencies, 0.50), 6),
-        "p99_latency_s": round(pct(latencies, 0.99), 6),
+        "p50_latency_s": round(percentile(latencies, 0.50), 6),
+        "p99_latency_s": round(percentile(latencies, 0.99), 6),
         # Deterministic axis (regression-gated at 10 %).
         "virtual_makespan_s": round(sum(virtual), 6),
-        "p99_latency_virtual_s": round(pct(virtual, 0.99), 6),
+        "p99_latency_virtual_s": round(percentile(virtual, 0.99), 6),
         "bytes_stored": sum(r["bytes_stored"] for r in results),
         "bytes_loaded": sum(r["bytes_loaded"] for r in results),
     }
@@ -875,7 +788,7 @@ def run_perf_suite(seed: int = 0, scale: float = 1.0) -> dict:
     ghosts = run_ghost_exchange_storm(seed=seed, scale=scale)
     mesh3d = run_mesh3d_storm(seed=seed, scale=scale)
     return {
-        "version": 6,
+        "version": BENCH_VERSION,
         "seed": seed,
         "scale": scale,
         "workloads": {
@@ -899,46 +812,31 @@ def check_against_baseline(
     Returns human-readable failure strings (empty = pass).  Improvements
     (fewer bytes, shorter makespan) always pass.
     """
+    gates = [(key, lambda new, old: new > old * (1.0 + tolerance),
+              lambda new, old: f"regressed: {new:g} vs baseline {old:g} "
+              f"(+{100.0 * (new / old - 1.0):.1f}%, "
+              f"allowed +{100.0 * tolerance:.0f}%)")
+             for key in _GATED_METRICS]
+    gates += [
+        ("jobs_per_sec", lambda new, old: new < old * _THROUGHPUT_FLOOR,
+         lambda new, old: f"collapsed: {new:g} vs baseline {old:g} "
+         f"(floor {100.0 * _THROUGHPUT_FLOOR:.0f}% of baseline)"),
+        ("p99_latency_s", lambda new, old: new > old * _LATENCY_CEILING,
+         lambda new, old: f"blew up: {new:g} vs baseline {old:g} "
+         f"(ceiling {_LATENCY_CEILING:g}x baseline)"),
+    ]
     failures: list[str] = []
     base_wl = baseline.get("workloads", {})
     for name, metrics in report.get("workloads", {}).items():
         base = base_wl.get(name)
         if base is None:
             continue
-        for key in _GATED_METRICS:
+        for key, breached, message in gates:
             if key not in base or key not in metrics:
                 continue
             old, new = float(base[key]), float(metrics[key])
-            if old <= 0:
-                continue
-            if new > old * (1.0 + tolerance):
-                failures.append(
-                    f"{name}.{key} regressed: {new:g} vs baseline {old:g} "
-                    f"(+{100.0 * (new / old - 1.0):.1f}%, "
-                    f"allowed +{100.0 * tolerance:.0f}%)"
-                )
-        for key, floor in _FLOOR_GATES.items():
-            if key not in base or key not in metrics:
-                continue
-            old, new = float(base[key]), float(metrics[key])
-            if old <= 0:
-                continue
-            if new < old * floor:
-                failures.append(
-                    f"{name}.{key} collapsed: {new:g} vs baseline {old:g} "
-                    f"(floor {100.0 * floor:.0f}% of baseline)"
-                )
-        for key, ceiling in _CEILING_GATES.items():
-            if key not in base or key not in metrics:
-                continue
-            old, new = float(base[key]), float(metrics[key])
-            if old <= 0:
-                continue
-            if new > old * ceiling:
-                failures.append(
-                    f"{name}.{key} blew up: {new:g} vs baseline {old:g} "
-                    f"(ceiling {ceiling:g}x baseline)"
-                )
+            if old > 0 and breached(new, old):
+                failures.append(f"{name}.{key} {message(new, old)}")
     return failures
 
 

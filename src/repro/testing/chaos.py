@@ -21,7 +21,6 @@ Everything is seeded: a failing case replays bit-for-bit.  Used by
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -36,7 +35,10 @@ from repro.sim.node import NodeSpec
 from repro.testing.faults import FaultPlan, FaultyBackend
 from repro.testing.harness import FixedCostModel
 from repro.testing.invariants import check_runtime
-from repro.testing.workloads import DeltaStormActor, StormActor
+from repro.testing.workloads import (
+    DeltaStormActor, StormActor, WorkloadSpec, run_storm, storm_actors,
+    storm_phases, storm_state,
+)
 
 __all__ = ["ChaosSpec", "ChaosReport", "CHAOS_MATRIX", "run_chaos_case",
            "run_chaos_matrix", "DistChaosSpec", "DIST_CHAOS_MATRIX",
@@ -65,17 +67,13 @@ class ChaosSpec:
     expect_retries: bool = False   # assert the retry layer absorbed faults
     expect_degraded: bool = False  # assert degraded mode was entered
     # Workload shape (kept small: the matrix runs in CI).
-    n_actors: int = 8
-    payload_bytes: int = 2048
-    pulses: int = 3
-    hops: int = 4
-    fanout: int = 2
-    grow_every: int = 2
-    grow_bytes: int = 1024
+    storm: WorkloadSpec = WorkloadSpec(
+        n_actors=8, payload_bytes=2048, initial_pulses=3, hops=4,
+        fanout=2, grow_every=2, grow_bytes=1024,
+    )
     n_nodes: int = 2
     memory_bytes: int = 24 * 1024
     interval: int = 40             # checkpoint interval (retired items)
-    seed: int = 0
     # Actor class: StormActor spills whole pickles; DeltaStormActor routes
     # spills through the delta/compression data plane.
     actor: type = StormActor
@@ -194,15 +192,6 @@ CHAOS_MATRIX: list[ChaosSpec] = [
 ]
 
 
-def _final_state(supervisor_like, pointers) -> dict[int, tuple]:
-    """oid -> (hits, forwarded, payload length): the equality witness."""
-    out = {}
-    for ptr in pointers:
-        obj = supervisor_like.get_object(ptr)
-        out[ptr.oid] = (obj.hits, obj.forwarded, len(obj.payload))
-    return out
-
-
 def _make_supervisor(
     spec: ChaosSpec, plan: Optional[FaultPlan],
     bus: Optional[EventBus] = None,
@@ -259,47 +248,29 @@ def _make_supervisor(
             bus=bus,
         )
 
-    def build(runtime: MRTS):
-        actors = [
-            runtime.create_object(
-                spec.actor, spec.payload_bytes, spec.seed, spec.grow_every,
-                spec.grow_bytes, node=i % spec.n_nodes,
-            )
-            for i in range(spec.n_actors)
-        ]
-        for ptr in actors:
-            runtime.post(ptr, "meet", actors)
-        return actors
-
     return RecoveryPolicy(
-        factory, build=build, interval=spec.interval,
+        factory, build=lambda rt: storm_actors(rt, spec.storm, spec.actor),
+        interval=spec.interval,
         max_restarts=spec.max_restarts,
     )
 
 
-def _drive(spec: ChaosSpec, supervisor: RecoveryPolicy) -> list[str]:
-    """Run introductions + pulse phases; returns invariant violations.
+def _drive(
+    spec: ChaosSpec, supervisor: RecoveryPolicy
+) -> tuple[list[str], dict[int, tuple]]:
+    """Run the storm's phases; returns (invariant violations, final state).
 
     Every phase boundary (= possible checkpoint cut) is invariant-checked,
     so a recovery that restored a subtly inconsistent world is caught at
     the next boundary, not just at the end.
     """
-    violations: list[str] = []
-
-    def check(label: str) -> None:
-        for v in check_runtime(supervisor.runtime):
-            violations.append(f"{label}: {v}")
-
-    supervisor.run()  # introductions (the meets posted by build)
-    check("after meets")
-    actors = sorted(supervisor.pointers.values(), key=lambda p: p.oid)
-    rng = random.Random(spec.seed)
-    for k in range(spec.pulses):
-        target = actors[rng.randrange(len(actors))]
-        supervisor.post(target, "pulse", spec.hops, spec.fanout, f"p{k}")
-        supervisor.run()
-        check(f"after pulse {k}")
-    return violations
+    actors = list(supervisor.pointers.values())
+    violations = [
+        f"{label}: {v}"
+        for label in storm_phases(supervisor, actors, spec.storm)
+        for v in check_runtime(supervisor.runtime)
+    ]
+    return violations, storm_state(supervisor, actors)
 
 
 def run_chaos_case(
@@ -310,17 +281,9 @@ def run_chaos_case(
     ``bus`` (if given) observes the *chaos* run across all its
     incarnations; the fault-free reference run is never published to it.
     """
-    reference = _make_supervisor(spec, plan=None)
-    ref_violations = _drive(spec, reference)
-    want = _final_state(
-        reference, sorted(reference.pointers.values(), key=lambda p: p.oid)
-    )
-
+    ref_violations, want = _drive(spec, _make_supervisor(spec, plan=None))
     chaos = _make_supervisor(spec, plan=spec.plan, bus=bus)
-    violations = _drive(spec, chaos)
-    got = _final_state(
-        chaos, sorted(chaos.pointers.values(), key=lambda p: p.oid)
-    )
+    violations, got = _drive(spec, chaos)
 
     stats = chaos.runtime.stats
     aborts = sum(
@@ -522,15 +485,11 @@ class DistChaosSpec:
     chaos_seed: int = 0
     expect_rehome: bool = False
     # Workload shape (small: the matrix spawns real processes in CI).
-    n_actors: int = 10
-    payload_bytes: int = 2048
-    pulses: int = 3
-    hops: int = 4
-    fanout: int = 2
-    grow_every: int = 3
-    grow_bytes: int = 512
+    storm: WorkloadSpec = WorkloadSpec(
+        n_actors=10, payload_bytes=2048, initial_pulses=3, hops=4,
+        fanout=2, grow_every=3, grow_bytes=512,
+    )
     l0_bytes: int = 8 * 1024
-    seed: int = 0
     # Actor class, as in ChaosSpec: DeltaStormActor spills delta frames.
     actor: type = StormActor
 
@@ -577,37 +536,17 @@ DIST_CHAOS_MATRIX: list[DistChaosSpec] = [
 ]
 
 
-def _dist_reference(spec: DistChaosSpec) -> dict[int, tuple]:
-    """Fault-free single-process reference state for a dist cell."""
-    from repro.testing.harness import RuntimeHarness
-
-    harness = RuntimeHarness(n_nodes=spec.workers, memory_bytes=1 << 20)
-    actors = [
-        harness.runtime.create_object(
-            spec.actor, spec.payload_bytes, spec.seed, spec.grow_every,
-            spec.grow_bytes, node=i % spec.workers,
-        )
-        for i in range(spec.n_actors)
-    ]
-    for ptr in actors:
-        harness.runtime.post(ptr, "meet", actors)
-    harness.runtime.run()
-    rng = random.Random(spec.seed)
-    for k in range(spec.pulses):
-        harness.runtime.post(
-            actors[rng.randrange(len(actors))], "pulse",
-            spec.hops, spec.fanout, f"p{k}",
-        )
-        harness.runtime.run()
-    return _final_state(harness.runtime, actors)
-
-
 def run_dist_chaos_case(spec: DistChaosSpec) -> ChaosReport:
     """Execute one distributed cell: reference, chaos run, verdict."""
     from repro.dist import DistRuntime, WireChaos
+    from repro.testing.harness import RuntimeHarness
     from repro.testing.invariants import check_dist
 
-    want = _dist_reference(spec)
+    # The fault-free reference: the same storm on the single-process
+    # simulator, in one phase (the final state does not depend on it).
+    reference = RuntimeHarness(n_nodes=spec.workers, memory_bytes=1 << 20)
+    want = storm_state(reference.runtime, run_storm(
+        reference.runtime, spec.storm, spec.actor))
 
     chaos = (
         WireChaos(seed=spec.chaos_seed, drop_rate=spec.drop_rate,
@@ -623,28 +562,10 @@ def run_dist_chaos_case(spec: DistChaosSpec) -> ChaosReport:
         if spec.kill_rank is not None:
             runtime.schedule_kill(spec.kill_rank, spec.kill_after_acks)
 
-        def check(label: str) -> None:
-            for v in check_dist(runtime):
-                violations.append(f"{label}: {v}")
-
-        actors = [
-            runtime.create_object(
-                spec.actor, spec.payload_bytes, spec.seed, spec.grow_every,
-                spec.grow_bytes,
-            )
-            for _ in range(spec.n_actors)
-        ]
-        for ptr in actors:
-            runtime.post(ptr, "meet", actors)
-        runtime.run()
-        check("after meets")
-        rng = random.Random(spec.seed)
-        for k in range(spec.pulses):
-            target = actors[rng.randrange(len(actors))]
-            runtime.post(target, "pulse", spec.hops, spec.fanout, f"p{k}")
-            runtime.run()
-            check(f"after pulse {k}")
-        got = _final_state(runtime, actors)
+        actors = storm_actors(runtime, spec.storm, spec.actor)
+        for label in storm_phases(runtime, actors, spec.storm):
+            violations.extend(f"{label}: {v}" for v in check_dist(runtime))
+        got = storm_state(runtime, actors)
         stats = runtime.stats
         recovery = runtime.recovery
     violations.extend(stats.residency_violations())  # filled in by close()

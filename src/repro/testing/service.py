@@ -20,9 +20,12 @@ Pieces:
   :meth:`client` factory; what the protocol/fuzz tests build on;
 * :func:`soak_jobs` — the deterministic job script: a seeded mix of
   small UPDR/NUPDR/PCDM jobs across N tenants (same seed, same script);
-* :func:`run_soak` — submit the script from one thread per tenant
-  through real sockets, wait, and return a :class:`SoakReport` with the
-  per-job verdicts and throughput/latency numbers.
+* :func:`closed_loop` — submit a script from one thread per tenant
+  through real sockets, wait for each job and fetch its result; the
+  soak and ``perf``'s ``service_storm`` both drive the server with it;
+* :func:`run_soak` — the soak script through :func:`closed_loop`,
+  returning a :class:`SoakReport` with the per-job verdicts and
+  throughput/latency numbers.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from repro.serve.client import ServiceClient
 from repro.serve.meshjob import JobSpec, MeshJobRunner
 from repro.serve.server import MeshServer
 
-__all__ = ["ServiceFixture", "SoakReport", "soak_jobs", "run_soak",
-           "solo_digest"]
+__all__ = ["ServiceFixture", "SoakReport", "soak_jobs", "closed_loop",
+           "percentile", "run_soak", "solo_digest"]
 
 
 class ServiceFixture:
@@ -89,17 +92,19 @@ _TEMPLATES = (
 )
 
 
-def soak_jobs(n_tenants: int, n_jobs: int, seed: int = 0) -> list[dict]:
+def soak_jobs(
+    n_tenants: int, n_jobs: int, seed: int = 0, templates: tuple = _TEMPLATES
+) -> list[dict]:
     """The deterministic job script: ``n_jobs`` specs across tenants.
 
     Tenants are assigned round-robin (every tenant gets work) and the
-    template draw is seeded — the same (n_tenants, n_jobs, seed) always
-    yields the same script, so a failing soak replays bit-for-bit.
+    draw from ``templates`` is seeded — the same arguments always yield
+    the same script, so a failing soak replays bit-for-bit.
     """
     rng = random.Random(seed)
     jobs = []
     for i in range(n_jobs):
-        body = dict(rng.choice(_TEMPLATES))
+        body = dict(rng.choice(templates))
         body["tenant"] = f"tenant-{i % n_tenants}"
         body["seed"] = seed
         jobs.append(body)
@@ -155,12 +160,52 @@ class SoakReport:
         return line
 
 
-def _percentile(values: list, q: float) -> float:
+def percentile(values: list, q: float) -> float:
+    """Nearest-rank ``q``-quantile (``q`` in [0, 1]); 0 for no samples."""
     if not values:
         return 0.0
     ordered = sorted(values)
     idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
     return ordered[idx]
+
+
+def closed_loop(
+    svc: ServiceFixture, script: list[dict], timeout_s: float
+) -> tuple[list[tuple], list[str]]:
+    """Drive ``script`` through ``svc``, one client thread per tenant:
+    submit that tenant's jobs in script order, wait for each, fetch each
+    finished result.  Returns ``(records, failures)``: one ``(job_id,
+    body, status, result-or-None)`` per job waited for, and one line per
+    tenant whose client raised."""
+    tenants = list(dict.fromkeys(body["tenant"] for body in script))
+    records: list[tuple] = []
+    failures: list[str] = []
+    lock = threading.Lock()
+
+    def tenant_thread(tenant: str) -> None:
+        mine = [b for b in script if b["tenant"] == tenant]
+        try:
+            with svc.client(timeout=timeout_s) as client:
+                submitted = [(client.submit(body)["job_id"], body)
+                             for body in mine]
+                for job_id, body in submitted:
+                    status = client.wait(job_id, timeout=timeout_s)
+                    result = (client.result(job_id)
+                              if status["state"] == "finished" else None)
+                    with lock:
+                        records.append((job_id, body, status, result))
+        except Exception as exc:  # noqa: BLE001 - surface, don't hang
+            with lock:
+                failures.append(f"{tenant}: {type(exc).__name__}: {exc}")
+
+    threads = [threading.Thread(target=tenant_thread, args=(tenant,),
+                                name=f"closed-loop-{tenant}")
+               for tenant in tenants]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=timeout_s)
+    return records, failures
 
 
 def run_soak(
@@ -173,10 +218,9 @@ def run_soak(
 ) -> SoakReport:
     """N tenants × M jobs through real sockets; exact per-job oracles.
 
-    One client thread per tenant submits that tenant's slice of the
-    script and waits for each job; the policy defaults are sized so the
-    script queues under pressure but rejects nothing (every job's
-    verdict must be ``finished``).
+    The script goes through :func:`closed_loop`; the policy defaults are
+    sized so the script queues under pressure but rejects nothing (every
+    job's verdict must be ``finished``).
     """
     script = soak_jobs(n_tenants, n_jobs, seed)
     policy = policy or AdmissionPolicy(
@@ -185,64 +229,33 @@ def run_soak(
         tenant_quota_bytes=256 * (1 << 20),
     )
     report = SoakReport(n_tenants=n_tenants, n_jobs=n_jobs, seed=seed)
-    lock = threading.Lock()
 
     with ServiceFixture(policy=policy, workers=workers) as svc:
         started = svc.manager.now()
-
-        def tenant_thread(tenant_idx: int) -> None:
-            mine = [b for i, b in enumerate(script)
-                    if i % n_tenants == tenant_idx]
-            try:
-                with svc.client(timeout=timeout_s) as client:
-                    submitted = [
-                        (client.submit(body)["job_id"], body)
-                        for body in mine
-                    ]
-                    for job_id, body in submitted:
-                        status = client.wait(job_id, timeout=timeout_s)
-                        verdict = {
-                            "job_id": job_id,
-                            "tenant": body["tenant"],
-                            "method": body["method"],
-                            "state": status["state"],
-                            "latency_s": status["latency_s"],
-                            "violations": status["invariant_violations"],
-                            "digest_match": None,
-                        }
-                        if status["state"] == "finished":
-                            result = client.result(job_id)
-                            verdict["digest_match"] = (
-                                result["state_digest"] == solo_digest(body))
-                        with lock:
-                            report.jobs.append(verdict)
-            except Exception as exc:  # noqa: BLE001 - surface in the report
-                with lock:
-                    report.problems.append(
-                        f"tenant {tenant_idx} client failed: "
-                        f"{type(exc).__name__}: {exc}"
-                    )
-
-        threads = [
-            threading.Thread(target=tenant_thread, args=(i,),
-                             name=f"soak-tenant-{i}")
-            for i in range(n_tenants)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=timeout_s)
+        records, failures = closed_loop(svc, script, timeout_s)
         elapsed = max(svc.manager.now() - started, 1e-9)
         stats = svc.manager.stats()
+    report.problems.extend(failures)
 
-    report.jobs.sort(key=lambda v: v["job_id"])
+    for job_id, body, status, result in sorted(records, key=lambda r: r[0]):
+        verdict = dict(
+            job_id=job_id, tenant=body["tenant"], method=body["method"],
+            state=status["state"], latency_s=status["latency_s"],
+            violations=status["invariant_violations"], digest_match=None)
+        if result is not None:
+            try:
+                verdict["digest_match"] = (
+                    result["state_digest"] == solo_digest(body))
+            except AssertionError as exc:  # the reference itself is broken
+                report.problems.append(f"{job_id}: {exc}")
+        report.jobs.append(verdict)
     report.finished = sum(
         1 for v in report.jobs if v["state"] == "finished")
     latencies = [v["latency_s"] for v in report.jobs
                  if v["latency_s"] is not None]
     report.jobs_per_sec = report.finished / elapsed
-    report.p50_latency_s = _percentile(latencies, 0.50)
-    report.p99_latency_s = _percentile(latencies, 0.99)
+    report.p50_latency_s = percentile(latencies, 0.50)
+    report.p99_latency_s = percentile(latencies, 0.99)
     report.queued_peak = stats["admission"]["queued_jobs"]
 
     if len(report.jobs) != n_jobs:

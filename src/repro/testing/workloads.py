@@ -27,7 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runtime import MRTS
 
 __all__ = ["WorkloadSpec", "StormActor", "DeltaStormActor", "access_trace",
-           "object_sizes", "run_storm"]
+           "object_sizes", "run_storm", "storm_actors", "storm_phases",
+           "storm_state"]
 
 
 def object_sizes(
@@ -71,7 +72,7 @@ def access_trace(
     return trace
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkloadSpec:
     """Parameters of a message-storm workload (see :func:`run_storm`)."""
 
@@ -150,32 +151,63 @@ class DeltaStormActor(StormActor):
     serializer = get_codec("bytes-append")
 
 
-def run_storm(
-    runtime: "MRTS", spec: WorkloadSpec, actor: type = StormActor
+def storm_actors(
+    runtime, spec: WorkloadSpec, actor: type = StormActor
 ) -> list["MobilePointer"]:
-    """Run one storm workload to quiescence; returns the actor pointers.
-
-    Actors of class ``actor`` are placed round-robin across the nodes,
-    introduced to each other, then ``initial_pulses`` cascades are
-    launched.  The caller inspects final state through ``runtime.get_object``.
-    """
+    """Create the actors round-robin over ``runtime.nodes``; post ``meet``."""
     n_nodes = len(runtime.nodes)
     actors = [
         runtime.create_object(
-            actor,
-            spec.payload_bytes,
-            spec.seed,
-            spec.grow_every,
-            spec.grow_bytes,
-            node=i % n_nodes,
+            actor, spec.payload_bytes, spec.seed, spec.grow_every,
+            spec.grow_bytes, node=i % n_nodes,
         )
         for i in range(spec.n_actors)
     ]
     for ptr in actors:
         runtime.post(ptr, "meet", actors)
+    return actors
+
+
+def _pulses(actors: list, spec: WorkloadSpec):
+    """The ``initial_pulses`` cascade launches: ``(k, target)`` pairs."""
     rng = random.Random(spec.seed)
     for k in range(spec.initial_pulses):
-        runtime.post(actors[rng.randrange(len(actors))], "pulse",
-                     spec.hops, spec.fanout, f"p{k}")
+        yield k, actors[rng.randrange(len(actors))]
+
+
+def storm_phases(runtime, actors: list, spec: WorkloadSpec):
+    """Run the introductions, then one cascade per phase, yielding each
+    boundary's label so the caller can check invariants there.  Any
+    runtime with ``post`` and ``run`` will do, a ``RecoveryPolicy`` too."""
+    runtime.run()
+    yield "after meets"
+    for k, target in _pulses(actors, spec):
+        runtime.post(target, "pulse", spec.hops, spec.fanout, f"p{k}")
+        runtime.run()
+        yield f"after pulse {k}"
+
+
+def storm_state(runtime, actors: list) -> dict[int, tuple]:
+    """oid -> (hits, forwarded, payload length): the storm's final-state
+    witness, a pure function of the spec however the run was scheduled."""
+    out = {}
+    for ptr in actors:
+        obj = runtime.get_object(ptr)
+        out[ptr.oid] = (obj.hits, obj.forwarded, len(obj.payload))
+    return out
+
+
+def run_storm(
+    runtime: "MRTS", spec: WorkloadSpec, actor: type = StormActor
+) -> list["MobilePointer"]:
+    """Run one storm workload to quiescence; returns the actor pointers.
+
+    Every cascade is posted before the single ``run()``, so the whole
+    storm is one phase.  The caller inspects final state through
+    :func:`storm_state`.
+    """
+    actors = storm_actors(runtime, spec, actor)
+    for k, target in _pulses(actors, spec):
+        runtime.post(target, "pulse", spec.hops, spec.fanout, f"p{k}")
     runtime.run()
     return actors

@@ -56,8 +56,9 @@ def test_chaos_cell_is_deterministic():
 def test_chaos_matrix_scaled_up(name):
     """Heavier cells: more actors, deeper cascades, tighter memory."""
     base = next(s for s in CHAOS_MATRIX if s.name == name)
-    spec = replace(base, n_actors=12, pulses=5, hops=5,
-                   memory_bytes=32 * 1024, seed=base.seed + 100)
+    storm = replace(base.storm, n_actors=12, initial_pulses=5, hops=5,
+                    seed=base.storm.seed + 100)
+    spec = replace(base, storm=storm, memory_bytes=32 * 1024)
     report = run_chaos_case(spec)
     assert report.ok, report.render()
 

@@ -13,7 +13,7 @@ from repro.core import (
 )
 from repro.sim.cluster import ClusterSpec
 from repro.sim.node import NodeSpec
-from repro.util.errors import MRTSError
+from repro.util.errors import CorruptObject, MRTSError
 
 
 class Accumulator(MobileObject):
@@ -153,6 +153,21 @@ def test_from_bytes_rejects_garbage():
 
     with pytest.raises(MRTSError):
         Checkpoint.from_bytes(pickle.dumps({"not": "a checkpoint"}))
+
+
+def test_from_bytes_rejects_torn_and_unframed_checkpoints():
+    """A torn snapshot fails its frame check, and a bare pickle of a
+    valid Checkpoint has no frame, so it is rejected too."""
+    import pickle
+
+    rt, _ = make_app()
+    snap = checkpoint(rt)
+    data = snap.to_bytes()
+    for cut in (len(data) - 1, len(data) // 2, 3):
+        with pytest.raises(CorruptObject):
+            Checkpoint.from_bytes(data[:cut])
+    with pytest.raises(CorruptObject):
+        Checkpoint.from_bytes(pickle.dumps(snap))
 
 
 def test_new_objects_after_restore_get_fresh_ids():

@@ -3,6 +3,11 @@
 import pytest
 
 from repro.testing import WorkloadSpec, access_trace, object_sizes
+from repro.testing.harness import RuntimeHarness
+from repro.testing.workloads import (
+    DeltaStormActor, StormActor, run_storm, storm_actors, storm_phases,
+    storm_state,
+)
 
 
 # ------------------------------------------------------------- object sizes
@@ -64,3 +69,25 @@ def test_workload_spec_validation():
         WorkloadSpec(hops=-1)
     with pytest.raises(ValueError):
         WorkloadSpec(grow_every=0)
+
+
+# ------------------------------------------------------------- storm phases
+@pytest.mark.parametrize("actor", [StormActor, DeltaStormActor])
+def test_storm_phases_reach_the_run_storm_state(actor):
+    """One ``run()`` per cascade (the chaos drive) and one for the whole
+    storm (``run_storm``) end in the same witness, under spill pressure."""
+    spec = WorkloadSpec(n_actors=8, payload_bytes=2048, initial_pulses=3,
+                        hops=4, fanout=2, grow_every=2, grow_bytes=1024,
+                        seed=3)
+    whole = RuntimeHarness(n_nodes=2, memory_bytes=24 * 1024)
+    want = storm_state(whole.runtime, run_storm(whole.runtime, spec, actor))
+
+    phased = RuntimeHarness(n_nodes=2, memory_bytes=24 * 1024)
+    actors = storm_actors(phased.runtime, spec, actor)
+    labels = list(storm_phases(phased.runtime, actors, spec))
+    assert labels == ["after meets", "after pulse 0", "after pulse 1",
+                      "after pulse 2"]
+    assert storm_state(phased.runtime, actors) == want
+    assert sum(hits for hits, _, _ in want.values()) > spec.initial_pulses
+    assert phased.runtime.stats.bytes_to_disk > 0
+    assert whole.runtime.stats.bytes_to_disk > 0
