@@ -9,7 +9,6 @@ from repro.geometry.predicates import (
     circumradius_sq,
     dist_sq,
     segments_intersect,
-    point_in_triangle,
 )
 from repro.geometry.pslg import PSLG, BoundingBox
 from repro.geometry.shapes import (
@@ -30,7 +29,6 @@ __all__ = [
     "circumradius_sq",
     "dist_sq",
     "segments_intersect",
-    "point_in_triangle",
     "PSLG",
     "BoundingBox",
     "unit_square",

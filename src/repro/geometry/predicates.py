@@ -38,7 +38,6 @@ __all__ = [
     "circumradius_sq",
     "dist_sq",
     "segments_intersect",
-    "point_in_triangle",
 ]
 
 Point = Tuple[float, float]
@@ -213,15 +212,6 @@ def dist_sq(p: Point, q: Point) -> float:
     dx = p[0] - q[0]
     dy = p[1] - q[1]
     return dx * dx + dy * dy
-
-
-def point_in_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
-    """True if p is inside or on the boundary of ccw triangle abc."""
-    return (
-        orient2d(a, b, p) >= 0
-        and orient2d(b, c, p) >= 0
-        and orient2d(c, a, p) >= 0
-    )
 
 
 def _on_segment(p: Point, q: Point, r: Point) -> bool:

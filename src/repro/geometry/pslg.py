@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.geometry.predicates import Point, dist_sq, segments_intersect
+from repro.geometry.predicates import Point
 
 __all__ = ["PSLG", "BoundingBox"]
 
@@ -99,35 +99,6 @@ class PSLG:
         ys = [p[1] for p in self.vertices]
         return BoundingBox(min(xs), min(ys), max(xs), max(ys))
 
-    def validate(self) -> None:
-        """Check basic well-formedness; raises ValueError on problems.
-
-        * no duplicate vertices (within 1e-12 of each other),
-        * no segment indices out of range,
-        * no two segments crossing at interior points (shared endpoints ok).
-        """
-        n = len(self.vertices)
-        for k, p in enumerate(self.vertices):
-            for m in range(k + 1, n):
-                if dist_sq(p, self.vertices[m]) < 1e-24:
-                    raise ValueError(f"duplicate vertices {k} and {m} at {p}")
-        for i, j in self.segments:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"segment ({i},{j}) out of range")
-        for a in range(len(self.segments)):
-            i1, j1 = self.segments[a]
-            for b in range(a + 1, len(self.segments)):
-                i2, j2 = self.segments[b]
-                if {i1, j1} & {i2, j2}:
-                    continue  # sharing an endpoint is legal
-                if segments_intersect(
-                    self.vertices[i1], self.vertices[j1],
-                    self.vertices[i2], self.vertices[j2],
-                ):
-                    raise ValueError(
-                        f"segments {a} and {b} intersect away from endpoints"
-                    )
-
     def contains(self, p: Point) -> bool:
         """Point-in-domain test by crossing number over all segments.
 
@@ -155,11 +126,3 @@ class PSLG:
                 crossings += 1
         return crossings % 2 == 1
 
-    def scaled(self, factor: float) -> "PSLG":
-        """A copy with all coordinates multiplied by ``factor``."""
-        out = PSLG(
-            vertices=[(x * factor, y * factor) for x, y in self.vertices],
-            segments=list(self.segments),
-            holes=[(x * factor, y * factor) for x, y in self.holes],
-        )
-        return out

@@ -13,7 +13,6 @@ from repro.mesh.sizing import (
     SizingFunction,
     uniform_sizing,
     point_source_sizing,
-    linear_gradient_sizing,
 )
 from repro.mesh.quadtree import QuadTree, QuadTreeLeaf
 from repro.mesh.quality import (
@@ -21,15 +20,6 @@ from repro.mesh.quality import (
     triangle_quality,
     triangle_angles,
     triangle_area,
-)
-from repro.mesh.meshio import (
-    write_poly,
-    read_poly,
-    write_node,
-    write_ele,
-    write_mesh,
-    read_mesh,
-    mesh_to_svg,
 )
 
 __all__ = [
@@ -40,18 +30,10 @@ __all__ = [
     "SizingFunction",
     "uniform_sizing",
     "point_source_sizing",
-    "linear_gradient_sizing",
     "QuadTree",
     "QuadTreeLeaf",
     "MeshQuality",
     "triangle_quality",
     "triangle_angles",
     "triangle_area",
-    "write_poly",
-    "read_poly",
-    "write_node",
-    "write_ele",
-    "write_mesh",
-    "read_mesh",
-    "mesh_to_svg",
 ]

@@ -28,7 +28,6 @@ __all__ = [
     "SizingFunction",
     "uniform_sizing",
     "point_source_sizing",
-    "linear_gradient_sizing",
     "MetricSizingField",
     "constant_metric",
     "boundary_layer_metric",
@@ -228,7 +227,6 @@ def sizing_from_spec(spec: tuple) -> SizingFunction:
 
     * ``("uniform", h)``
     * ``("point_source", sources, background, gradation)``
-    * ``("linear", h_min, h_max, axis, lo, hi)``
     * ``("metric", h_along, h_across[, angle_deg[, edge_bound]])``
     * ``("boundary_layer", wall_y, h_wall, h_far[, h_tangent[, growth]])``
     """
@@ -237,31 +235,9 @@ def sizing_from_spec(spec: tuple) -> SizingFunction:
         return uniform_sizing(spec[1])
     if kind == "point_source":
         return point_source_sizing(list(spec[1]), spec[2], spec[3])
-    if kind == "linear":
-        return linear_gradient_sizing(*spec[1:])
     if kind == "metric":
         return constant_metric(*spec[1:])
     if kind == "boundary_layer":
         return boundary_layer_metric(*spec[1:])
     raise ValueError(f"unknown sizing spec {spec!r}")
 
-
-def linear_gradient_sizing(
-    h_min: float, h_max: float, axis: int = 0, lo: float = 0.0, hi: float = 1.0
-) -> SizingFunction:
-    """Size interpolating from ``h_min`` at ``lo`` to ``h_max`` at ``hi``.
-
-    Grading along one coordinate axis; used to create the strongly
-    non-uniform workloads of the NUPDR experiments.
-    """
-    if h_min <= 0 or h_max <= 0:
-        raise ValueError("sizes must be positive")
-    if hi <= lo:
-        raise ValueError("need hi > lo")
-
-    def size(p: Point) -> float:
-        t = (p[axis] - lo) / (hi - lo)
-        t = max(0.0, min(1.0, t))
-        return h_min + t * (h_max - h_min)
-
-    return size

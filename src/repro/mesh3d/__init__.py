@@ -12,7 +12,7 @@ mobile objects driven by the same color-phased
 the 2x2x2-tiled grid instead of four).
 
 * :mod:`repro.mesh3d.prism`   — cell geometry: volume/size/quality
-  predicates (scalar + numpy batch) and the bisection rule;
+  predicates, the bisection rule and the layered 3D sizing;
 * :mod:`repro.mesh3d.objects` — :class:`Prism3DPatchObject`, the mobile
   3D patch (morton3 locality keys, face-size exchange, balance refine);
 * :mod:`repro.mesh3d.driver`  — :func:`run_mesh3d`, end-to-end driver.

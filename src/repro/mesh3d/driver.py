@@ -163,7 +163,7 @@ class Mesh3DScenario(MeshScenario):
 
 
 def run_mesh3d(
-    sizing3_spec: tuple = ("uniform", 0.25),
+    sizing3_spec: tuple,
     nx: int = 2,
     ny: int = 2,
     nz: int = 2,
@@ -177,11 +177,10 @@ def run_mesh3d(
 ) -> Mesh3DResult:
     """Refine a box of extruded prisms to a 3D sizing target.
 
-    Specs (see :func:`repro.mesh3d.prism.sizing3_from_spec`):
-    ``("uniform", h)``, ``("layered", h_bottom, h_top[, z_lo, z_hi])``
-    — the layered spec is the anisotropic-workload driver: bottom-layer
-    patches refine an order of magnitude harder than top ones —
-    and ``("point_source", center, h0, background[, gradation])``.
+    The spec is ``("layered", h_bottom, h_top[, z_lo, z_hi])`` (see
+    :func:`repro.mesh3d.prism.sizing3_from_spec`): the anisotropic-
+    workload driver, whose bottom-layer patches refine an order of
+    magnitude harder than top ones; ``("layered", h, h)`` is uniform.
     """
     scenario = Mesh3DScenario(sizing3_spec, nx, ny, nz, bounds, min_size)
     rt = make_runtime(cluster, config, storage_factory, cost_model, on_runtime)

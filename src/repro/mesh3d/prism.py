@@ -3,17 +3,14 @@
 A cell is a triangle footprint in the xy-plane swept along z — the
 classic semi-structured element for boundary-layer and extruded domains
 (and the simplest honest 3D element whose refinement still produces the
-skewed, cascading workloads the run-time system must absorb).  All
-predicates come in scalar form, which is what the refinement scan runs;
-the numpy batch forms over packed arrays (:func:`pack_prisms`) serve no
-workload yet.
+skewed, cascading workloads the run-time system must absorb).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.mesh.quality import triangle_area, triangle_quality
 
@@ -26,12 +23,7 @@ __all__ = [
     "prism_quality",
     "bisect_prism",
     "initial_prisms",
-    "prism_volume_batch",
-    "prism_size_batch",
-    "pack_prisms",
-    "uniform_sizing3",
     "layered_sizing3",
-    "point_source_sizing3",
     "sizing3_from_spec",
 ]
 
@@ -135,50 +127,7 @@ def initial_prisms(box3: tuple) -> list[Prism]:
     ]
 
 
-# ------------------------------------------------------------- numpy batch
-def pack_prisms(prisms: Sequence[Prism]):
-    """Pack cells into ``(tris (n,3,2), z (n,2))`` float64 arrays."""
-    import numpy as np
-
-    tris = np.asarray(
-        [(p.a, p.b, p.c) for p in prisms], dtype=np.float64
-    ).reshape(len(prisms), 3, 2)
-    z = np.asarray([(p.z0, p.z1) for p in prisms], dtype=np.float64)
-    return tris, z
-
-
-def prism_volume_batch(tris, z):
-    """Volumes of n packed prisms (see :func:`pack_prisms`)."""
-    import numpy as np
-
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    area = 0.5 * np.abs(
-        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-        - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    )
-    return area * (z[:, 1] - z[:, 0])
-
-
-def prism_size_batch(tris, z):
-    """Longest extents of n packed prisms (the batch refinement scan)."""
-    import numpy as np
-
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    ab = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
-    bc = np.hypot(c[:, 0] - b[:, 0], c[:, 1] - b[:, 1])
-    ca = np.hypot(a[:, 0] - c[:, 0], a[:, 1] - c[:, 1])
-    longest = np.maximum(np.maximum(ab, bc), ca)
-    return np.maximum(longest, z[:, 1] - z[:, 0])
-
-
 # -------------------------------------------------------------- 3D sizing
-def uniform_sizing3(h: float) -> Sizing3Function:
-    """Constant 3D target size (the UPDR regime, lifted to 3D)."""
-    if h <= 0:
-        raise ValueError("size must be positive")
-    return lambda _p: h
-
-
 def layered_sizing3(
     h_bottom: float, h_top: float, z_lo: float = 0.0, z_hi: float = 1.0
 ) -> Sizing3Function:
@@ -202,32 +151,12 @@ def layered_sizing3(
     return size
 
 
-def point_source_sizing3(
-    center: tuple, h0: float, background: float, gradation: float = 1.0
-) -> Sizing3Function:
-    """Fine near a 3D point, grading linearly up to ``background``."""
-    if h0 <= 0 or background <= 0 or gradation <= 0:
-        raise ValueError("sizes and gradation must be positive")
-
-    def size(p: Point3) -> float:
-        d = math.dist(p, center)
-        return min(background, h0 + gradation * d)
-
-    return size
-
-
 def sizing3_from_spec(spec: tuple) -> Sizing3Function:
     """Rebuild a picklable 3D sizing spec (mirrors 2D ``sizing_from_spec``).
 
-    * ``("uniform", h)``
-    * ``("layered", h_bottom, h_top[, z_lo, z_hi])``
-    * ``("point_source", center, h0, background[, gradation])``
+    The one kind is ``("layered", h_bottom, h_top[, z_lo, z_hi])``;
+    ``("layered", h, h)`` is the uniform size ``h``, bit for bit.
     """
-    kind = spec[0]
-    if kind == "uniform":
-        return uniform_sizing3(spec[1])
-    if kind == "layered":
+    if spec[0] == "layered":
         return layered_sizing3(*spec[1:])
-    if kind == "point_source":
-        return point_source_sizing3(*spec[1:])
     raise ValueError(f"unknown 3D sizing spec {spec!r}")

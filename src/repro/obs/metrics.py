@@ -110,10 +110,6 @@ class Gauge(_Metric):
     def set(self, value: float, **labels) -> None:
         self._values[_label_key(labels)] = float(value)
 
-    def inc(self, value: float = 1.0, **labels) -> None:
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + value
-
 
 class Histogram(_Metric):
     """Cumulative-bucket histogram (Prometheus semantics).

@@ -14,7 +14,8 @@ the sorting ready-queue snapshot, as they were before they planned from
 indexes), and the ``mesh-patch`` item codec one point at a time (what
 ``MeshPatchCodec`` did before a patch's points were a ``PointColumn``),
 and the bad-triangle check a refined mesh must pass, one triangle at a
-time through the scalar badness test.
+time through the scalar badness test, and the well-formedness check an
+input PSLG must pass (no duplicate vertices, no crossing segments).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from repro.core import computing, control
 from repro.geometry.predicates import (
-    Point, circumcenter, dist_sq, incircle, orient2d)
-from repro.geometry.pslg import BoundingBox
+    Point, circumcenter, dist_sq, incircle, orient2d, segments_intersect)
+from repro.geometry.pslg import PSLG, BoundingBox
 from repro.mesh.sizing import SizingFunction
 from repro.mesh.triangulation import NO_TRI, Triangulation
 from repro.pumg.patch import PatchResult, _in_box
@@ -614,3 +615,33 @@ def find_bad_triangles(
         if not any(tri.is_super_vertex(v) for v in verts)
         and _triangle_badness(tri, verts, quality_sq, sizing, min_length_sq)
     ]
+
+
+def validate_pslg(pslg: PSLG) -> None:
+    """Check an input PSLG's well-formedness; raises ValueError on problems.
+
+    * no duplicate vertices (within 1e-12 of each other),
+    * no segment indices out of range,
+    * no two segments crossing at interior points (shared endpoints ok).
+    """
+    n = len(pslg.vertices)
+    for k, p in enumerate(pslg.vertices):
+        for m in range(k + 1, n):
+            if dist_sq(p, pslg.vertices[m]) < 1e-24:
+                raise ValueError(f"duplicate vertices {k} and {m} at {p}")
+    for i, j in pslg.segments:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"segment ({i},{j}) out of range")
+    for a in range(len(pslg.segments)):
+        i1, j1 = pslg.segments[a]
+        for b in range(a + 1, len(pslg.segments)):
+            i2, j2 = pslg.segments[b]
+            if {i1, j1} & {i2, j2}:
+                continue  # sharing an endpoint is legal
+            if segments_intersect(
+                pslg.vertices[i1], pslg.vertices[j1],
+                pslg.vertices[i2], pslg.vertices[j2],
+            ):
+                raise ValueError(
+                    f"segments {a} and {b} intersect away from endpoints"
+                )

@@ -13,7 +13,6 @@ from repro.geometry import (
     incircle_exact,
     orient2d,
     orient2d_exact,
-    point_in_triangle,
     segments_intersect,
 )
 
@@ -141,14 +140,6 @@ def test_circumradius_sq_equilateral():
     h = math.sqrt(3) / 2
     r2 = circumradius_sq((0, 0), (1, 0), (0.5, h))
     assert r2 == pytest.approx(1.0 / 3.0)
-
-
-def test_point_in_triangle():
-    a, b, c = (0.0, 0.0), (1.0, 0.0), (0.0, 1.0)
-    assert point_in_triangle((0.25, 0.25), a, b, c)
-    assert point_in_triangle((0.0, 0.0), a, b, c)       # vertex counts
-    assert point_in_triangle((0.5, 0.5), a, b, c)       # on hypotenuse
-    assert not point_in_triangle((1.0, 1.0), a, b, c)
 
 
 def test_segments_intersect_crossing():

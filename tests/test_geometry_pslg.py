@@ -2,15 +2,15 @@
 
 import pytest
 
+from oracles import validate_pslg
 from repro.geometry import (
     PSLG,
-    circle_domain,
     gear_domain,
-    key_domain,
     pipe_cross_section,
     plate_with_holes,
     unit_square,
 )
+from repro.serve.meshjob import GEOMETRIES
 
 
 def test_add_vertex_and_segment():
@@ -56,15 +56,12 @@ def test_bounding_box_empty_raises():
 
 
 def test_validate_accepts_good_pslgs():
-    for pslg in (
-        unit_square(),
-        circle_domain(16),
-        pipe_cross_section(24),
-        plate_with_holes(2),
-        key_domain(),
-        gear_domain(6),
-    ):
-        pslg.validate()  # should not raise
+    # Every domain the service accepts, built as the service builds it.
+    for name, make in GEOMETRIES.items():
+        try:
+            validate_pslg(make())
+        except ValueError as exc:
+            pytest.fail(f"{name}: {exc}")
 
 
 def test_validate_rejects_duplicate_vertices():
@@ -72,7 +69,7 @@ def test_validate_rejects_duplicate_vertices():
     pslg.add_vertex((0, 0))
     pslg.add_vertex((0, 0))
     with pytest.raises(ValueError, match="duplicate"):
-        pslg.validate()
+        validate_pslg(pslg)
 
 
 def test_validate_rejects_crossing_segments():
@@ -84,13 +81,7 @@ def test_validate_rejects_crossing_segments():
     pslg.add_segment(a, b)
     pslg.add_segment(c, d)
     with pytest.raises(ValueError, match="intersect"):
-        pslg.validate()
-
-
-def test_scaled_copy():
-    pslg = unit_square().scaled(2.0)
-    assert pslg.bounding_box().width == 2.0
-    assert len(pslg.segments) == 4
+        validate_pslg(pslg)
 
 
 def test_pipe_has_hole():

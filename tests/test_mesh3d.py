@@ -1,7 +1,7 @@
 """Tests for the 3D extruded-prism PUMG variant (repro.mesh3d).
 
-Prism predicates (volume/size/quality, bisection conservation, the
-batch==scalar property), the block decomposition, end-to-end refinement
+Prism predicates (volume/size/quality, bisection conservation), the
+layered 3D sizing, the block decomposition, end-to-end refinement
 on the unmodified MRTS (uniform and anisotropic layered sizing), the
 2:1 face-balance invariant, morton3 locality keys, and the serve-layer
 mesh3d job.
@@ -24,11 +24,6 @@ from repro.mesh3d import (
     sizing3_from_spec,
 )
 from repro.mesh3d.driver import _block_grid
-from repro.mesh3d.prism import (
-    pack_prisms,
-    prism_size_batch,
-    prism_volume_batch,
-)
 from repro.serve.meshjob import JobSpec, run_job_solo
 from repro.testing.invariants import check_mesh3d
 
@@ -93,31 +88,18 @@ def test_bisect_flat_prism_splits_longest_edge():
     assert prism_size(lo) < prism_size(p)
 
 
-def test_batch_equals_scalar_on_random_prisms():
-    prisms = _random_prisms(200)
-    tris, z = pack_prisms(prisms)
-    vols = prism_volume_batch(tris, z)
-    sizes = prism_size_batch(tris, z)
-    for k, p in enumerate(prisms):
-        assert vols[k] == pytest.approx(prism_volume(p), rel=1e-12)
-        assert sizes[k] == pytest.approx(prism_size(p), rel=1e-12)
-
-
 # ------------------------------------------------------------------ sizing
 def test_layered_sizing_grades_in_z():
     sizing = sizing3_from_spec(("layered", 0.01, 0.5))
     assert sizing((0.5, 0.5, 0.0)) == pytest.approx(0.01)
     assert sizing((0.5, 0.5, 1.0)) == pytest.approx(0.5)
     assert 0.01 < sizing((0.5, 0.5, 0.5)) < 0.5
-
-
-def test_point_source_sizing3_grows_with_distance():
-    sizing = sizing3_from_spec(
-        ("point_source", (0.0, 0.0, 0.0), 0.05, 0.4)
-    )
-    assert sizing((0.0, 0.0, 0.0)) == pytest.approx(0.05)
-    near, far = sizing((0.1, 0.0, 0.0)), sizing((0.9, 0.9, 0.9))
-    assert near < far <= 0.4
+    # Equal ends are the uniform size, bit for bit, inside [z_lo, z_hi]
+    # and clamped outside it: the mesh3d-uniform golden relies on this.
+    h = 0.3
+    uniform = sizing3_from_spec(("layered", h, h))
+    for z in (0.0, 0.5, 1.0, -0.25, 1.75):
+        assert uniform((0.5, 0.5, z)) == h
 
 
 def test_unknown_sizing3_spec_rejected():
@@ -150,7 +132,7 @@ def test_morton3_locality_key():
 
 # ------------------------------------------------------------- end to end
 def test_mesh3d_uniform_run_converges():
-    res = run_mesh3d(("uniform", 0.3), nx=2, ny=2, nz=2)
+    res = run_mesh3d(("layered", 0.3, 0.3), nx=2, ny=2, nz=2)
     assert res.total_volume == pytest.approx(1.0, rel=1e-9)
     assert res.n_cells > 16
     assert math.isfinite(res.worst_quality)
@@ -170,9 +152,7 @@ def test_mesh3d_layered_run_is_anisotropic():
 
 
 def test_mesh3d_face_balance_holds():
-    res = run_mesh3d(
-        ("point_source", (0.0, 0.0, 0.0), 0.08, 0.6), nx=2, ny=2, nz=2
-    )
+    res = run_mesh3d(("layered", 0.08, 0.6), nx=2, ny=2, nz=2)
     patches = res.extras["patch_objects"]
     from repro.mesh3d.objects import BALANCE_RATIO
 
@@ -190,7 +170,7 @@ def test_mesh3d_face_balance_holds():
 
 
 def test_check_mesh3d_flags_imbalance():
-    res = run_mesh3d(("uniform", 0.4), nx=2, ny=1, nz=1)
+    res = run_mesh3d(("layered", 0.4, 0.4), nx=2, ny=1, nz=1)
     patches = res.extras["patch_objects"]
     # Over-refine one patch behind the invariant checker's back.
     victim = patches[0]

@@ -87,7 +87,7 @@ CASES = {
     "pcdm-pipe": (_pcdm, pipe_cross_section(24), 0.15, 4),
     "sequential-square": (_sequential, unit_square(), ("uniform", 0.05)),
     "sequential-pipe": (_sequential, pipe_cross_section(24), GRADED),
-    "mesh3d-uniform": (_mesh3d, ("uniform", 0.3), 2),
+    "mesh3d-uniform": (_mesh3d, ("layered", 0.3, 0.3), 2),
     "mesh3d-layered": (_mesh3d, ("layered", 0.08, 0.6), 2),
 }
 

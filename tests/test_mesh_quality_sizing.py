@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from repro.mesh import (
     MeshQuality,
-    linear_gradient_sizing,
     point_source_sizing,
     triangle_angles,
     triangle_area,
@@ -110,22 +109,6 @@ def test_point_source_validation():
         point_source_sizing([((0, 0), -1.0)], background=1.0)
     with pytest.raises(ValueError):
         point_source_sizing([], background=0.0)
-
-
-def test_linear_gradient_values():
-    size = linear_gradient_sizing(0.1, 0.5, axis=0, lo=0.0, hi=1.0)
-    assert size((0.0, 0.0)) == pytest.approx(0.1)
-    assert size((1.0, 0.0)) == pytest.approx(0.5)
-    assert size((0.5, 0.0)) == pytest.approx(0.3)
-    assert size((-5.0, 0.0)) == pytest.approx(0.1)   # clamped
-    assert size((5.0, 0.0)) == pytest.approx(0.5)    # clamped
-
-
-def test_linear_gradient_validation():
-    with pytest.raises(ValueError):
-        linear_gradient_sizing(0.0, 1.0)
-    with pytest.raises(ValueError):
-        linear_gradient_sizing(0.1, 0.5, lo=1.0, hi=1.0)
 
 
 @given(

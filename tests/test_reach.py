@@ -41,10 +41,10 @@ CATEGORIES = {
     "probe": "a read-only accessor that tests of reached code observe",
     "roadmap": "the named consumer of an open ROADMAP item",
     "queued": "dead on purpose: only its own tests call it, and ROADMAP "
-              "item 7(a)'s deletion queue deletes it with them",
+              "item 2's deletion queue deletes it with them",
 }
 
-_QUEUED = "only its own tests call it; ROADMAP 7(a) deletion queue"
+_QUEUED = "only its own tests call it; ROADMAP 2 deletion queue"
 
 # key -> (category, reason).  A key is ``module:qualname``, a
 # ``module:Class.*`` prefix, or a bare module/package prefix.
@@ -226,28 +226,17 @@ KEEP: dict[str, tuple[str, str]] = {
         "probe", "time of the next scheduled event"),
     # ---------------------------------------------------------- roadmap
     "repro.obs.analysis:critical_path": (
-        "roadmap", "item 8(a): critical_path attributes segments to layers"),
+        "roadmap", "item 12(a): critical_path attributes segments to layers"),
     "repro.obs.analysis:utilization_report": (
-        "roadmap", "item 8: per-layer utilization from the event stream"),
+        "roadmap", "item 12: per-layer utilization from the event stream"),
     "repro.obs.analysis:_union_length": (
-        "roadmap", "item 8: helper of utilization_report"),
+        "roadmap", "item 12: helper of utilization_report"),
     # ----------------------------------------------------------- queued
-    "repro.mesh.meshio": ("queued", _QUEUED + " (13 tests)"),
     "repro.mesh.sizing:MetricSizingField.*": ("queued", _QUEUED),
     "repro.mesh.sizing:constant_metric": ("queued", _QUEUED),
     "repro.mesh.sizing:boundary_layer_metric": ("queued", _QUEUED),
-    "repro.mesh.sizing:linear_gradient_sizing": ("queued", _QUEUED),
     "repro.mesh.quality:metric_transform": ("queued", _QUEUED),
     "repro.mesh.quality:metric_triangle_quality": ("queued", _QUEUED),
-    "repro.mesh3d.prism:pack_prisms": ("queued", _QUEUED),
-    "repro.mesh3d.prism:prism_volume_batch": ("queued", _QUEUED),
-    "repro.mesh3d.prism:prism_size_batch": ("queued", _QUEUED),
-    "repro.mesh3d.prism:uniform_sizing3": ("queued", _QUEUED),
-    "repro.mesh3d.prism:point_source_sizing3": ("queued", _QUEUED),
-    "repro.geometry.predicates:point_in_triangle": ("queued", _QUEUED),
-    "repro.geometry.pslg:PSLG.scaled": ("queued", _QUEUED),
-    "repro.geometry.pslg:PSLG.validate": ("queued", _QUEUED),
-    "repro.obs.metrics:Gauge.inc": ("queued", _QUEUED),
 }
 
 
