@@ -213,17 +213,12 @@ _TRACE_WORKLOADS = (
 
 
 def _trace(workload: str, seed: int, scale: float, out: str) -> int:
-    from repro.obs import (
-        MetricsCollector, collect_run_stats, overlap_report,
-        write_chrome_trace,
-    )
+    from repro.obs import overlap_report, write_chrome_trace
 
     subs = []
-    metrics = MetricsCollector()
 
     def observe(runtime) -> None:
         subs.append(runtime.bus.subscribe())
-        metrics.attach(runtime.bus)
 
     start = time.perf_counter()
     if workload == "storm":
@@ -259,7 +254,6 @@ def _trace(workload: str, seed: int, scale: float, out: str) -> int:
 
     events = list(subs[0].events)
     write_chrome_trace(events, out)
-    collect_run_stats(stats, metrics.registry)
 
     counts: dict[str, int] = {}
     for event in events:

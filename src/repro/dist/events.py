@@ -16,8 +16,8 @@ its timestamp.  Each source's stream is locally ordered (workers buffer
 in emission order from one monotonic clock), so the merge is a k-way
 sorted merge gated by the minimum watermark.  Closing a source (worker
 shutdown or crash) sets its watermark to +inf so it stops holding the
-line back.  Existing consumers — ``write_chrome_trace``, metrics,
-overlap analysis — subscribe to the merged bus and work unchanged.
+line back.  Existing consumers — ``write_chrome_trace``, overlap
+analysis — subscribe to the merged bus and work unchanged.
 """
 
 from __future__ import annotations

@@ -28,8 +28,8 @@ Architecture (docs/distributed.md has the full protocol):
   what the workers exploit.
 * **Event relay** — ACKs carry wire-encoded obs events plus a clock
   watermark; an :class:`~repro.dist.events.EventMerger` releases them
-  into a local bus in global time order, so traces and metrics work as
-  in-process.
+  into a local bus in global time order, so traces and the overlap
+  analysis work as in-process.
 
 Determinism: the final application state for order-independent workloads
 (the StormActor family) is identical across 1, 2 and 4 workers and equal

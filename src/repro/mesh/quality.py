@@ -1,12 +1,6 @@
 """Mesh quality metrics and summary statistics.
 
-Isotropic quality is the classic circumradius-to-shortest-edge ratio.
-For *anisotropic* meshes (a metric-tensor sizing field, see
-:class:`repro.mesh.sizing.MetricSizingField`) the same ratio is computed
-on the **metric-mapped** triangle: map each vertex through ``M^(1/2)``
-evaluated at the centroid, then score the image triangle — a perfectly
-stretched element that matches the metric maps to (near-)equilateral and
-scores well, even though its Euclidean shape is a sliver.
+Quality is the classic circumradius-to-shortest-edge ratio.
 """
 
 from __future__ import annotations
@@ -20,8 +14,6 @@ __all__ = [
     "triangle_quality",
     "triangle_angles",
     "triangle_area",
-    "metric_transform",
-    "metric_triangle_quality",
     "MeshQuality",
 ]
 
@@ -44,46 +36,6 @@ def triangle_quality(a: Point, b: Point, c: Point) -> float:
     if shortest_sq == 0.0:
         return math.inf
     return math.sqrt(circumradius_sq(a, b, c) / shortest_sq)
-
-
-def metric_transform(
-    p: Point, coeffs: tuple[float, float, float]
-) -> Point:
-    """Map ``p`` through ``M^(1/2)`` for ``M = [[m11, m12], [m12, m22]]``.
-
-    The principal square root of an SPD 2x2 matrix has the closed form
-    ``(M + sqrt(det) I) / sqrt(trace + 2 sqrt(det))``; distances between
-    mapped points are metric distances, so isotropic quality measures
-    apply directly in the image space.
-    """
-    m11, m12, m22 = coeffs
-    det = m11 * m22 - m12 * m12
-    if det <= 0.0:
-        raise ValueError("metric tensor must be SPD")
-    s = math.sqrt(det)
-    t = math.sqrt(m11 + m22 + 2.0 * s)
-    r11, r12, r22 = (m11 + s) / t, m12 / t, (m22 + s) / t
-    return (r11 * p[0] + r12 * p[1], r12 * p[0] + r22 * p[1])
-
-
-def metric_triangle_quality(a: Point, b: Point, c: Point, metric) -> float:
-    """Quality of triangle abc measured in the metric at its centroid.
-
-    ``metric`` is anything with a ``tensor(p) -> (m11, m12, m22)``
-    attribute (a :class:`~repro.mesh.sizing.MetricSizingField`).  Lower is
-    better, exactly as :func:`triangle_quality`; a triangle shaped like
-    the metric's unit ball scores the equilateral 1/sqrt(3).
-    """
-    centroid = (
-        (a[0] + b[0] + c[0]) / 3.0,
-        (a[1] + b[1] + c[1]) / 3.0,
-    )
-    coeffs = metric.tensor(centroid)
-    return triangle_quality(
-        metric_transform(a, coeffs),
-        metric_transform(b, coeffs),
-        metric_transform(c, coeffs),
-    )
 
 
 def triangle_angles(a: Point, b: Point, c: Point) -> tuple[float, float, float]:

@@ -116,18 +116,6 @@ def _triangle_badness(
         h = sizing(cc)
         if r_sq > h * h:
             return True
-        metric = getattr(sizing, "metric", None)
-        if metric is not None:
-            # Anisotropic test: an edge longer than edge_bound *in the
-            # metric* marks the triangle bad even when its circumradius
-            # clears the isotropic-equivalent cap.
-            bound = metric.edge_bound
-            if (
-                metric.edge_length(a, b) > bound
-                or metric.edge_length(b, c) > bound
-                or metric.edge_length(c, a) > bound
-            ):
-                return True
     return False
 
 
@@ -190,22 +178,8 @@ def _bad_mask_batch(
         h = np.empty(len(pts_idx))
         h.fill(np.inf)
         rows = np.flatnonzero(finite)
-        if hasattr(sizing, "h_batch"):
-            h[rows] = sizing.h_batch(cc[rows])
-        else:
-            h[rows] = [sizing((x, y)) for x, y in cc[rows]]
+        h[rows] = [sizing((x, y)) for x, y in cc[rows]]
         bad |= finite & (r_sq > h * h)
-        metric = getattr(sizing, "metric", None)
-        if metric is not None:
-            bound = metric.edge_bound
-            longest = np.maximum(
-                np.maximum(
-                    metric.edge_length_batch(a, b),
-                    metric.edge_length_batch(b, c),
-                ),
-                metric.edge_length_batch(c, a),
-            )
-            bad |= longest > bound
     bad &= ~protected
     recheck = ~finite & ~protected
     return bad, recheck

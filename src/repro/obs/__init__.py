@@ -13,10 +13,8 @@ telemetry layer that makes those views first-class instead of ad-hoc:
   zero-or-more subscribers.  With no subscriber attached the runtime
   pays a single attribute check per emit point — instrumentation is
   strictly pay-for-use.
-* :mod:`repro.obs.metrics` — a labeled counter/gauge/histogram registry,
-  snapshotable to JSON, fed either live from the bus
-  (:class:`MetricsCollector`) or from a finished run's
-  :class:`~repro.core.stats.RunStats` (:func:`collect_run_stats`).
+* :mod:`repro.obs.metrics` — a labeled counter/gauge registry,
+  snapshotable to JSON and rendered as the service's Prometheus scrape.
 * :mod:`repro.obs.export` — Chrome-trace / Perfetto JSON export with
   per-node process tracks and per-activity thread lanes, so any run can
   be opened in https://ui.perfetto.dev.
@@ -60,10 +58,7 @@ from repro.obs.export import LANES, to_chrome_trace, write_chrome_trace
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
-    MetricsCollector,
     MetricsRegistry,
-    collect_run_stats,
     render_prometheus,
 )
 
@@ -75,11 +70,9 @@ __all__ = [
     "EventBus",
     "Gauge",
     "HandlerSpan",
-    "Histogram",
     "JobEvent",
     "LANES",
     "LoadEvent",
-    "MetricsCollector",
     "MetricsRegistry",
     "MigrateEvent",
     "ObsEvent",
@@ -91,7 +84,6 @@ __all__ = [
     "SpillEvent",
     "Subscription",
     "busy_times",
-    "collect_run_stats",
     "critical_path",
     "diff_reports",
     "overlap_report",

@@ -19,13 +19,13 @@ What crosses job boundaries is accounting, and it all flows through the
 * when a job finishes (or fails terminally) its reservation is
   released and queued jobs are promoted FIFO.
 
-Every lifecycle edge is published as a
-:class:`~repro.obs.events.JobEvent` on the manager's bus (wall-clock
-seconds since the manager's epoch), which feeds both the
-``mrts_jobs_total`` metric and the per-job lanes in the Perfetto
-export.  A job killed mid-phase (crash, preemption, chaos) is retried
-from its last boundary checkpoint — attempt 2 resumes, it does not
-restart.
+Every lifecycle edge is counted in ``mrts_jobs_total`` (a boundary or
+finish also sets ``mrts_job_residency_bytes``) in the manager's own
+registry, then published as a :class:`~repro.obs.events.JobEvent` on
+the manager's bus (wall-clock seconds since the manager's epoch) when
+something subscribes — the per-job lanes of the Perfetto export.  A job
+killed mid-phase (crash, preemption, chaos) is retried from its last
+boundary checkpoint — attempt 2 resumes, it does not restart.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.obs.events import EventBus, JobEvent
-from repro.obs.metrics import MetricsCollector, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.admission import AdmissionController, AdmissionPolicy
 from repro.serve.meshjob import (
     JobCheckpoint,
@@ -119,7 +119,6 @@ class JobManager:
         policy: Optional[AdmissionPolicy] = None,
         workers: int = 2,
         bus: Optional[EventBus] = None,
-        registry: Optional[MetricsRegistry] = None,
         keep_runtimes: bool = False,
         kill_hook: Optional[Callable[[Job, int], Optional[int]]] = None,
         max_attempts: int = 3,
@@ -129,9 +128,15 @@ class JobManager:
             raise ValueError("workers must be >= 1")
         self.admission = AdmissionController(policy)
         self.bus = bus or EventBus()
-        self.registry = registry or MetricsRegistry()
-        self.collector = MetricsCollector(self.registry)
-        self._collector_sub = self.collector.attach(self.bus)
+        self.registry = MetricsRegistry()
+        self._jobs_total = self.registry.counter(
+            "mrts_jobs_total", "service job lifecycle edges")
+        self._residency_gauge = self.registry.gauge(
+            "mrts_job_residency_bytes",
+            "per-job residency at the last phase boundary")
+        self._reserved_gauge = self.registry.gauge(
+            "mrts_service_reserved_bytes",
+            "aggregate admission reservations")
         self.keep_runtimes = keep_runtimes
         self.kill_hook = kill_hook
         self.max_attempts = max_attempts
@@ -146,9 +151,6 @@ class JobManager:
         self._inflight = 0
         self._next_id = 0
         self._closed = False
-        self._reserved_gauge = self.registry.gauge(
-            "mrts_service_reserved_bytes",
-            "aggregate admission reservations")
         self._workers = [
             threading.Thread(target=self._worker, name=f"mrts-job-w{i}",
                              daemon=True)
@@ -164,10 +166,16 @@ class JobManager:
 
     def _emit(self, job: Job, phase: str, boundary: int = 0,
               residency: int = 0) -> None:
+        tenant = job.spec.tenant
+        with self._lock:
+            self._jobs_total.inc(phase=phase, tenant=tenant)
+            if phase in ("boundary", "finished"):
+                self._residency_gauge.set(
+                    residency, job=job.job_id, tenant=tenant)
         if self.bus.active:
             self.bus.publish(JobEvent(
                 time=self.now(), node=-1, job_id=job.job_id,
-                tenant=job.spec.tenant, phase=phase, boundary=boundary,
+                tenant=tenant, phase=phase, boundary=boundary,
                 residency_bytes=residency,
             ))
 

@@ -303,26 +303,16 @@ class MeshJobRunner:
         self.begin_phase()
         return self.finish_phase()
 
-    def run_to_completion(
-        self, kill_phase: Optional[int] = None, kill_dt: float = 0.01
-    ) -> "MeshJobRunner":
+    def run_to_completion(self) -> "MeshJobRunner":
         """Drive start + sweeps to convergence.
 
-        ``kill_phase`` injects a mid-phase crash: when the boundary count
-        reaches it, the next phase is *started* but abandoned ``kill_dt``
-        virtual seconds in, and :class:`JobKilled` is raised — the
-        runtime is torn down exactly as a preemption would leave it,
-        with the last boundary's checkpoint as the only survivor.
+        A mid-phase kill is :class:`~repro.serve.jobs.JobManager`'s
+        business: its attempt loop abandons a started phase and raises
+        :class:`JobKilled` when the ``kill_hook`` asks for it.
         """
         if self.runtime is None:
             self.start()
         while not self.converged:
-            if kill_phase is not None and self.phase >= kill_phase:
-                self.begin_phase()
-                self.runtime.run(until=self.runtime.engine.now + kill_dt)
-                raise JobKilled(
-                    f"killed mid-phase after boundary {self.phase}"
-                )
             self.step()
         return self
 

@@ -13,6 +13,7 @@ from repro.mesh import (
     triangle_quality,
     uniform_sizing,
 )
+from repro.mesh.sizing import sizing_from_spec
 
 # ----------------------------------------------------------------- quality
 EQUILATERAL = ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2))
@@ -88,6 +89,9 @@ def test_uniform_sizing():
     assert size((100, -3)) == 0.5
     with pytest.raises(ValueError):
         uniform_sizing(0.0)
+    assert sizing_from_spec(("uniform", 0.5))((100, -3)) == 0.5
+    with pytest.raises(ValueError):
+        sizing_from_spec(("warp", 1.0))
 
 
 def test_point_source_sizing_values():

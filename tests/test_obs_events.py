@@ -59,8 +59,11 @@ def test_disk_spans_record_stores_and_loads_when_spilling():
     for _ in range(4):
         rt.post(rt.create_object(Blob, 40_000), "hit")
     rt.run()
-    assert any(e.is_store for e in sub.events)
-    assert any(not e.is_store for e in sub.events)
+    stores = sum(1 for e in sub.events if e.is_store)
+    loads = sum(1 for e in sub.events if not e.is_store)
+    assert stores > 0 and loads > 0
+    assert stores == rt.stats.objects_stored
+    assert loads == rt.stats.objects_loaded
     assert all(e.span_s >= 0 and e.nbytes > 0 for e in sub.events)
 
 

@@ -40,11 +40,7 @@ CATEGORIES = {
     "testing": "repro.testing: harness, invariants, reference models",
     "probe": "a read-only accessor that tests of reached code observe",
     "roadmap": "the named consumer of an open ROADMAP item",
-    "queued": "dead on purpose: only its own tests call it, and ROADMAP "
-              "item 2's deletion queue deletes it with them",
 }
-
-_QUEUED = "only its own tests call it; ROADMAP 2 deletion queue"
 
 # key -> (category, reason).  A key is ``module:qualname``, a
 # ``module:Class.*`` prefix, or a bare module/package prefix.
@@ -202,10 +198,6 @@ KEEP: dict[str, tuple[str, str]] = {
         "probe", "whether a subscription still listens"),
     "repro.obs.metrics:_Metric.*": (
         "probe", "metric values, labels and snapshots"),
-    "repro.obs.metrics:Histogram.snapshot": (
-        "probe", "a histogram's buckets"),
-    "repro.obs.metrics:Histogram.value": (
-        "probe", "a histogram's count and sum"),
     "repro.obs.metrics:MetricsRegistry.snapshot": (
         "probe", "every metric at once"),
     "repro.obs.metrics:MetricsRegistry.to_json": (
@@ -231,12 +223,6 @@ KEEP: dict[str, tuple[str, str]] = {
         "roadmap", "item 12: per-layer utilization from the event stream"),
     "repro.obs.analysis:_union_length": (
         "roadmap", "item 12: helper of utilization_report"),
-    # ----------------------------------------------------------- queued
-    "repro.mesh.sizing:MetricSizingField.*": ("queued", _QUEUED),
-    "repro.mesh.sizing:constant_metric": ("queued", _QUEUED),
-    "repro.mesh.sizing:boundary_layer_metric": ("queued", _QUEUED),
-    "repro.mesh.quality:metric_transform": ("queued", _QUEUED),
-    "repro.mesh.quality:metric_triangle_quality": ("queued", _QUEUED),
 }
 
 

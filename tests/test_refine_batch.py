@@ -1,9 +1,9 @@
-"""Batch (numpy) geometry kernels and anisotropic metric sizing.
+"""Batch (numpy) geometry kernels.
 
 The central property: the vectorized paths are *semantically invisible*
 — the batch kernels agree with the scalar predicates, and the batched
 bad-triangle scan returns exactly the triangles the scalar scan returns,
-for isotropic and metric sizing alike.
+with and without a sizing function.
 """
 
 import math
@@ -13,29 +13,22 @@ import numpy as np
 import pytest
 
 from oracles import find_bad_triangles
-from repro.geometry import BoundingBox, unit_square
+from repro.geometry import BoundingBox
 from repro.geometry.predicates import (
     circumcenter,
     circumradius_sq,
     dist_sq,
     orient2d,
 )
-from repro.mesh import Triangulation, triangulate_pslg
+from repro.mesh import Triangulation
 from repro.mesh.refine import (
     _BATCH_MIN,
     _bad_mask_batch,
     _scan_bad_triangles,
     circumcenter_batch,
-    refine,
     shortest_edge_sq_batch,
 )
-from repro.mesh.quality import metric_triangle_quality, triangle_quality
-from repro.mesh.sizing import (
-    MetricSizingField,
-    boundary_layer_metric,
-    constant_metric,
-    sizing_from_spec,
-)
+from repro.mesh.sizing import sizing_from_spec
 
 
 def _random_points(n, seed):
@@ -95,10 +88,8 @@ def _batch_scan(tri, sizing):
         None,
         sizing_from_spec(("uniform", 0.08)),
         sizing_from_spec(("point_source", [((0.3, 0.3), 0.03)], 0.2, 0.4)),
-        sizing_from_spec(("metric", 0.3, 0.06, 30.0)),
-        sizing_from_spec(("boundary_layer", 0.0, 0.04, 0.3, 0.3, 0.25)),
     ],
-    ids=["none", "uniform", "graded", "metric", "boundary-layer"],
+    ids=["none", "uniform", "graded"],
 )
 @pytest.mark.parametrize("seed", [1, 2])
 def test_scan_batch_equals_scalar(sizing, seed):
@@ -113,74 +104,3 @@ def test_scan_small_mesh_takes_scalar_path():
     tri = _triangulation_of(_random_points(5, seed=3))
     want = find_bad_triangles(tri, 2.0, None, 1e-6)
     assert _batch_scan(tri, None) == sorted(want)
-
-
-# ------------------------------------------------------- metric sizing
-def test_constant_metric_isotropic_size_is_geometric_mean():
-    m = constant_metric(0.4, 0.1)
-    # (det M)^(-1/4) = sqrt(h_along * h_across).
-    assert m((0.5, 0.5)) == pytest.approx(math.sqrt(0.4 * 0.1))
-
-
-def test_constant_metric_edge_length_is_directional():
-    m = constant_metric(0.5, 0.05, angle_deg=0.0)
-    along = m.edge_length((0.0, 0.0), (0.5, 0.0))
-    across = m.edge_length((0.0, 0.0), (0.0, 0.5))
-    assert along == pytest.approx(1.0)
-    assert across == pytest.approx(10.0)
-
-
-def test_metric_batch_hooks_match_scalar():
-    m = boundary_layer_metric(0.0, 0.03, 0.3, 0.25, growth=0.25)
-    pts = np.array(_random_points(50, seed=5))
-    qts = np.array(_random_points(50, seed=6))
-    h = m.h_batch(pts)
-    el = m.edge_length_batch(pts, qts)
-    for k in range(len(pts)):
-        assert h[k] == pytest.approx(m(tuple(pts[k])), rel=1e-12)
-        assert el[k] == pytest.approx(
-            m.edge_length(tuple(pts[k]), tuple(qts[k])), rel=1e-12
-        )
-
-
-def test_metric_rejects_non_spd():
-    bad = MetricSizingField(lambda p: (1.0, 2.0, 1.0))
-    with pytest.raises(ValueError, match="not SPD"):
-        bad((0.0, 0.0))
-
-
-def test_metric_triangle_quality_prefers_stretched_elements():
-    m = constant_metric(0.5, 0.05)
-    stretched = ((0.0, 0.0), (0.5, 0.0), (0.25, 0.05))
-    equilateral = ((0.0, 0.0), (0.5, 0.0), (0.25, 0.25 * math.sqrt(3)))
-    assert metric_triangle_quality(*stretched, m) < metric_triangle_quality(
-        *equilateral, m
-    )
-    # The isotropic measure ranks them the other way around.
-    assert triangle_quality(*stretched) > triangle_quality(*equilateral)
-
-
-def test_refine_with_metric_produces_anisotropic_mesh():
-    tri = triangulate_pslg(unit_square())
-    m = sizing_from_spec(("metric", 0.4, 0.08))
-    refine(tri, sizing=m, min_length=1e-3)
-    # The metric criterion itself is satisfied...
-    assert find_bad_triangles(tri, sizing=m) == []
-    # ...and the mesh is genuinely anisotropic: far more triangles than
-    # the isotropic-equivalent h = sqrt(h_along * h_across) would need
-    # alone implies the directional edge test did real work.
-    count = 0
-    for t in tri.triangles():
-        pts = tri.coords(t)
-        for u, v in ((0, 1), (1, 2), (2, 0)):
-            assert m.edge_length(pts[u], pts[v]) <= 2.0 * m.edge_bound
-        count += 1
-    assert count > 0
-
-
-def test_metric_spec_round_trips_through_sizing_from_spec():
-    m = sizing_from_spec(("metric", 0.3, 0.06, 45.0, 1.2))
-    assert m.edge_bound == 1.2
-    assert m((0.1, 0.9)) == pytest.approx(math.sqrt(0.3 * 0.06))
-    with pytest.raises(ValueError):
-        sizing_from_spec(("warp", 1.0))

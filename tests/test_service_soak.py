@@ -70,6 +70,16 @@ def test_service_metrics_scrape_after_work():
             text = scrape["prometheus"]
             assert "# TYPE mrts_jobs_total counter" in text
             assert 'tenant="scrape"' in text
+            # The fixture's bus has no subscriber: the job counters must
+            # not depend on one, and no family may be scraped empty.
+            lines = text.splitlines()
+            finished = 'mrts_jobs_total{phase="finished",tenant="scrape"} 1'
+            assert finished in lines
+            families = {line.split()[2] for line in lines
+                        if line.startswith("# TYPE ")}
+            sampled = {line.split("{")[0].split()[0] for line in lines
+                       if not line.startswith("#")}
+            assert families == sampled
             pressure = scrape["pressure"]
             assert pressure["reserved_bytes"] == 0
             assert pressure["tenants"]["scrape"]["jobs_admitted"] == 1
