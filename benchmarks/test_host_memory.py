@@ -2,9 +2,10 @@
 
 An out-of-core runtime exists to bound memory, so the host bytes a run
 holds at its peak should be a small multiple of ``nodes x budget`` — the
-objects in core, plus the medium (the default spill store is in-process
-memory, so spilled bytes are host bytes too), plus the runtime itself —
-and must not depend on how many evictions the run made.  ``bench/run.py``
+objects in core, plus spill transients, plus the runtime itself — and
+must not depend on how many evictions the run made.  The medium is not
+in that number: the default spill store keeps its bytes in a temporary
+file, so spilled bytes leave the heap.  ``bench/run.py``
 reports ``peak_rss_mb`` per child process; this file gives the number
 that is about the run alone, for the write-side and read-side data-plane
 workloads at the sizes ``bench/workloads.py`` uses (re-declared here, no
@@ -13,9 +14,12 @@ seed jitter), and writes ``host-memory.json``:
     python -m pytest benchmarks/test_host_memory.py -q -s
 
 Per workload: the ``tracemalloc`` peak from the first ``run()`` on (the
-timed region of ``perf.run_*``; object creation is outside it), the bytes
-the medium holds when the run ends, and both divided by the budget.  The
-cyclic collector stays on, as in the bench.
+timed region of ``perf.run_*``; object creation is outside it) divided by
+the budget, and, on their own, the live bytes the medium holds in its
+file when the run ends.  Each workload runs once untraced first, so
+one-time lazy imports and caches stay out of the peak.  The cyclic
+collector stays on, as in the bench.  The patch stream's peak is gated
+at 2.5x the budget (an in-heap medium measured 8.5x).
 """
 
 import json
@@ -49,10 +53,11 @@ def _measure(name: str) -> dict:
 
         rt.run = first_run
 
+    workload = getattr(perf, name)
+    workload(seed=0, **inputs)  # warm-up: lazy imports and caches
     tracemalloc.start()
     try:
-        result = getattr(perf, name)(seed=0, on_runtime=from_first_run,
-                                     **inputs)
+        result = workload(seed=0, on_runtime=from_first_run, **inputs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -63,7 +68,6 @@ def _measure(name: str) -> dict:
         "peak_mb": round(peak / MiB, 2),
         "medium_mb": round(medium / MiB, 2),
         "peak_over_budget": round(peak / budget, 2),
-        "peak_less_medium_over_budget": round((peak - medium) / budget, 2),
         "evictions": sum(nrt.ooc.evictions for nrt in rt.nodes),
         "in_core_mb": round(
             sum(nrt.ooc.memory_used for nrt in rt.nodes) / MiB, 2),
@@ -78,9 +82,9 @@ def test_host_memory_against_budget():
     for name, row in report.items():
         print(f"{name}: peak {row['peak_mb']} MiB traced = "
               f"{row['peak_over_budget']} x the {row['budget_mb']:g} MiB "
-              f"budget ({row['peak_less_medium_over_budget']} x without the "
-              f"{row['medium_mb']} MiB the medium holds), "
-              f"{row['evictions']} evictions")
+              f"budget; the medium holds {row['medium_mb']} MiB off the "
+              f"heap; {row['evictions']} evictions")
         # The run spilled, and the accountant ended inside its budget.
         assert row["evictions"] > 0
         assert row["in_core_mb"] <= row["budget_mb"]
+    assert report["run_mesh_patch_stream"]["peak_over_budget"] <= 2.5

@@ -26,19 +26,31 @@ side and installed with a single atomic swap, so a compactor killed
 mid-rewrite (chaos cell ``packfile-compact-kill``) leaves the old layout
 fully intact.
 
-The segment buffers live in memory — the virtual disk model in the
+Segments are layout *metadata*; the bytes live in one anonymous temporary
+file per backend (``tempfile.TemporaryFile``: unlinked at creation, so a
+crashed run leaves nothing behind), opened on the first write.  Every
+write lands at the file end at an explicit offset (``os.pwrite`` /
+``os.pwritev``) and every read is one ``os.pread`` into a fresh ``bytes``,
+so no file position is shared and the spilled bytes stay off the heap.
+The file is deliberately not ``mmap``-ed: mapped pages count as resident
+memory once touched, which would put the medium back into the very number
+an out-of-core runtime exists to bound.  The virtual disk model in the
 runtime charges time for the *modeled* bytes it transfers, exactly as it
-does over :class:`MemoryBackend`; what this class changes is the layout
-metadata (who is adjacent to whom) that the prefetcher exploits via
+does over :class:`MemoryBackend`; what this class adds is the layout
+(who is adjacent to whom) that the prefetcher exploits via
 :meth:`neighborhood` and :meth:`load_many`.
 """
 
 from __future__ import annotations
 
+import errno
+import os
+import tempfile
+import weakref
 from bisect import bisect_left, insort
 from typing import Iterable, Optional
 
-from repro.util.errors import ObjectNotFound
+from repro.util.errors import ObjectNotFound, StorageFull
 
 from repro.core.storage import StorageBackend
 
@@ -77,18 +89,46 @@ def morton3(i: int, j: int, k: int, bits: int = 10) -> int:
 
 
 class _Extent:
-    """Where an object's current stored copy lives."""
+    """Where an object's current stored copy lives: segment-relative
+    ``off`` (the layout) and absolute file position ``pos`` (the bytes)."""
 
-    __slots__ = ("seg", "off", "length")
+    __slots__ = ("seg", "off", "length", "pos")
 
-    def __init__(self, seg: int, off: int, length: int) -> None:
+    def __init__(self, seg: int, off: int, length: int, pos: int) -> None:
         self.seg = seg
         self.off = off
         self.length = length
+        self.pos = pos
+
+
+def _pwrite_all(fd: int, pos: int, bufs: list) -> None:
+    """Write ``bufs`` back to back at file offset ``pos``.
+
+    One ``pwrite`` (one buffer) or ``pwritev`` (several) per call, looping
+    only over short writes; a write that makes no progress is out of room.
+    """
+    views = [memoryview(b) for b in bufs if len(b)]
+    while views:
+        if len(views) == 1:
+            n = os.pwrite(fd, views[0], pos)
+        else:
+            n = os.pwritev(fd, views, pos)
+        if n == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        pos += n
+        while views and n >= len(views[0]):
+            n -= len(views.pop(0))
+        if n:
+            views[0] = views[0][n:]
 
 
 class PackFileBackend(StorageBackend):
     """Raw object store laid out as locality-ordered pack segments.
+
+    The bytes live in an anonymous temporary file (see the module
+    docstring: ``pread``/``pwrite`` at explicit offsets, no ``mmap``);
+    segments, offsets and the curve are in-memory metadata.  No file is
+    opened before the first store or append.
 
     Parameters
     ----------
@@ -119,7 +159,10 @@ class PackFileBackend(StorageBackend):
         self.compact_ratio = float(compact_ratio)
         self.bucket_shift = int(bucket_shift)
         self.fail_compaction_at = fail_compaction_at
-        self._segments: dict[int, bytearray] = {}
+        self._file = None  # the medium; opened by the first write
+        self._close_file: Optional[weakref.finalize] = None
+        self._end = 0  # file offset the next write lands at
+        self._seg_len: dict[int, int] = {}  # segment id -> bytes appended
         self._extents: dict[int, _Extent] = {}
         self._keys: dict[int, int] = {}
         self._open: dict[int, int] = {}  # bucket -> open segment id
@@ -218,9 +261,7 @@ class PackFileBackend(StorageBackend):
     # StorageBackend interface
 
     def store(self, oid: int, data: bytes) -> None:
-        data = bytes(data)
-        self._kill_extent(oid)
-        self._append_extent(oid, data)
+        self._append_extent(oid, [data])
         self._maybe_compact()
 
     def append(self, oid: int, data: bytes) -> None:
@@ -229,24 +270,22 @@ class PackFileBackend(StorageBackend):
         A pack segment interleaves many objects, so a per-object byte
         append would scatter the log; instead the whole log moves to the
         bucket tail (old extent becomes dead bytes, reclaimed by the
-        compactor).  Upper layers see exact append semantics.
+        compactor).  Upper layers see exact append semantics.  The old
+        extent and the new bytes go out in one ``pwritev``.
         """
         ext = self._extents.get(oid)
         if ext is None:
-            existing = b""
+            self._append_extent(oid, [data])
         else:
-            seg = self._segments[ext.seg]
-            existing = bytes(seg[ext.off : ext.off + ext.length])
-        self._kill_extent(oid)
-        self._append_extent(oid, existing + bytes(data))
+            old = os.pread(self._file.fileno(), ext.length, ext.pos)
+            self._append_extent(oid, [old, data])
         self._maybe_compact()
 
     def load(self, oid: int) -> bytes:
         ext = self._extents.get(oid)
         if ext is None:
             raise ObjectNotFound(f"object {oid} not in pack store")
-        seg = self._segments[ext.seg]
-        return bytes(seg[ext.off : ext.off + ext.length])
+        return os.pread(self._file.fileno(), ext.length, ext.pos)
 
     def load_many(self, oids: Iterable[int]) -> dict[int, list[bytes]]:
         """Batched read grouped by segment (one sequential pass each).
@@ -260,12 +299,11 @@ class PackFileBackend(StorageBackend):
             if ext is not None:
                 by_seg.setdefault(ext.seg, []).append((ext.off, oid))
         out: dict[int, list[bytes]] = {}
-        for seg_id, entries in by_seg.items():
-            seg = self._segments[seg_id]
+        for entries in by_seg.values():
             self.segments_touched += 1
-            for off, oid in sorted(entries):
+            for _off, oid in sorted(entries):
                 ext = self._extents[oid]
-                out[oid] = [bytes(seg[off : off + ext.length])]
+                out[oid] = [os.pread(self._file.fileno(), ext.length, ext.pos)]
         if by_seg:
             self.batch_loads += 1
         return out
@@ -301,23 +339,53 @@ class PackFileBackend(StorageBackend):
     def _bucket(self, oid: int) -> int:
         return self._keys.get(oid, oid) >> self.bucket_shift
 
-    def _append_extent(self, oid: int, data: bytes) -> None:
+    def _append_extent(self, oid: int, bufs: list) -> None:
+        """Write ``bufs`` as ``oid``'s extent at the tail of its bucket's
+        open segment; its old extent becomes dead bytes.
+
+        The write comes first: if it fails nothing else changes, and a
+        full medium (``ENOSPC``/``EDQUOT``) raises :class:`StorageFull`.
+        """
+        if self._file is None:
+            self._swap_file(tempfile.TemporaryFile())
+        try:
+            _pwrite_all(self._file.fileno(), self._end, bufs)
+        except OSError as exc:
+            if exc.errno in (errno.ENOSPC, errno.EDQUOT):
+                raise StorageFull(f"pack file: {exc.strerror}") from exc
+            raise
+        length = sum(len(b) for b in bufs)
         bucket = self._bucket(oid)
         seg_id = self._open.get(bucket)
         if seg_id is None:
             seg_id = self._next_seg
             self._next_seg += 1
-            self._segments[seg_id] = bytearray()
+            self._seg_len[seg_id] = 0
             self._open[bucket] = seg_id
             self.segments_created += 1
-        seg = self._segments[seg_id]
-        ext = _Extent(seg_id, len(seg), len(data))
-        seg.extend(data)
+        self._kill_extent(oid)
+        off = self._seg_len[seg_id]
+        ext = _Extent(seg_id, off, length, self._end)
+        self._end += length
+        self._seg_len[seg_id] = off + length
         self._extents[oid] = ext
-        self.live_bytes += ext.length
+        self.live_bytes += length
         self._insert_curve(oid)
-        if len(seg) >= self.segment_bytes:
+        if off + length >= self.segment_bytes:
             del self._open[bucket]  # sealed; next store opens a fresh one
+
+    def _swap_file(self, new) -> None:
+        """Install ``new`` (or ``None``) as the medium and close the file
+        it replaces; an installed file closes when the backend dies."""
+        old = self._file
+        if self._close_file is not None:
+            self._close_file.detach()
+        self._file = new
+        self._close_file = (
+            None if new is None else weakref.finalize(self, new.close)
+        )
+        if old is not None:
+            old.close()
 
     def _kill_extent(self, oid: int) -> None:
         ext = self._extents.pop(oid, None)
@@ -335,52 +403,64 @@ class PackFileBackend(StorageBackend):
             return
         try:
             self.compact()
-        except RuntimeError:
+        except (RuntimeError, OSError):
             self.compaction_aborts += 1  # abort-safe: old layout intact
 
     def compact(self) -> None:
         """Rewrite all live extents in curve order into fresh segments.
 
-        The new segment set is built completely on the side and installed
-        with one atomic swap; any exception before the swap (including
-        the injected ``fail_compaction_at`` kill) leaves the store
+        Extents stream one at a time into a new temporary file, so the
+        rewrite holds at most one extent in memory.  The new file and
+        segment set are built completely on the side and installed with
+        one atomic swap that closes the old file; any exception before
+        the swap (including the injected ``fail_compaction_at`` kill and
+        any ``OSError``) closes the side file and leaves the store
         untouched.
         """
         self.compaction_attempts += 1
         ordinal = self.compaction_attempts
-        new_segments: dict[int, bytearray] = {}
+        new_seg_len: dict[int, int] = {}
         new_extents: dict[int, _Extent] = {}
-        new_open: dict[int, int] = {}
         next_seg = self._next_seg
-        cur: Optional[bytearray] = None
         cur_id = -1
+        pos = 0
         count = 0
         total = len(self._extents)
-        for key, oid in self._sorted_curve():
-            old = self._extents[oid]
-            blob = self._segments[old.seg][old.off : old.off + old.length]
-            if cur is None or len(cur) >= self.segment_bytes:
-                cur_id = next_seg
-                next_seg += 1
-                cur = bytearray()
-                new_segments[cur_id] = cur
-            new_extents[oid] = _Extent(cur_id, len(cur), len(blob))
-            cur.extend(blob)
-            count += 1
-            if (
-                self.fail_compaction_at is not None
-                and ordinal == self.fail_compaction_at
-                and count >= max(1, total // 2)
-            ):
-                raise RuntimeError(
-                    f"injected compaction kill (ordinal {ordinal})"
-                )
+        side = tempfile.TemporaryFile() if total else None
+        try:
+            for _key, oid in self._sorted_curve():
+                old = self._extents[oid]
+                blob = os.pread(self._file.fileno(), old.length, old.pos)
+                if cur_id < 0 or new_seg_len[cur_id] >= self.segment_bytes:
+                    cur_id = next_seg
+                    next_seg += 1
+                    new_seg_len[cur_id] = 0
+                _pwrite_all(side.fileno(), pos, [blob])
+                off = new_seg_len[cur_id]
+                new_extents[oid] = _Extent(cur_id, off, old.length, pos)
+                new_seg_len[cur_id] = off + old.length
+                pos += old.length
+                count += 1
+                if (
+                    self.fail_compaction_at is not None
+                    and ordinal == self.fail_compaction_at
+                    and count >= max(1, total // 2)
+                ):
+                    raise RuntimeError(
+                        f"injected compaction kill (ordinal {ordinal})"
+                    )
+        except BaseException:
+            if side is not None:
+                side.close()
+            raise
         # ---- atomic swap: nothing above mutated self ----
-        self._segments = new_segments
+        self._swap_file(side)
+        self._end = pos
+        self._seg_len = new_seg_len
         self._extents = new_extents
-        self._open = new_open
+        self._open = {}
         self._next_seg = next_seg
-        self.segments_created += len(new_segments)
+        self.segments_created += len(new_seg_len)
         self.dead_bytes = 0
         self._curve_dirty = True
         self.compactions += 1
@@ -390,7 +470,7 @@ class PackFileBackend(StorageBackend):
     def stats(self) -> dict[str, int]:
         """Layout counters for surfacing in reports and tests."""
         return {
-            "segments": len(self._segments),
+            "segments": len(self._seg_len),
             "segments_created": self.segments_created,
             "live_bytes": self.live_bytes,
             "dead_bytes": self.dead_bytes,

@@ -194,8 +194,9 @@ class MRTS:
         Runtime tunables (thresholds, swap scheme, directory policy, ...).
     storage_factory:
         ``rank -> StorageBackend`` for each node's out-of-core store;
-        defaults to an in-memory :class:`PackFileBackend` per node; pass
-        FileBackend factories for true disk spill.
+        defaults to a :class:`PackFileBackend` per node, whose bytes live
+        in an anonymous temporary file; pass ``MemoryBackend`` or
+        ``FileBackend`` factories for other media.
     cost_model:
         Compute-cost provider; default measures real handler wall time.
     io_depth:

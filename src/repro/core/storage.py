@@ -545,7 +545,7 @@ class CompressionPolicy:
             if len(data) < self.large_bytes
             else self.level_large
         )
-        out = zlib.compress(bytes(data), level)
+        out = zlib.compress(data, level)
         if len(out) >= len(data):
             return data, 0
         return out, FLAG_COMPRESSED

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
-import numpy as np
-
 __all__ = ["Job", "SchedulerSim", "synthetic_job_mix"]
 
 
@@ -164,6 +162,8 @@ def synthetic_job_mix(
     machine).  Runtimes are log-uniform between 2 minutes and 12 hours.
     ``load`` sets mean utilization via the Poisson arrival rate.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     # Width distribution shaped like academic-cluster traces: mostly narrow
     # jobs, a thin tail of near-full-machine requests (full-machine jobs
@@ -195,6 +195,8 @@ def median_wait_by_width(jobs: list[Job]) -> dict[int, float]:
     nodes are scheduled within a couple of minutes"); the median captures
     that — means are dominated by rare full-machine drain episodes.
     """
+    import numpy as np
+
     by_width: dict[int, list[float]] = {}
     for job in jobs:
         by_width.setdefault(job.nodes, []).append(job.wait)

@@ -11,10 +11,12 @@ The second half pins what the fix must not loosen — the dirty hook still
 ignores a stale instance — and gates the garbage a whole run leaves
 behind with a count that must not grow with the number of evictions.
 (That the hook never references the instance it is installed on is
-asserted on the source in ``tests/test_layering.py``.)
+asserted on the source in ``tests/test_layering.py``.)  The last test
+gates the host bytes a spilling run holds at its peak against the budget.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
@@ -236,3 +238,37 @@ def test_garbage_per_run_does_not_grow_with_evictions():
     many, evictions_many = _unreachable_after(rounds=9)
     assert evictions_many >= 2 * evictions_few > 0
     assert many == few
+
+
+# ------------------------------------------------- peak against the budget
+def test_patch_stream_peak_stays_near_the_budget():
+    """The ``tracemalloc`` peak of a spilling patch stream, from its first
+    ``run()`` on, is at most 2.5x ``nodes x budget``: the objects in core
+    plus spill transients, with the spilled bytes off the heap (in the
+    pack file's temporary file).  An in-heap medium measured 4.5x here.
+    A tiny run first pays the one-time lazy imports and caches, so the
+    number is about the run alone."""
+    inputs = dict(n_actors=24, initial_points=1024, rounds=4,
+                  append_per_round=256, n_nodes=2, memory_bytes=256 * 1024)
+    perf.run_mesh_patch_stream(seed=0, **dict(inputs, n_actors=4, rounds=1))
+
+    def from_first_run(rt) -> None:
+        run = rt.run
+
+        def first_run(*args, **kwargs):
+            del rt.run  # back to the class's method
+            tracemalloc.reset_peak()
+            return run(*args, **kwargs)
+
+        rt.run = first_run
+
+    tracemalloc.start()
+    try:
+        result = perf.run_mesh_patch_stream(
+            seed=0, on_runtime=from_first_run, **inputs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(n.ooc.evictions for n in result.runtime.nodes) > 0
+    budget = inputs["n_nodes"] * inputs["memory_bytes"]
+    assert peak <= 2.5 * budget, f"peak {peak / budget:.2f} x budget"

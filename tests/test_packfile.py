@@ -3,14 +3,26 @@
 Covers the Morton curve, segment layout (bucketing, sealing, dead-byte
 accounting), curve neighborhoods, batched loads, and — the part the chaos
 matrix leans on — abort-safe compaction: a compactor killed mid-rewrite
-must leave the old layout byte-for-byte intact.
+must leave the old layout byte-for-byte intact.  The last section covers
+the medium itself, a temporary file: when it is opened and closed, how a
+failed write or compaction leaves the store, and that runs do not leak
+file descriptors.
 """
+
+import errno
+import gc
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import MRTS, MobileObject, handler
 from repro.core.packfile import PackFileBackend, morton2
-from repro.util.errors import ObjectNotFound
+from repro.sim.cluster import ClusterSpec
+from repro.sim.node import NodeSpec
+from repro.testing.harness import FixedCostModel
+from repro.util.errors import ObjectNotFound, StorageFull
 
 
 # ---------------------------------------------------------------- morton2
@@ -214,3 +226,131 @@ def test_packfile_matches_dict_model(ops):
     assert pf.largest_object() == max(
         (len(b) for b in model.values()), default=0
     )
+
+
+# ------------------------------------------------------------- the medium
+def _layout(pf):
+    return (
+        {oid: (e.seg, e.off, e.length, e.pos) for oid, e in pf._extents.items()},
+        pf.live_bytes, pf.dead_bytes, pf.segments_created, dict(pf._open),
+    )
+
+
+def test_no_file_before_the_first_store():
+    pf = PackFileBackend()
+    pf.delete(1)
+    pf.note_locality(1, 5)
+    assert pf.load_many([1]) == {}
+    with pytest.raises(ObjectNotFound):
+        pf.load(1)
+    pf.compact()
+    assert pf._file is None
+    pf.store(1, b"abc")
+    assert pf._file is not None and pf.load(1) == b"abc"
+
+
+def test_compact_closes_the_file_it_replaces():
+    pf = PackFileBackend()
+    pf.store(1, b"abc")
+    pf.store(1, b"abcd")
+    old = pf._file
+    pf.compact()
+    assert old.closed and not pf._file.closed
+    assert pf.load(1) == b"abcd"
+    pf.delete(1)
+    current = pf._file
+    pf.compact()  # nothing live: no new file until the next write
+    assert current.closed and pf._file is None
+
+
+def test_os_error_in_compaction_aborts_and_closes_the_side_file(monkeypatch):
+    pf = PackFileBackend(segment_bytes=64, compact_ratio=0.3)
+    blobs = {oid: bytes([65 + oid]) * 24 for oid in range(8)}
+    for oid, blob in blobs.items():
+        pf.store(oid, blob)
+    sides = []  # (file, fd) of every compaction side file
+    real_temporary_file, real_pwrite = tempfile.TemporaryFile, os.pwrite
+
+    def side_file():
+        fh = real_temporary_file()
+        sides.append((fh, fh.fileno()))
+        return fh
+
+    def pwrite(fd, data, pos):  # the first side file's first write fails
+        if len(sides) == 1 and fd == sides[0][1] and not sides[0][0].closed:
+            raise OSError(errno.EIO, "injected I/O error")
+        return real_pwrite(fd, data, pos)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", side_file)
+    monkeypatch.setattr(os, "pwrite", pwrite)
+    attempts = pf.compaction_attempts
+    while pf.compaction_attempts == attempts:  # churn until one is tried
+        for oid, blob in blobs.items():
+            pf.store(oid, blob)
+    assert pf.compaction_aborts == 1
+    assert sides[0][0].closed and pf._file is not sides[0][0]
+    for oid, blob in blobs.items():
+        assert pf.load(oid) == blob
+
+
+@pytest.mark.parametrize(
+    "code", [errno.ENOSPC, errno.EDQUOT], ids=["ENOSPC", "EDQUOT"]
+)
+def test_full_medium_raises_storage_full_and_changes_nothing(
+    monkeypatch, code
+):
+    pf = PackFileBackend()
+    pf.store(1, b"one")
+    pf.store(2, b"two")
+    before = _layout(pf)
+
+    def full(*args):
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr(os, "pwrite", full)
+    monkeypatch.setattr(os, "pwritev", full)
+    for op, oid in (("store", 3), ("store", 1), ("append", 2)):
+        with pytest.raises(StorageFull):
+            getattr(pf, op)(oid, b"more")
+        assert _layout(pf) == before
+    monkeypatch.undo()
+    pf.append(2, b"!")
+    assert (pf.load(1), pf.load(2)) == (b"one", b"two!")
+
+
+class _Blob(MobileObject):
+    def __init__(self, ptr):
+        super().__init__(ptr)
+        self.blob = bytes(4000)
+
+    @handler
+    def touch(self, ctx):
+        self.blob = bytes(4000)
+
+
+def _spilling_run() -> MRTS:
+    rt = MRTS(
+        ClusterSpec(n_nodes=1, node=NodeSpec(cores=1, memory_bytes=12_000)),
+        cost_model=FixedCostModel(1e-4),
+    )
+    ptrs = [rt.create_object(_Blob) for _ in range(6)]
+    for ptr in ptrs:
+        rt.post(ptr, "touch")
+    rt.run()
+    return rt
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+def test_dropped_runs_leave_no_open_files():
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    assert _spilling_run().nodes[0].packfile._file is not None  # it spills
+    gc.collect()
+    before = open_fds()
+    for _ in range(200):
+        _spilling_run()
+    gc.collect()
+    assert open_fds() == before
