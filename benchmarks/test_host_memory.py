@@ -19,7 +19,8 @@ the budget, and, on their own, the live bytes the medium holds in its
 file when the run ends.  Each workload runs once untraced first, so
 one-time lazy imports and caches stay out of the peak.  The cyclic
 collector stays on, as in the bench.  The patch stream's peak is gated
-at 2.5x the budget (an in-heap medium measured 8.5x).
+at 2.0x the budget: it measures 1.88x with incompressible spills stored
+raw (2.02x with every spill deflated whole, 8.5x with an in-heap medium).
 """
 
 import json
@@ -87,4 +88,4 @@ def test_host_memory_against_budget():
         # The run spilled, and the accountant ended inside its budget.
         assert row["evictions"] > 0
         assert row["in_core_mb"] <= row["budget_mb"]
-    assert report["run_mesh_patch_stream"]["peak_over_budget"] <= 2.5
+    assert report["run_mesh_patch_stream"]["peak_over_budget"] <= 2.0

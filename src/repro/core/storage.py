@@ -31,7 +31,9 @@ Self-healing wrappers (composed by the runtime around any of the above):
   the frame layer: tiny payloads pass through untouched, larger ones are
   deflated (zlib level by size class) and the frame's flags byte records
   it, so checksums, repair and recovery operate on compressed frames
-  exactly as on raw ones.
+  exactly as on raw ones.  Payloads over 4 KiB whose first 4 KiB does
+  not deflate to 0.8 of itself (float64 coordinates, say) are stored raw
+  without a full-length deflate.
 
 Delta spills extend the byte-level contract with :meth:`~StorageBackend.
 append` / :meth:`~StorageBackend.load_segments`: an object's stored copy
@@ -511,6 +513,16 @@ class ChecksummedBackend(StorageBackend):
 
 
 # ============================================================= compression
+#: Bytes of a payload's head that the entropy probe deflates.  One 4 KiB
+#: block is long enough for deflate's ratio on it to settle and costs
+#: well under a tenth of a full deflate on the spills that fail it.
+PROBE_HEAD_BYTES = 4096
+#: The probe passes when the head deflates to at most this share of
+#: itself.  Measured heads fall on either side of a wide empty gap:
+#: compressible ones at <= 0.55, float64 coordinate noise at >= 0.949.
+PROBE_MAX_RATIO = 0.8
+
+
 @dataclass(frozen=True)
 class CompressionPolicy:
     """Size-adaptive compression decisions for the storage boundary.
@@ -520,6 +532,16 @@ class CompressionPolicy:
     ``level_small``; payloads at or above ``large_bytes`` use the faster
     ``level_large`` so huge spills do not stall the node.  Incompressible
     payloads (deflate produced no saving) are stored raw too.
+
+    A payload longer than ``PROBE_HEAD_BYTES`` is probed first: its head
+    is deflated at level 1, and unless that shrinks it to at most
+    ``PROBE_MAX_RATIO`` of itself the payload is stored raw without a
+    full-length deflate (and so reloads without an inflate).  Float64
+    mesh coordinates fail the probe: their mantissa bytes are close to
+    random and deflate saves about 5 % on them.  A payload that passes
+    is compressed exactly as without the probe.  The trade-off: a
+    payload whose head is incompressible but whose tail would deflate
+    well is now stored raw.
     """
 
     min_bytes: int = 1024
@@ -545,6 +567,11 @@ class CompressionPolicy:
             if len(data) < self.large_bytes
             else self.level_large
         )
+        if len(data) > PROBE_HEAD_BYTES and (
+            len(zlib.compress(data[:PROBE_HEAD_BYTES], 1))
+            > PROBE_MAX_RATIO * PROBE_HEAD_BYTES
+        ):
+            return data, 0
         out = zlib.compress(data, level)
         if len(out) >= len(data):
             return data, 0

@@ -6,6 +6,8 @@ fresh, independently seeded object.
 """
 
 import random
+import types
+import zlib
 
 import pytest
 
@@ -64,3 +66,31 @@ def spill_dir(tmp_path):
     d = tmp_path / "spill"
     d.mkdir()
     return d
+
+
+@pytest.fixture
+def zlib_calls(monkeypatch):
+    """Count the bytes the storage layer sends through zlib.
+
+    Replaces ``repro.core.storage.zlib`` (keeping ``crc32`` and
+    ``error``) for the test; ``deflates`` gets one ``(input bytes,
+    level)`` pair per ``compress`` call and ``inflates`` the output
+    length of every ``decompress`` call.
+    """
+    calls = types.SimpleNamespace(deflates=[], inflates=[])
+
+    def compress(data, level=-1):
+        calls.deflates.append((len(data), level))
+        return zlib.compress(data, level)
+
+    def decompress(data):
+        out = zlib.decompress(data)
+        calls.inflates.append(len(out))
+        return out
+
+    monkeypatch.setattr(
+        "repro.core.storage.zlib",
+        types.SimpleNamespace(compress=compress, decompress=decompress,
+                              crc32=zlib.crc32, error=zlib.error),
+    )
+    return calls

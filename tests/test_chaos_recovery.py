@@ -20,7 +20,13 @@ import pytest
 
 from repro.core import MRTS, MRTSConfig, MobileObject, handler
 from repro.core.recovery import RecoveryFailed, RecoveryPolicy
-from repro.core.storage import MemoryBackend, decode_frame
+from repro.core.storage import (
+    FLAG_COMPRESSED,
+    FLAG_DELTA,
+    MemoryBackend,
+    decode_frame,
+    decode_frame_ex,
+)
 from repro.sim.cluster import ClusterSpec
 from repro.sim.node import NodeSpec
 from repro.testing import FaultPlan, FaultyBackend
@@ -49,6 +55,25 @@ def test_chaos_cell_is_deterministic():
             first.degraded, first.events) == \
            (second.restarts, second.retries, second.corrupt_loads,
             second.degraded, second.events)
+
+
+def test_delta_compress_storm_writes_compressed_delta_frames(monkeypatch):
+    """The cell is named for compressed append-log frames; a policy change
+    that stored its deltas raw would leave it passing on nothing.  Only
+    the chaos run's medium is a ``FaultyBackend``, so the frames counted
+    are the ones the supervised run under faults wrote."""
+    flags_written = []
+    append = FaultyBackend.append
+
+    def recording(self, oid, data):
+        append(self, oid, data)
+        flags_written.append(decode_frame_ex(data)[1])
+
+    monkeypatch.setattr(FaultyBackend, "append", recording)
+    spec = next(s for s in CHAOS_MATRIX if s.name == "delta-compress-storm")
+    assert run_chaos_case(spec).ok
+    both = FLAG_COMPRESSED | FLAG_DELTA
+    assert any(flags & both == both for flags in flags_written)
 
 
 @pytest.mark.stress

@@ -17,7 +17,9 @@ Every registered codec must satisfy the Serializer contract:
 
 import copy
 import pickle
+import random
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +39,8 @@ from repro.core.storage import (
     CompressingBackend,
     CompressionPolicy,
     FLAG_COMPRESSED,
+    PROBE_HEAD_BYTES,
+    PROBE_MAX_RATIO,
     MemoryBackend,
 )
 from repro.util.errors import CorruptObject, SerializationError
@@ -256,6 +260,70 @@ def test_tiny_and_incompressible_payloads_stay_raw():
     assert comp.raw_frames == 2 and comp.compressed_frames == 0
     assert comp.load(1) == b"x" * 16
     assert comp.load(2) == noise
+
+
+# ------------------------------------------------------ the head probe
+CHUNKS = st.lists(
+    st.tuples(st.binary(min_size=1, max_size=1536),
+              st.integers(min_value=1, max_value=12)),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=80)
+@given(chunks=CHUNKS, noise_seed=st.integers(min_value=0, max_value=2**16),
+       noisy=st.booleans())
+def test_transform_is_raw_or_exactly_one_whole_deflate(chunks, noise_seed,
+                                                      noisy):
+    """Random and repeated chunks: the policy stores the payload as it is
+    or as ``zlib.compress(data, level)`` byte for byte, and stores it raw
+    only when it is tiny, its head fails the probe or deflate saves
+    nothing."""
+    parts = [chunk * times for chunk, times in chunks]
+    if noisy:  # a random block somewhere, so both probe outcomes occur
+        noise = random.Random(noise_seed).randbytes(PROBE_HEAD_BYTES)
+        parts.insert(noise_seed % (len(parts) + 1), noise)
+    data = b"".join(parts)
+    policy = CompressionPolicy()
+    level = (policy.level_small if len(data) < policy.large_bytes
+             else policy.level_large)
+    whole = zlib.compress(data, level)
+    head_fails = len(data) > PROBE_HEAD_BYTES and (
+        len(zlib.compress(data[:PROBE_HEAD_BYTES], 1))
+        > PROBE_MAX_RATIO * PROBE_HEAD_BYTES
+    )
+    out, flags = policy.transform(data)
+    if flags:
+        assert (out, flags) == (whole, FLAG_COMPRESSED)
+    else:
+        assert out is data
+        assert (len(data) < policy.min_bytes or head_fails
+                or len(whole) >= len(data))
+    if head_fails:
+        assert flags == 0
+
+
+def test_random_payload_is_stored_raw_after_one_head_deflate(zlib_calls):
+    noise = random.Random(1).randbytes(8 * 1024)
+    _, _, comp = _stack()
+    comp.store(1, noise)
+    assert zlib_calls.deflates == [(PROBE_HEAD_BYTES, 1)]
+    assert comp.raw_frames == 1 and comp.compressed_frames == 0
+    assert comp.load(1) == noise
+    assert zlib_calls.inflates == []
+
+
+def test_incompressible_head_stores_a_compressible_tail_raw():
+    """The stated trade-off: the probe reads only the head, so a random
+    first block followed by 60 KiB of zeros — which deflate would cut to
+    a tenth — is stored raw."""
+    data = random.Random(2).randbytes(PROBE_HEAD_BYTES) + bytes(60 * 1024)
+    assert len(zlib.compress(data, 3)) < len(data) // 10
+    _, _, comp = _stack()
+    comp.store(1, data)
+    assert comp.raw_frames == 1 and comp.compressed_frames == 0
+    assert comp.bytes_out == len(data)
+    assert comp.load(1) == data
 
 
 def test_compressed_flag_is_set_on_the_frame():

@@ -8,11 +8,22 @@ count instead of the probe count, the delta log compacts at its bounds,
 and the new RunStats counters are populated and consistent.
 """
 
+import zlib
+
 import pytest
 
+from repro import perf
 from repro.core import MRTS, MobileObject, MRTSConfig, handler, spill
 from repro.core.codec import get_codec
-from repro.core.storage import CompressingBackend, MemoryBackend
+from repro.core.storage import (
+    FLAG_COMPRESSED,
+    PROBE_HEAD_BYTES,
+    CompressingBackend,
+    CompressionPolicy,
+    MemoryBackend,
+)
+from repro.geometry import unit_square
+from repro.pumg import default_cluster, run_updr
 from repro.sim.cluster import ClusterSpec
 from repro.sim.node import NodeSpec
 from repro.testing.harness import FixedCostModel
@@ -146,6 +157,68 @@ def test_compressed_spills_round_trip_through_eviction():
     got = [(rt.get_object(p).hits, len(rt.get_object(p).payload))
            for p in actors]
     assert got == [(4, 8 * 1024 + 4 * 512)] * len(actors)
+
+
+# --------------------------------------- what goes through zlib, counted
+@pytest.fixture
+def transforms(monkeypatch):
+    """Every ``(payload, stored bytes, flags)`` the policy decides."""
+    seen = []
+    transform = CompressionPolicy.transform
+
+    def recording(self, data):
+        out, flags = transform(self, data)
+        seen.append((bytes(data), out, flags))
+        return out, flags
+
+    monkeypatch.setattr(CompressionPolicy, "transform", recording)
+    return seen
+
+
+def test_patch_stream_spills_skip_deflate_and_inflate(zlib_calls):
+    """Mesh patches are float64 coordinates, which fail the head probe:
+    every spill is stored raw after deflating at most its first block,
+    and no reload inflates.  (Deflating every spill whole, this run sent
+    60 deflates of 763 776 B in and 62 inflates of 1 050 560 B out.)
+    The inputs are those of the tier-1 host-memory gate."""
+    result = perf.run_mesh_patch_stream(
+        seed=0, n_actors=24, initial_points=1024, rounds=4,
+        append_per_round=256, n_nodes=2, memory_bytes=256 * 1024)
+    nodes = result.runtime.nodes
+    stores = sum(n.storage.stores for n in nodes)
+    assert stores > 0 and zlib_calls.deflates
+    assert max(size for size, _ in zlib_calls.deflates) <= PROBE_HEAD_BYTES
+    assert zlib_calls.inflates == []
+    assert sum(n.compressor.compressed_frames for n in nodes) == 0
+    assert sum(n.compressor.raw_frames for n in nodes) == stores
+
+
+def _assert_deflated_whole(transforms, compressed_frames):
+    compressed = [(raw, out) for raw, out, flags in transforms
+                  if flags & FLAG_COMPRESSED]
+    assert len(compressed) == compressed_frames
+    for raw, out in compressed:
+        assert out == zlib.compress(raw, 3)
+
+
+def test_zero_filled_spills_compress_as_before(transforms):
+    rt = make_runtime()
+    run_grow_workload(rt)
+    compressed = sum(n.compressor.compressed_frames for n in rt.nodes)
+    assert compressed == 10
+    _assert_deflated_whole(transforms, compressed)
+
+
+def test_out_of_core_updr_spills_compress_as_before(transforms):
+    res = run_updr(
+        unit_square(), h=0.05, nx=4, ny=4,
+        cluster=default_cluster(memory_bytes=20_000),
+        cost_model=FixedCostModel(1e-4),
+    )
+    compressed = sum(n.compressor.compressed_frames
+                     for n in res.runtime.nodes)
+    assert compressed == 210
+    _assert_deflated_whole(transforms, compressed)
 
 
 # -------------------------------------------------- pack-free accounting
