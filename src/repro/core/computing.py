@@ -44,6 +44,7 @@ from repro.core.control import (
     dispatch_outbox,
     migrate_and_done,
     note_maybe_idle,
+    push_ready,
 )
 from repro.core.messages import Message, MulticastMessage
 from repro.core.mobile import MobileObject, MobilePointer
@@ -122,13 +123,14 @@ def node_thief(rt, nrt):
     migration machinery, so directory updates and wire charges are
     exactly those of any other move.  The same :func:`select_victim`
     rule drives the intra-node executor policy; this is its inter-node
-    twin.  Looking is an engine :class:`~repro.sim.engine.Poll`, which
-    ticks in the event heap and resumes this coroutine only on a tick
-    that finds a victim.
+    twin.  Looking is an engine :class:`~repro.sim.engine.Poll` in this
+    node's late slot: it sleeps off the heap until a ready push
+    (:func:`~repro.core.control.push_ready`) or an idle node pokes it,
+    and resumes this coroutine only on a tick that finds a victim.
     """
     look = functools.partial(steal_victim, rt, nrt)
     while True:
-        victim = yield rt.engine.poll(STEAL_INTERVAL_S, look)
+        victim = yield rt.engine.poll(STEAL_INTERVAL_S, look, nrt.rank)
         oid = pick_steal_candidate(rt, nrt, victim)
         if oid is None:
             continue
@@ -463,7 +465,7 @@ def worker(rt, nrt):
             if rec.obj is None:
                 # Evicted between messages: hand the rest back to the
                 # scheduler rather than thrash.
-                nrt.ready.push(oid)
+                push_ready(rt, nrt, oid)
                 break
             msg = rec.queue.pop()
             nrt.queued_msgs -= 1

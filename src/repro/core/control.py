@@ -44,6 +44,7 @@ __all__ = [
     "dispatch_outbox",
     "emit_service_updates",
     "enqueue_local",
+    "push_ready",
     "note_work_arrived",
     "note_maybe_idle",
     "route_multicast",
@@ -418,9 +419,18 @@ def enqueue_local(rt, nrt, msg: Message | MulticastMessage) -> None:
     rec.queue.push(msg)
     nrt.ooc.set_queue_length(oid, len(rec.queue))
     msg.target.queued_messages = len(rec.queue)
-    nrt.ready.push(oid)
+    push_ready(rt, nrt, oid)
     nrt.tokens.put(oid)
     rt.ledger.queue_depth(nrt.rank, oid, len(rec.queue))
+
+
+def push_ready(rt, nrt, oid: int) -> None:
+    """Mark ``oid`` ready on its node.  A longer ready queue can give a
+    parked thief its victim, so this is a poke site of the poll contract
+    (:class:`~repro.sim.engine.Poll`): every ready push goes through here."""
+    nrt.ready.push(oid)
+    if rt.engine.parked:
+        rt.engine.poke()
 
 
 # ----------------------------------------------------- barrier-idle tracking
@@ -435,13 +445,14 @@ def note_work_arrived(rt, nrt) -> None:
 def note_maybe_idle(rt, nrt) -> None:
     """A handler or queue drain finished: open an idle interval if the
     node now has nothing running and nothing queued (the global-sync
-    stall the speculation layer exists to fill)."""
-    if (
-        nrt.idle_since is None
-        and nrt.active_handlers == 0
-        and nrt.queued_msgs == 0
-    ):
+    stall the speculation layer exists to fill).  An idle node's thief
+    may look now: the other poke site of the poll contract."""
+    if nrt.active_handlers or nrt.queued_msgs:
+        return
+    if nrt.idle_since is None:
         nrt.idle_since = rt.engine.now
+    if rt.engine.parked:
+        rt.engine.poke()
 
 
 # ================================================================= multicast
@@ -688,6 +699,6 @@ def migrate_proc(rt, oid: int, src: int, dst: int):
         note_work_arrived(rt, dst_nrt)
         dst_nrt.queued_msgs += len(queue)
         dst_nrt.ooc.set_queue_length(oid, len(queue))
-        dst_nrt.ready.push(oid)
+        push_ready(rt, dst_nrt, oid)
         for _ in range(len(queue)):
             dst_nrt.tokens.put(oid)

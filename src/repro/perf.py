@@ -249,9 +249,9 @@ class _WorkloadResult:
             ),
             "steals": sum(n.steals for n in stats.nodes),
             # Printed, not gated: DES events, and how many of them were
-            # poll (thief) ticks that resumed nobody.
+            # poll (thief) wakes.
             "des_events": rt.engine.events_processed,
-            "poll_ticks": rt.engine.poll_ticks,
+            "poll_wakes": rt.engine.poll_wakes,
             **(self.extra or {}),
         }
 
@@ -866,7 +866,7 @@ def render_report(report: dict) -> str:
         if "des_events" in metrics:
             lines.append(
                 f"  {'':<18} events={metrics['des_events']} "
-                f"poll ticks={metrics['poll_ticks']}"
+                f"poll wakes={metrics['poll_wakes']}"
             )
         if "packs" in metrics:
             lines.append(

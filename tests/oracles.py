@@ -6,10 +6,11 @@ fallback before the integer stage), the triangulation kernel with a
 two-pass fan stitch and a vertex scan for every segment
 (``ParentTriangulation``), patch refinement over it with a full rescan
 per insertion (what ``patch_refine`` did before it memoised triangle
-verdicts, and later kept them in a heap), polling from a coroutine that re-arms a
-``Timeout`` per tick (what the runtime's thief did before
-``Engine.poll``), and the out-of-core planning paths as scans (the lazy
-pressure heap, full-sort swap plans, the prefetch picker's plain loop and
+verdicts, and later kept them in a heap), polling from a coroutine that
+re-arms a ``Timeout`` per tick (what the runtime's thief did before
+``Engine.poll``, ticking in the late slot a poll wakes in), and the
+out-of-core planning paths as scans (the lazy pressure heap, full-sort
+swap plans, the prefetch picker's plain loop and
 the sorting ready-queue snapshot, as they were before they planned from
 indexes), and the ``mesh-patch`` item codec one point at a time (what
 ``MeshPatchCodec`` did before a patch's points were a ``PointColumn``),
@@ -378,13 +379,16 @@ def patch_refine_rescan(
     return result
 
 
-def poll_with_timeouts(engine, interval: float, ready: Callable[[], object]):
+def poll_with_timeouts(
+    engine, interval: float, ready: Callable[[], object], rank: int = 0
+):
     """``yield from`` this where the new code does ``yield engine.poll(...)``:
-    one :class:`~repro.sim.engine.Timeout` per tick, the predicate checked
-    in the coroutine.  Returns the first truthy ``ready()``.
+    one :class:`~repro.sim.engine.Timeout` per tick, in the poll's late
+    slot, the predicate checked in the coroutine.  Returns the first truthy
+    ``ready()``.
     """
     while True:
-        yield engine.timeout(interval)
+        yield engine.timeout(interval, rank=rank)
         value = ready()
         if value:
             return value
@@ -393,10 +397,12 @@ def poll_with_timeouts(engine, interval: float, ready: Callable[[], object]):
 def coroutine_thief(rt, nrt):
     """``MRTS._thief`` as it was before ``Engine.poll`` (PR 14's body,
     verbatim but for ``self`` -> ``rt`` and the names that moved to
-    ``repro.core.computing`` / ``repro.core.control``); patch it over ``repro.core.runtime.node_thief``.
+    ``repro.core.computing`` / ``repro.core.control``, and the tick moved to
+    the node's late slot, the tie rule the sleeping thief wakes by); patch
+    it over ``repro.core.runtime.node_thief``.
     """
     while True:
-        yield rt.engine.timeout(computing.STEAL_INTERVAL_S)
+        yield rt.engine.timeout(computing.STEAL_INTERVAL_S, rank=nrt.rank)
         if nrt.active_handlers > 0 or nrt.queued_msgs > 0:
             continue
         backlogs = [0 if n is nrt else len(n.ready) for n in rt.nodes]

@@ -245,7 +245,7 @@ GOLDEN = {
     'migrate': (0.07659096666666668, 2402, 131933, 131933, 172, 199, 4, 'e3ba8e52661a66f5'),
     'remote-memory': (0.0078000000000000074, 1517, 82512, 82512, 147, 199, 0, 'e3ba8e52661a66f5'),
     'degraded': (0.02026318333333333, 1373, 16815, 16815, 147, 199, 0, 'e3ba8e52661a66f5'),
-    'speculation+stealing': (0.13221376666666662, 4122, 135484, 129879, 131, 210, 6, '8170e7cd267f399b'),
+    'speculation+stealing': (0.13221376666666662, 2350, 135484, 129879, 130, 210, 6, '8170e7cd267f399b'),
     'corrupt-repair': (0.12545862666666668, 2121, 231853, 231853, 196, 262, 0, 'a255e3edfd2970ac'),
 }
 

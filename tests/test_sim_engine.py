@@ -205,10 +205,16 @@ def test_poll_rejects_non_callable_predicate():
         Engine().poll(1.0, True)
 
 
+def flip(eng, box, value=True):
+    """Set a flag a poll watches, and keep the poke contract."""
+    box[:] = [value] if value else []
+    eng.poke()
+
+
 def test_poll_fires_on_first_ready_tick_with_the_predicates_value():
     eng = Engine()
     box = []
-    eng.timeout(2.5).add_callback(lambda e: box.append("go"))
+    eng.timeout(2.5).add_callback(lambda e: flip(eng, box, "go"))
 
     def body():
         value = yield eng.poll(1.0, lambda: box and box[0])
@@ -216,70 +222,181 @@ def test_poll_fires_on_first_ready_tick_with_the_predicates_value():
 
     proc = eng.process(body())
     assert eng.run(until=proc) == (3.0, "go")
-    assert eng.poll_ticks == 2  # t=1, t=2 re-armed in place; t=3 fired
+    assert eng.poll_wakes == 1  # parked through t=1 and t=2, woke at t=3
 
 
-def test_false_ticks_count_as_events_but_resume_nobody():
+def test_a_parked_poll_is_no_event_and_resumes_nobody():
     eng = Engine()
+    box = []
     resumed = []
 
     def body():
-        yield eng.poll(1.0, lambda: eng.now >= 100.0)
+        yield eng.poll(1.0, lambda: box)
         resumed.append(eng.now)
 
     eng.process(body())
     eng.run(until=50.5)
-    assert (eng.poll_ticks, resumed) == (50, [])
-    assert eng.events_processed == 51  # process bootstrap + 50 ticks
+    assert (eng.poll_wakes, resumed, eng.peek()) == (0, [], float("inf"))
+    assert eng.events_processed == 1  # the process bootstrap, no tick
+    flip(eng, box)  # at 50.5: the next grid instant is 51
     eng.run(until=200.0)
-    assert resumed == [100.0]
-    assert eng.poll_ticks == 99
+    assert (resumed, eng.poll_wakes) == ([51.0], 1)
+
+
+def test_a_poll_whose_predicate_holds_arms_at_once():
+    eng = Engine()
+    poll = eng.poll(0.25, lambda: "now")
+    assert eng.parked == {} and eng.peek() == 0.25
+    assert eng.run(until=poll) == "now"
+
+
+def test_a_wake_that_finds_the_predicate_false_parks_again():
+    eng = Engine()
+    box = []
+    eng.timeout(0.2).add_callback(lambda e: flip(eng, box))
+    eng.timeout(0.5).add_callback(lambda e: flip(eng, box, False))
+    eng.timeout(2.5).add_callback(lambda e: flip(eng, box))
+    poll = eng.poll(1.0, lambda: box)
+    eng.run(until=2.0)
+    assert (poll.processed, eng.poll_wakes, list(eng.parked)) == (
+        False, 1, [poll]
+    )
+    eng.run(until=poll)
+    assert (eng.now, eng.poll_wakes) == (3.0, 2)
+
+
+def test_a_poke_that_finds_the_predicate_false_schedules_nothing():
+    eng = Engine()
+    poll = eng.poll(1.0, lambda: False)
+    eng.poke()
+    assert list(eng.parked) == [poll] and eng.peek() == float("inf")
 
 
 def test_only_dead_polls_left_is_a_deadlock_when_awaiting_an_event():
     eng = Engine()
     eng.poll(1.0, lambda: False)
-    eng.poll(0.7, lambda: False)
+    eng.poll(0.7, lambda: False, rank=1)
     with pytest.raises(RuntimeError, match="simulation deadlock"):
         eng.run(until=eng.event())
-    assert eng.now == 0.7  # told on the first tick, not after a spin
+    assert eng.now == 0.0  # told at once, not after a spin
 
 
-def test_only_dead_polls_left_ends_a_bare_run_and_leaves_them_armed():
+def test_a_bare_run_ends_at_the_last_real_event_and_leaves_polls_parked():
     eng = Engine()
     flag = []
-    eng.poll(1.0, lambda: flag).add_callback(lambda e: flag.append("seen"))
+    poll = eng.poll(1.0, lambda: flag)
+    poll.add_callback(lambda e: flag.append("seen"))
     eng.timeout(2.5)
     eng.run()
-    assert eng.now == 3.0  # first tick with nothing else in the heap
-    flag.append(True)
+    assert (eng.now, list(eng.parked)) == (2.5, [poll])
+    flip(eng, flag)
     eng.run()
-    assert (eng.now, flag) == (4.0, [True, "seen"])
-    assert eng.peek() == float("inf")
+    assert (eng.now, flag) == (3.0, [True, "seen"])
+    assert eng.peek() == float("inf") and eng.parked == {}
 
 
-def test_bounded_run_keeps_ticking_dead_polls_to_the_limit():
+def test_a_bounded_run_leaves_now_at_the_limit():
     eng = Engine()
     eng.poll(1.0, lambda: False)
     eng.run(until=10.5)
-    assert (eng.now, eng.poll_ticks, eng.peek()) == (10.5, 10, 11.0)
+    assert (eng.now, eng.poll_wakes, eng.events_processed, eng.peek()) == (
+        10.5, 0, 0, float("inf")
+    )
 
 
 def test_a_poll_that_another_poll_will_wake_is_not_a_deadlock():
-    """Poll A's firing changes poll B's predicate: with nothing else in
-    the heap the engine must look at A before calling B stuck."""
+    """Poll A's firing turns poll B's predicate true and pokes: B takes
+    its own (higher-rank) slot at that very instant."""
     eng = Engine()
     state = {"a": False}
-    eng.timeout(0.5).add_callback(lambda e: state.update(a=True))
+
+    def set_and_poke(key):
+        state[key] = True
+        eng.poke()
+
+    eng.timeout(0.5).add_callback(lambda e: set_and_poke("a"))
     first = eng.poll(3.0, lambda: state["a"])
-    first.add_callback(lambda e: state.update(b=True))
-    second = eng.poll(1.0, lambda: state.get("b"))
+    first.add_callback(lambda e: set_and_poke("b"))
+    second = eng.poll(1.0, lambda: state.get("b"), rank=1)
     eng.run(until=second)
     assert eng.now == 3.0 and first.processed
 
 
+# ----------------------------------------------------------------- late slots
+def test_a_late_slot_follows_zero_delay_events_pushed_at_its_instant():
+    eng = Engine()
+    order = []
+    eng.timeout(1.0, rank=0).add_callback(lambda e: order.append("late"))
+
+    def chain(e):
+        order.append("ordinary")
+        eng.timeout(0.0).add_callback(lambda e: order.append("zero-delay"))
+
+    eng.timeout(1.0).add_callback(chain)
+    eng.run()
+    assert order == ["ordinary", "zero-delay", "late"]
+
+
+def test_late_slots_at_one_instant_run_in_rank_order():
+    eng = Engine()
+    order = []
+    for rank in (2, 0, 1):
+        eng.timeout(1.0, value=rank, rank=rank).add_callback(
+            lambda e: order.append(e.value))
+    eng.run()
+    assert order == [0, 1, 2]
+
+
+def test_a_nan_or_past_late_slot_is_rejected():
+    eng = Engine()
+    with pytest.raises(ValueError):
+        eng._push_late(eng.event(), float("nan"), 0)
+    with pytest.raises(ValueError):
+        eng.timeout(1.0, rank=-1)
+    eng.run(until=2.0)
+    with pytest.raises(ValueError):
+        eng._push_late(eng.event(), 1.0, 0)
+    errors = []
+
+    def too_late(e):
+        for rank in (0, 1, 2):
+            try:
+                eng.timeout(0.0, rank=rank)
+            except ValueError:
+                errors.append(rank)
+
+    eng.timeout(1.0, rank=1).add_callback(too_late)
+    eng.run()
+    assert errors == [0, 1]  # rank 2's slot at this instant is still open
+    assert eng.peek() == float("inf") and eng.now == 3.0
+
+
+@pytest.mark.parametrize("pusher", ["late", "ordinary"])
+def test_a_passed_slot_stays_passed(pusher):
+    """A poke at an instant whose rank-0 slot a later slot already ran
+    past, even from an ordinary event pushed after that slot, takes the
+    next grid instant; a higher rank still takes this one."""
+    eng = Engine()
+    box = []
+    low = eng.poll(1.0, lambda: box)
+    high = eng.poll(1.0, lambda: box, rank=2)
+
+    def go(e):
+        if pusher == "late":
+            flip(eng, box)
+        else:
+            eng.timeout(0.0).add_callback(lambda e: flip(eng, box))
+
+    eng.timeout(1.0, rank=1).add_callback(go)
+    eng.run(until=low)
+    assert eng.now == 2.0 and high.processed
+    assert eng.poll_wakes == 2
+
+
 # Equivalence with the coroutine-polling shape, ties included.  Actors flip
-# integer flags; pollers wait for "their" flag, log, clear it and poll again.
+# integer flags and poke; pollers wait for "their" flag, log, clear it,
+# may relay to the other flag, and poll again.  Poller ``i`` looks in late
+# slot ``i`` on both sides.
 _INTERVALS = [2e-4, 0.1, 0.3, 1.0 / 3.0, 1.0]
 
 
@@ -313,12 +430,16 @@ _poller = st.fixed_dictionaries({
                   st.floats(0.0, 3.0, allow_nan=False)),
         max_size=3,
     ),
+    # before each wait but the first, set the other flag to this and poke:
+    # from inside its own late slot (no gap) or from an ordinary event
+    # pushed after it (gap 0)
+    "relay": st.integers(0, 2),
 })
 
 
 def _play(wait, interval, origins, pollers, actors):
-    """Run one schedule; ``wait(engine, interval, ready)`` is the generator a
-    poller delegates to.  Returns (trace, events_processed, next seq)."""
+    """Run one schedule; ``wait(engine, interval, ready, rank)`` is the
+    generator a poller delegates to.  Returns the trace."""
     eng = Engine()
     flags = [0, 0]
     trace = []
@@ -327,10 +448,13 @@ def _play(wait, interval, origins, pollers, actors):
         if origins[spec["origin"]] > 0.0:
             yield eng.timeout(origins[spec["origin"]])
         idx = spec["flag"]
-        for gap in [None] + spec["gaps"]:
+        for k, gap in enumerate([None] + spec["gaps"]):
             if gap is not None:
                 yield eng.timeout(gap * interval)
-            value = yield from wait(eng, interval, lambda: flags[idx])
+            if k and spec["relay"]:
+                flags[1 - idx] = spec["relay"]
+                eng.poke()
+            value = yield from wait(eng, interval, lambda: flags[idx], i)
             trace.append((eng.now, f"poller{i}", value))
             flags[idx] = 0
 
@@ -341,6 +465,7 @@ def _play(wait, interval, origins, pollers, actors):
         def act(_event=None):
             trace.append((eng.now, f"actor{j}", spec["value"]))
             flags[spec["flag"]] = spec["value"]
+            eng.poke()
 
         if spec["kind"] == "free":
             yield eng.timeout(spec["frac"] * interval)
@@ -361,11 +486,11 @@ def _play(wait, interval, origins, pollers, actors):
         if i < len(pollers):
             eng.process(poller(i, pollers[i]))
     eng.run(until=20.0 * interval)
-    return trace, eng.events_processed, eng._seq
+    return trace
 
 
-def _wait_on_poll(engine, interval, ready):
-    return (yield engine.poll(interval, ready))
+def _wait_on_poll(engine, interval, ready, rank=0):
+    return (yield engine.poll(interval, ready, rank))
 
 
 @settings(max_examples=300, deadline=None)
@@ -386,10 +511,10 @@ def test_poll_is_the_timeout_loop_event_for_event(
 
 
 def test_poll_ties_with_an_event_ninety_additions_away():
-    """The tie that broke the parked-thief design: ninety additions of
-    2e-4 are 0.018000000000000002, exactly where an event scheduled in
-    one step from t=0 lands; who goes first is decided by sequence
-    number alone."""
+    """The tie that broke the first parked-thief design: ninety additions
+    of 2e-4 are 0.018000000000000002, exactly where an event scheduled in
+    one step from t=0 lands; the tick's late slot decides who goes first,
+    whatever order the two were created in."""
     interval = 2e-4
     assert _grid(0.0, interval, 90) == 0.018000000000000002
     for wait in (poll_with_timeouts, _wait_on_poll):
@@ -405,11 +530,12 @@ def test_poll_ties_with_an_event_ninety_additions_away():
             def setter():
                 yield eng.timeout(0.018000000000000002)
                 flags[0] = 1
+                eng.poke()
 
             bodies = [poller(), setter()]
             for body in bodies if poller_first else reversed(bodies):
                 eng.process(body)
             eng.run(until=0.02)
-            # The tick's slot at the tied instant was taken at the 89th
-            # tick, long after the setter's: the setter always runs first.
+            # The tick's late slot at the tied instant follows every
+            # ordinary event there: the setter always runs first.
             assert seen == [0.018000000000000002]
